@@ -4,11 +4,19 @@ Exit codes: 0 on success (and on an eligible/compliant verdict), 2 when
 the analysis itself is negative (ineligible bid, failed compliance), 1 on
 input errors of any kind.
 
-Flags that describe structured inputs also take ``@file`` references to
-scenario fragments: ``--unit @plant.scenario`` reads the [unit] section
-of that file.  ``ELYBAL_SCENARIO_DIR`` provides a fallback directory for
-relative scenario paths; ``ELYBAL_DEFAULT_PRESET`` supplies a unit when
-none is given.
+Units, products and numbers given as flags go through the scenario
+parser.  ``--unit`` takes exactly the [unit] keys of a scenario file,
+inline as ``key=value,...`` or as an ``@file`` fragment reference
+(``--unit @plant.scenario`` reads that file's [unit] sections).  Unknown
+keys are rejected, and ``count`` aggregates identical units as ``--fleet``
+does.  A multi-point ``efficiency_points`` needs a fragment, because the
+inline form splits on commas.  ``--product``, ``--bid`` and ``--setpoint``
+take a bare value or an ``@file`` whose [product] or [dispatch] section
+holds it.  A non-finite number is an input error.
+
+``ELYBAL_SCENARIO_DIR`` provides a fallback directory for relative
+scenario paths; ``ELYBAL_DEFAULT_PRESET`` supplies a unit when none is
+given.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -24,15 +31,17 @@ from .allocate import AllocationOptions, optimize_day
 from .dispatch import check_compliance, simulate
 from .economics import build_report
 from .eligibility import check_eligibility, default_setpoint, max_offerable
-from .markets import apply_grid_fee, avg_price_below_threshold, product_from_name
-from .model import ElectrolyzerUnit, Fleet, Technology, aggregate
+from .markets import apply_grid_fee, avg_price_below_threshold
+from .model import ElectrolyzerUnit
 from .scenario_io import (
     PRESETS,
-    Scenario,
+    Fragment,
     ScenarioError,
     emit_report,
+    flag_fragment,
     load_scenario,
     preset,
+    read_fragment,
     write_trajectory_csv,
 )
 
@@ -59,66 +68,11 @@ def _resolve_path(value: str) -> Path:
     return p
 
 
-def _fragment_section(path: Path, section: str) -> dict[str, str]:
-    from .scenario_io import _parse_sections  # reuse the scenario grammar
-
-    text = path.read_text(encoding="utf-8")
-    for sec in _parse_sections(text, str(path)):
-        if sec.name == section:
-            return {item.key: item.value for item in sec.items}
-    raise ScenarioError(f"fragment has no [{section}] section", source=str(path))
-
-
-def _unit_from_inline(spec: str) -> ElectrolyzerUnit:
-    """Inline unit spec: comma-separated key=value pairs in datasheet units."""
-    fields: dict[str, str] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ScenarioError(f"expected key=value in unit spec, got '{part}'")
-        key, value = part.split("=", 1)
-        fields[key.strip().lower()] = value.strip()
-    return _unit_from_fields(fields)
-
-
-def _unit_from_fields(fields: dict[str, str]) -> ElectrolyzerUnit:
-    entry = preset(fields["preset"]) if "preset" in fields else None
-    if entry is None:
-        for key in ("rated_power_mw", "min_load_pct", "ramp_up_pct_per_s", "technology"):
-            if key not in fields:
-                raise ScenarioError(f"unit spec is missing '{key}'")
-    try:
-        tech = (
-            Technology(fields["technology"].upper())
-            if "technology" in fields
-            else entry.technology
-        )
-        return ElectrolyzerUnit(
-            name=fields.get("name") or (entry.manufacturer if entry else "unit"),
-            technology=tech,
-            rated_power_mw=(
-                float(fields["rated_power_mw"]) if "rated_power_mw" in fields else entry.power_mw
-            ),
-            min_load_fraction=(
-                float(fields["min_load_pct"]) / 100.0
-                if "min_load_pct" in fields
-                else entry.range_min_pct / 100.0
-            ),
-            ramp_up=(
-                float(fields["ramp_up_pct_per_s"]) / 100.0
-                if "ramp_up_pct_per_s" in fields
-                else entry.ramp_pct_per_s / 100.0
-            ),
-            ramp_down=(
-                float(fields["ramp_down_pct_per_s"]) / 100.0
-                if "ramp_down_pct_per_s" in fields
-                else None
-            ),
-        )
-    except (ValueError, KeyError) as exc:
-        raise ScenarioError(f"invalid unit spec: {exc}") from None
+def _fragment(value: str, flag: str, section: str, key: str | None = None) -> Fragment:
+    """``@file`` reads that file's [section]; any other value is the flag's own."""
+    if value.startswith("@"):
+        return read_fragment(_resolve_path(value[1:]), section)
+    return flag_fragment(flag, section, value, key)
 
 
 def _unit_from_args(args) -> ElectrolyzerUnit:
@@ -126,43 +80,23 @@ def _unit_from_args(args) -> ElectrolyzerUnit:
         scenario = load_scenario(_resolve_path(args.fleet))
         return scenario.primary_unit()
     if getattr(args, "unit", None):
-        value = args.unit
-        if value.startswith("@"):
-            fields = _fragment_section(_resolve_path(value[1:]), "unit")
-            return _unit_from_fields(fields)
-        return _unit_from_inline(value)
+        return _fragment(args.unit, "--unit", "unit").unit()
     preset_name = getattr(args, "preset", None) or os.environ.get(DEFAULT_PRESET_ENV)
     if preset_name:
         return preset(preset_name).to_unit()
     raise ScenarioError("no unit given: use --preset, --unit or --fleet")
 
 
-def _number_flag(value: str, section: str, key: str) -> float:
-    if value.startswith("@"):
-        fields = _fragment_section(_resolve_path(value[1:]), section)
-        if key not in fields:
-            raise ScenarioError(f"fragment [{section}] has no '{key}'")
-        value = fields[key]
-    return float(value)
-
-
-def _product_flag(value: str):
-    if value.startswith("@"):
-        fields = _fragment_section(_resolve_path(value[1:]), "product")
-        name = fields.get("kind", "")
-        direction = fields.get("direction")
-        if direction and direction.lower() != "sym":
-            name = f"{name}-{direction}"
-        return product_from_name(name)
-    return product_from_name(value)
+def _number_flag(value: str, flag: str, key: str) -> float:
+    return _fragment(value, flag, "dispatch", key).number(key)
 
 
 def cmd_eligibility(args) -> int:
     unit = _unit_from_args(args)
-    product = _product_flag(args.product)
-    bid = _number_flag(args.bid, "dispatch", "bid_mw")
+    product = _fragment(args.product, "--product", "product", "kind").product()
+    bid = _number_flag(args.bid, "--bid", "bid_mw")
     if args.setpoint is not None:
-        setpoint = _number_flag(args.setpoint, "dispatch", "setpoint_mw")
+        setpoint = _number_flag(args.setpoint, "--setpoint", "setpoint_mw")
     else:
         setpoint = default_setpoint(unit, product)
     report = check_eligibility(unit, product, bid, setpoint)
@@ -241,7 +175,7 @@ def _run_simulate(path: Path, out_dir: Path | None) -> tuple[str, bool, str]:
 
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out) if args.out else None
-    results = _map_scenarios(args.scenario, args.jobs, lambda p: _run_simulate(p, out_dir))
+    results = [_run_simulate(_resolve_path(p), out_dir) for p in args.scenario]
     all_ok = True
     for text, ok, _ in results:
         print(text)
@@ -285,7 +219,7 @@ def _run_allocate(path: Path, prices_override: Path | None, out_dir: Path | None
 def cmd_allocate(args) -> int:
     out_dir = Path(args.out) if args.out else None
     prices = Path(args.prices) if args.prices else None
-    results = _map_scenarios(args.scenario, args.jobs, lambda p: _run_allocate(p, prices, out_dir))
+    results = [_run_allocate(_resolve_path(p), prices, out_dir) for p in args.scenario]
     for text in results:
         print(text)
     return 0
@@ -352,7 +286,8 @@ def _run_economics(path: Path, out_dir: Path | None) -> str:
 
 def cmd_economics(args) -> int:
     out_dir = Path(args.out) if args.out else None
-    for text in _map_scenarios(args.scenario, args.jobs, lambda p: _run_economics(p, out_dir)):
+    results = [_run_economics(_resolve_path(p), out_dir) for p in args.scenario]
+    for text in results:
         print(text)
     return 0
 
@@ -382,14 +317,6 @@ def cmd_presets(args) -> int:
     return 0
 
 
-def _map_scenarios(paths: list[str], jobs: int, fn):
-    resolved = [_resolve_path(p) for p in paths]
-    if jobs > 1 and len(resolved) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, resolved))  # order preserved: deterministic merge
-    return [fn(p) for p in resolved]
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="elybal", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -409,20 +336,17 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="rate-limited response to an activation signal")
     p_sim.add_argument("--scenario", required=True, nargs="+", help="scenario file(s)")
     p_sim.add_argument("--out", help="output directory for trajectory and compliance files")
-    p_sim.add_argument("--jobs", type=int, default=1, help="parallel scenario files")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_alloc = sub.add_parser("allocate", help="revenue-maximal daily bid schedule")
     p_alloc.add_argument("--scenario", required=True, nargs="+", help="scenario file(s)")
     p_alloc.add_argument("--prices", help="override FCR capacity price CSV")
     p_alloc.add_argument("--out", help="output directory")
-    p_alloc.add_argument("--jobs", type=int, default=1, help="parallel scenario files")
     p_alloc.set_defaults(func=cmd_allocate)
 
     p_eco = sub.add_parser("economics", help="revenue, cost and coverage report")
     p_eco.add_argument("--scenario", required=True, nargs="+", help="scenario file(s)")
     p_eco.add_argument("--out", help="output directory")
-    p_eco.add_argument("--jobs", type=int, default=1, help="parallel scenario files")
     p_eco.set_defaults(func=cmd_economics)
 
     p_pre = sub.add_parser("presets", help="browse the unit catalog")

@@ -120,13 +120,13 @@ def preset(key: str) -> PresetEntry:
 class _Item:
     key: str
     value: str
-    line: int
+    line: int | None  # None for values given on the command line
 
 
 @dataclass
 class _Section:
     name: str
-    line: int
+    line: int | None
     items: list[_Item]
 
     def get(self, key: str) -> _Item | None:
@@ -196,12 +196,18 @@ def _check_keys(section: _Section, source: str) -> None:
 
 def _float(item: _Item, source: str) -> float:
     try:
-        return float(item.value)
+        value = float(item.value)
     except ValueError:
         raise ScenarioError(
             f"expected a number, got '{item.value}'", key=item.key, line=item.line,
             source=source,
         ) from None
+    if not math.isfinite(value):
+        raise ScenarioError(
+            f"expected a finite number, got '{item.value}'", key=item.key, line=item.line,
+            source=source,
+        )
+    return value
 
 
 def _bool(item: _Item, source: str) -> bool:
@@ -238,13 +244,10 @@ def _parse_efficiency_points(item: _Item, source: str) -> EfficiencyCurve:
                 line=item.line, source=source,
             )
         load_s, energy_s = part.split(":", 1)
-        try:
-            points.append((float(load_s) / 100.0, float(energy_s)))
-        except ValueError:
-            raise ScenarioError(
-                f"non-numeric efficiency point '{part}'", key=item.key, line=item.line,
-                source=source,
-            ) from None
+        points.append((
+            _float(_Item(item.key, load_s.strip(), item.line), source) / 100.0,
+            _float(_Item(item.key, energy_s.strip(), item.line), source),
+        ))
     try:
         return EfficiencyCurve(tuple(points))
     except ValueError as exc:
@@ -311,12 +314,13 @@ def _build_units(section: _Section, source: str) -> list[ElectrolyzerUnit]:
     count_item = section.get("count")
     count = 1
     if count_item is not None:
-        count = int(_float(count_item, source))
-        if count < 1:
+        value = _float(count_item, source)
+        if value < 1 or not value.is_integer():
             raise ScenarioError(
-                f"count must be >= 1, got {count}", key=count_item.key,
+                f"count must be >= 1 and whole, got {count_item.value}", key=count_item.key,
                 line=count_item.line, source=source,
             )
+        count = int(value)
 
     def make(unit_name: str) -> ElectrolyzerUnit:
         try:
@@ -331,6 +335,29 @@ def _build_units(section: _Section, source: str) -> list[ElectrolyzerUnit]:
     if count == 1:
         return [make(name)]
     return [make(f"{name} #{i + 1}") for i in range(count)]
+
+
+def _build_product(section: _Section, source: str) -> BalancingProduct:
+    kind_item = _required(section, "kind", source)
+    direction_item = section.get("direction")
+    label = kind_item.value.strip().lower()
+    if direction_item is not None:
+        label = f"{label}-{direction_item.value.strip().lower()}"
+        if label.endswith("-sym"):
+            label = label[: -len("-sym")]
+    try:
+        return product_from_name(label)
+    except ValueError as exc:
+        raise ScenarioError(
+            str(exc), key=kind_item.key, line=kind_item.line, source=source
+        ) from None
+
+
+def _one_unit(units: tuple[ElectrolyzerUnit, ...]) -> ElectrolyzerUnit:
+    """The single unit, or the aggregate of a fleet."""
+    if len(units) == 1:
+        return units[0]
+    return aggregate(Fleet(units))
 
 
 @dataclass(frozen=True)
@@ -378,10 +405,9 @@ class Scenario:
     def primary_unit(self) -> ElectrolyzerUnit:
         """The single unit, or the aggregate when the scenario holds a fleet."""
         if not self.units:
-            raise ScenarioError("scenario defines no [unit]")
-        if len(self.units) == 1:
-            return self.units[0]
-        return aggregate(Fleet(self.units))
+            source = str(self.path) if self.path is not None else None
+            raise ScenarioError("scenario defines no [unit]", source=source)
+        return _one_unit(self.units)
 
     def product(self, name: str | None = None) -> BalancingProduct:
         if not self.products:
@@ -402,18 +428,37 @@ def _resolve(base: Path | None, value: str) -> Path:
     return p
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse and materialize a scenario file, loading referenced CSVs."""
-    path = Path(path)
+def _load_referenced(load, path: Path, item: _Item, source: str, *args):
+    """``load(path, *args)``, with a file that cannot be opened reported at ``item``."""
+    try:
+        return load(path, *args)
+    except ScenarioError:
+        raise
+    except (OSError, ValueError) as exc:  # ValueError: e.g. a NUL byte in the path
+        raise ScenarioError(
+            f"cannot read file: {exc}", key=item.key, line=item.line, source=source
+        ) from None
+
+
+def _read_sections(path: Path) -> list[_Section]:
+    """The sections of a scenario file, keys checked."""
     source = str(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}", source=source) from None
-    base = path.parent
     sections = _parse_sections(text, source)
     for section in sections:
         _check_keys(section, source)
+    return sections
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Parse and materialize a scenario file, loading referenced CSVs."""
+    path = Path(path)
+    source = str(path)
+    base = path.parent
+    sections = _read_sections(path)
 
     name = path.stem
     units: list[ElectrolyzerUnit] = []
@@ -435,30 +480,14 @@ def load_scenario(path: str | Path) -> Scenario:
         elif section.name == "unit":
             units.extend(_build_units(section, source))
         elif section.name == "product":
-            kind_item = _required(section, "kind", source)
-            direction_item = section.get("direction")
-            label = kind_item.value.strip().lower()
-            if direction_item is not None:
-                label = f"{label}-{direction_item.value.strip().lower()}"
-                if label.endswith("-sym"):
-                    label = label[: -len("-sym")]
-            try:
-                products.append(product_from_name(label))
-            except ValueError as exc:
-                raise ScenarioError(
-                    str(exc), key=kind_item.key, line=kind_item.line, source=source
-                ) from None
+            products.append(_build_product(section, source))
         elif section.name == "prices":
             csv_item = section.get("fcr_capacity_csv")
             if csv_item is not None:
                 fcr_prices_path = _resolve(base, csv_item.value)
-                try:
-                    fcr_prices = load_capacity_prices(fcr_prices_path)
-                except OSError as exc:
-                    raise ScenarioError(
-                        f"cannot read price file: {exc}", key=csv_item.key,
-                        line=csv_item.line, source=source,
-                    ) from None
+                fcr_prices = _load_referenced(
+                    load_capacity_prices, fcr_prices_path, csv_item, source
+                )
             hourly = section.get("afrr_price_eur_per_mw_h")
             per_block = section.get("afrr_price_eur_per_mw_block")
             if hourly is not None and per_block is not None:
@@ -473,13 +502,7 @@ def load_scenario(path: str | Path) -> Scenario:
             spot_item = section.get("spot_csv")
             if spot_item is not None:
                 spot_path = _resolve(base, spot_item.value)
-                try:
-                    spot = load_spot_prices(spot_path)
-                except OSError as exc:
-                    raise ScenarioError(
-                        f"cannot read spot file: {exc}", key=spot_item.key,
-                        line=spot_item.line, source=source,
-                    ) from None
+                spot = _load_referenced(load_spot_prices, spot_path, spot_item, source)
         elif section.name == "dispatch":
             product_item = section.get("product")
             dispatch_settings = DispatchSettings(
@@ -498,13 +521,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 ) from None
             csv_item = _required(section, "csv", source)
             signal_path = _resolve(base, csv_item.value)
-            try:
-                signal = load_signal(signal_path, kind)
-            except OSError as exc:
-                raise ScenarioError(
-                    f"cannot read signal file: {exc}", key=csv_item.key,
-                    line=csv_item.line, source=source,
-                ) from None
+            signal = _load_referenced(load_signal, signal_path, csv_item, source, kind)
         elif section.name == "allocate":
             pre_item = section.get("pre_reserved_fcr_mw")
             h2_item = section.get("hydrogen_value_eur_per_kg")
@@ -565,6 +582,61 @@ def load_scenario(path: str | Path) -> Scenario:
         output_formats=output_formats,
         path=path,
     )
+
+
+@dataclass(frozen=True)
+class Fragment:
+    """Scenario sections given outside a scenario file, for command line flags.
+
+    Built by ``read_fragment`` from the sections of one name in a file, or
+    by ``flag_fragment`` from a flag value.  Either way the keys are the
+    scenario keys of that section and go through the scenario parser.
+    """
+
+    source: str  # file or flag, named in errors
+    sections: tuple[_Section, ...]
+
+    def unit(self) -> ElectrolyzerUnit:
+        """The [unit] sections as one unit, aggregated when they hold a fleet."""
+        return _one_unit(tuple(u for s in self.sections for u in _build_units(s, self.source)))
+
+    def product(self) -> BalancingProduct:
+        return _build_product(self.sections[0], self.source)
+
+    def number(self, key: str) -> float:
+        return _float(_required(self.sections[0], key, self.source), self.source)
+
+
+def read_fragment(path: str | Path, name: str) -> Fragment:
+    """The [name] sections of a scenario file or fragment."""
+    path = Path(path)
+    sections = tuple(s for s in _read_sections(path) if s.name == name)
+    if not sections:
+        raise ScenarioError(f"fragment has no [{name}] section", source=str(path))
+    return Fragment(str(path), sections)
+
+
+def flag_fragment(flag: str, name: str, value: str, key: str | None = None) -> Fragment:
+    """A flag value as one [name] section.
+
+    ``value`` holds comma-separated ``key=value`` pairs, or, when ``key``
+    is given, the bare value of that one key.
+    """
+    if key is not None:
+        items = [_Item(key, value.strip(), None)]
+    else:
+        items = []
+        for part in value.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            if "=" not in part:
+                raise ScenarioError(f"expected key=value, got '{part}'", source=flag)
+            k, v = part.split("=", 1)
+            items.append(_Item(k.strip().lower(), v.strip(), None))
+    section = _Section(name, None, items)
+    _check_keys(section, flag)
+    return Fragment(flag, (section,))
 
 
 def dump_scenario(scenario: Scenario) -> str:
@@ -656,7 +728,8 @@ def dump_scenario(scenario: Scenario) -> str:
 
 # ------------------------------------------------------------ CSV loaders
 
-def _read_csv_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
+def _read_csv_rows(path: Path, expected_header: list[str]) -> list[tuple[int, str, float]]:
+    """Data rows of a two-column CSV as (line, first cell, second cell as a finite number)."""
     source = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -669,54 +742,44 @@ def _read_csv_rows(path: Path, expected_header: list[str]) -> list[tuple[int, li
             f"expected header '{','.join(expected_header)}', got '{','.join(header)}'",
             line=header_line, source=source,
         )
-    return rows[1:]
+    parsed: list[tuple[int, str, float]] = []
+    for lineno, row in rows[1:]:
+        if len(row) != 2:
+            raise ScenarioError(f"expected 2 columns, got {len(row)}", line=lineno, source=source)
+        try:
+            value = float(row[1])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ScenarioError(
+                f"expected a finite number, got '{row[1].strip()}'", key=expected_header[1],
+                line=lineno, source=source,
+            )
+        parsed.append((lineno, row[0].strip(), value))
+    return parsed
 
 
 def load_capacity_prices(path: str | Path) -> CapacityPriceTable:
     """Read a block,price_eur_per_mw CSV into a capacity price table."""
     path = Path(path)
-    source = str(path)
     rows = _read_csv_rows(path, ["block", "price_eur_per_mw"])
-    pairs: list[tuple[str, float]] = []
-    for lineno, row in rows:
-        if len(row) != 2:
-            raise ScenarioError(f"expected 2 columns, got {len(row)}", line=lineno, source=source)
-        label, price_s = row[0].strip(), row[1].strip()
-        try:
-            price = float(price_s)
-        except ValueError:
-            raise ScenarioError(
-                f"non-numeric price '{price_s}' for block '{label}'", line=lineno,
-                source=source,
-            ) from None
-        pairs.append((label, price))
     try:
-        return price_table_from_pairs(pairs)
+        return price_table_from_pairs((label, price) for _, label, price in rows)
     except ValueError as exc:
-        raise ScenarioError(str(exc), source=source) from None
+        raise ScenarioError(str(exc), source=str(path)) from None
 
 
 def load_spot_prices(path: str | Path) -> SpotPriceSeries:
     """Read a timestamp,price_eur_per_mwh CSV into a spot price series."""
     path = Path(path)
     source = str(path)
-    rows = _read_csv_rows(path, ["timestamp", "price_eur_per_mwh"])
     samples: list[tuple[datetime, float]] = []
-    for lineno, row in rows:
-        if len(row) != 2:
-            raise ScenarioError(f"expected 2 columns, got {len(row)}", line=lineno, source=source)
-        ts_s, price_s = row[0].strip(), row[1].strip()
+    for lineno, ts_s, price in _read_csv_rows(path, ["timestamp", "price_eur_per_mwh"]):
         try:
             ts = datetime.fromisoformat(ts_s)
         except ValueError:
             raise ScenarioError(
                 f"invalid ISO timestamp '{ts_s}'", line=lineno, source=source
-            ) from None
-        try:
-            price = float(price_s)
-        except ValueError:
-            raise ScenarioError(
-                f"non-numeric price '{price_s}'", line=lineno, source=source
             ) from None
         samples.append((ts, price))
     try:
@@ -729,17 +792,18 @@ def load_signal(path: str | Path, kind: SignalKind) -> ActivationSignal:
     """Read a time_s,value CSV into an activation signal."""
     path = Path(path)
     source = str(path)
-    rows = _read_csv_rows(path, ["time_s", "value"])
     samples: list[tuple[float, float]] = []
-    for lineno, row in rows:
-        if len(row) != 2:
-            raise ScenarioError(f"expected 2 columns, got {len(row)}", line=lineno, source=source)
+    for lineno, time_s, value in _read_csv_rows(path, ["time_s", "value"]):
         try:
-            samples.append((float(row[0]), float(row[1])))
+            t = float(time_s)
         except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
             raise ScenarioError(
-                f"non-numeric row '{','.join(row)}'", line=lineno, source=source
-            ) from None
+                f"expected a finite number, got '{time_s}'", key="time_s", line=lineno,
+                source=source,
+            )
+        samples.append((t, value))
     try:
         return ActivationSignal.from_rows(kind, samples)
     except ValueError as exc:

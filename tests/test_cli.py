@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from elybal.cli import main
+from elybal.cli import _unit_from_args, build_parser, main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DEMO = str(SCENARIOS / "demo4grid.scenario")
@@ -110,6 +110,71 @@ class TestEligibilityCommand:
         ])
         assert code == 0
         assert "McPhy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("keys, rated_mw", [
+        ({"preset": "demo4grid", "count": "10"}, 40.0),
+        ({"technology": "PEM", "rated_power_mw": "10", "min_load_pct": "10",
+          "ramp_up_pct_per_s": "5", "ramp_down_pct_per_s": "4"}, 10.0),
+        ({"preset": "sunfire-ael", "efficiency_points": "25:55, 100:52"}, 10.0),
+    ], ids=["count", "explicit", "efficiency-points"])
+    def test_inline_fragment_and_fleet_give_one_unit(self, tmp_path, keys, rated_mw):
+        frag = tmp_path / "plant.scenario"
+        frag.write_text("[unit]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()),
+                        encoding="utf-8")
+        forms = [["--unit", f"@{frag}"], ["--fleet", str(frag)]]
+        if "efficiency_points" not in keys:  # the inline form splits on commas
+            forms.append(["--unit", ",".join(f"{k}={v}" for k, v in keys.items())])
+        units = [
+            _unit_from_args(build_parser().parse_args(
+                ["eligibility", *form, "--product", "fcr", "--bid", "1"]
+            ))
+            for form in forms
+        ]
+        assert all(unit == units[0] for unit in units[1:])
+        assert units[0].rated_power_mw == rated_mw
+        if "efficiency_points" in keys:
+            assert units[0].efficiency_curve.breakpoints == ((0.25, 55.0), (1.0, 52.0))
+
+    def test_inline_unknown_key_is_named(self, capsys):
+        code = main([
+            "eligibility", "--unit", "preset=demo4grid,bogus=1", "--product", "fcr",
+            "--bid", "1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--unit" in err
+        assert "key 'bogus'" in err
+
+    def test_nan_ramp_is_an_input_error_not_a_verdict(self, capsys):
+        code = main([
+            "eligibility", "--unit", "preset=demo4grid,ramp_up_pct_per_s=nan",
+            "--product", "fcr", "--bid", "1",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "ineligible" not in captured.out
+        assert "--unit, key 'ramp_up_pct_per_s'" in captured.err
+
+    def test_infinite_rated_power_is_located(self, tmp_path, capsys):
+        frag = tmp_path / "plant.scenario"
+        frag.write_text("[unit]\npreset = demo4grid\nrated_power_mw = inf\n", encoding="utf-8")
+        code = main(["eligibility", "--unit", f"@{frag}", "--product", "fcr", "--bid", "1"])
+        assert code == 1
+        assert f"{frag}, line 3, key 'rated_power_mw'" in capsys.readouterr().err
+
+    def test_nan_bid_is_located(self, capsys):
+        code = main(["eligibility", "--preset", "demo4grid", "--product", "fcr", "--bid", "nan"])
+        assert code == 1
+        assert "--bid, key 'bid_mw': expected a finite number" in capsys.readouterr().err
+
+    def test_non_numeric_bid_fragment_is_located(self, tmp_path, capsys):
+        frag = tmp_path / "bid.scenario"
+        frag.write_text("[dispatch]\nbid_mw = abc\n", encoding="utf-8")
+        code = main([
+            "eligibility", "--preset", "demo4grid", "--product", "fcr", "--bid", f"@{frag}",
+        ])
+        assert code == 1
+        assert f"{frag}, line 2, key 'bid_mw': expected a number" in capsys.readouterr().err
 
     def test_fleet_flag_aggregates(self, capsys):
         code = main([
@@ -212,7 +277,7 @@ class TestEconomicsCommand:
         assert "band 10%" in out
 
     def test_jobs_preserve_scenario_order(self, capsys):
-        code = main(["economics", "--scenario", GERMAN, EU, "--jobs", "2"])
+        code = main(["economics", "--scenario", GERMAN, EU])
         assert code == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert lines[0].startswith("german_fleet_2030")
@@ -234,9 +299,10 @@ class TestArgumentHandling:
 
 
 def test_console_entry_point_runs():
+    # run from src/ so `-m` imports this checkout, installed or not
     proc = subprocess.run(
         [sys.executable, "-m", "elybal.cli", "presets", "list"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, cwd=SCENARIOS.parent / "src",
     )
     assert proc.returncode == 0
     assert "sunfire-ael" in proc.stdout

@@ -7,12 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from elybal.dispatch import PowerTrajectory, SignalKind
 from elybal.markets import CapacityPriceTable, Direction, ProductKind, SpotPriceSeries
 from elybal.model import ElectrolyzerUnit, Technology
 from elybal.scenario_io import (
+    _SECTION_KEYS,
     PRESETS,
+    Scenario,
     ScenarioError,
     dump_scenario,
     emit_report,
@@ -214,6 +218,12 @@ rated_power_mw = 20
                      "[unit]\npreset = mcphy\nrated_power_mw = big\n")
         with pytest.raises(ScenarioError, match="expected a number"):
             load_scenario(path)
+        for value in ("nan", "inf", "-inf"):
+            path = write(tmp_path, "bad.scenario",
+                         f"[unit]\npreset = mcphy\nrated_power_mw = {value}\n")
+            with pytest.raises(ScenarioError, match="expected a finite number") as exc:
+                load_scenario(path)
+            assert (exc.value.key, exc.value.line) == ("rated_power_mw", 3)
 
     def test_min_load_bounds_enforced_at_the_boundary(self, tmp_path):
         path = write(tmp_path, "bad.scenario", """
@@ -266,6 +276,10 @@ efficiency_points = 50-55
 """)
         with pytest.raises(ScenarioError, match="load_pct:kwh_per_kg"):
             load_scenario(path)
+        path = write(tmp_path, "bad.scenario",
+                     "[unit]\npreset = mcphy\nefficiency_points = 10:nan, 100:54\n")
+        with pytest.raises(ScenarioError, match="finite"):
+            load_scenario(path)
 
     def test_bad_signal_kind(self, tmp_path):
         write(tmp_path, "signal.csv", SIGNAL_CSV)
@@ -283,9 +297,66 @@ efficiency_points = 50-55
             load_scenario(tmp_path / "nope.scenario")
 
     def test_count_must_be_at_least_one(self, tmp_path):
-        path = write(tmp_path, "bad.scenario", "[unit]\npreset = mcphy\ncount = 0\n")
-        with pytest.raises(ScenarioError, match="count must be >= 1"):
-            load_scenario(path)
+        for count, message in (
+            ("0", "count must be >= 1"),
+            ("2.7", "count must be >= 1 and whole"),
+            ("inf", "expected a finite number"),
+        ):
+            path = write(tmp_path, "bad.scenario", f"[unit]\npreset = mcphy\ncount = {count}\n")
+            with pytest.raises(ScenarioError, match=message) as exc:
+                load_scenario(path)
+            assert (exc.value.key, exc.value.line) == ("count", 3)
+
+
+# Free text carries no decimal digits, so no generated line asks for a
+# fleet of millions of units; numbers come from the bounded strategies.
+# Surrogates (Cs) cannot be written to a UTF-8 file at all.
+_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=16)
+_BAD = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "2.7", "0", "-1", ""]), _TEXT
+)
+_NUMBER = st.one_of(
+    st.integers(min_value=1, max_value=100).map(str),
+    st.floats(min_value=0.5, max_value=1e3).map(repr),
+)
+_WORDS = {
+    "preset": ["demo4grid", "mcphy"], "technology": ["AEL", "PEM"],
+    "kind": ["fcr", "afrr", "frequency", "setpoint"], "direction": ["pos", "sym"],
+    "product": ["fcr"], "efficiency_points": ["50:50.5, 100:54"], "formats": ["json, csv"],
+    "fcr_capacity_csv": ["prices.csv"], "spot_csv": ["spot.csv"], "csv": ["signal.csv"],
+    "coverage_symmetric": ["true"], "name": ["x"], "description": ["x"],
+}
+
+
+def _entry(key: str):
+    good = st.sampled_from(_WORDS[key]) if key in _WORDS else _NUMBER
+    return st.one_of(good, _BAD).map(lambda value: f"{key} = {value}")
+
+
+def _section(name: str):
+    keys = sorted(_SECTION_KEYS[name]) + ["bogus"]
+    return st.lists(st.sampled_from(keys).flatmap(_entry), max_size=len(keys)).map(
+        lambda lines: "\n".join([f"[{name}]", *lines])
+    )
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.tuples(
+    st.lists(st.sampled_from(sorted(_SECTION_KEYS)).flatmap(_section), max_size=5),
+    st.one_of(st.just(""), _TEXT),
+).map(lambda parts: "\n".join([*parts[0], parts[1]])))
+@example(text="[unit]\npreset = mcphy\ncount = inf\n")
+@example(text="[signal]\nkind = frequency\ncsv = a\x00b\n")
+def test_any_scenario_text_loads_or_raises_scenario_error(tmp_path, text):
+    write(tmp_path, "prices.csv", PRICES_CSV)
+    write(tmp_path, "signal.csv", SIGNAL_CSV)
+    write(tmp_path, "spot.csv", "timestamp,price_eur_per_mwh\n2024-07-25T00:00:00,43.5\n")
+    path = write(tmp_path, "fuzz.scenario", text)
+    try:
+        assert isinstance(load_scenario(path), Scenario)
+    except ScenarioError:
+        pass
 
 
 class TestScenarioRoundTrip:
@@ -368,9 +439,10 @@ class TestCsvLoaders:
             load_capacity_prices(path)
 
     def test_capacity_prices_bad_row_is_located(self, tmp_path):
-        path = write(tmp_path, "p.csv", "block,price_eur_per_mw\nNEGPOS_00_04,abc\n")
-        with pytest.raises(ScenarioError, match="line 2"):
-            load_capacity_prices(path)
+        for price in ("abc", "nan", "inf"):
+            path = write(tmp_path, "p.csv", f"block,price_eur_per_mw\nNEGPOS_00_04,{price}\n")
+            with pytest.raises(ScenarioError, match="line 2"):
+                load_capacity_prices(path)
 
     def test_capacity_prices_column_count(self, tmp_path):
         path = write(tmp_path, "p.csv", "block,price_eur_per_mw\nNEGPOS_00_04,5,6\n")
@@ -386,6 +458,13 @@ class TestCsvLoaders:
         series = load_spot_prices(path)
         assert isinstance(series, SpotPriceSeries)
         assert series.prices == (43.5, 39.1)
+
+    def test_spot_prices_non_finite_price_is_located(self, tmp_path):
+        path = write(tmp_path, "spot.csv",
+                     "timestamp,price_eur_per_mwh\n2024-07-25T00:00:00,nan\n")
+        with pytest.raises(ScenarioError, match="line 2") as exc:
+            load_spot_prices(path)
+        assert exc.value.key == "price_eur_per_mwh"
 
     def test_spot_prices_bad_timestamp(self, tmp_path):
         path = write(tmp_path, "spot.csv",
@@ -404,9 +483,10 @@ class TestCsvLoaders:
             load_signal(path, SignalKind.SETPOINT_REQUEST)
 
     def test_signal_non_numeric_row(self, tmp_path):
-        path = write(tmp_path, "s.csv", "time_s,value\n0,-1\n1,x\n")
-        with pytest.raises(ScenarioError, match="line 3"):
-            load_signal(path, SignalKind.SETPOINT_REQUEST)
+        for row in ("1,x", "1,nan", "nan,-1", "inf,-1"):
+            path = write(tmp_path, "s.csv", f"time_s,value\n0,-1\n{row}\n")
+            with pytest.raises(ScenarioError, match="line 3"):
+                load_signal(path, SignalKind.SETPOINT_REQUEST)
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "s.csv", "")
