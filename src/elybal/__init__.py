@@ -13,7 +13,6 @@ from .allocate import (
     AllocationResult,
     BidSchedule,
     ScheduleEntry,
-    brute_force_oracle,
     optimize_day,
     validate_schedule,
 )
@@ -41,6 +40,7 @@ from .eligibility import (
     ConstraintCheck,
     EligibilityReport,
     Eq1Inputs,
+    capacity_limit_mw,
     check_eligibility,
     default_setpoint,
     eq1_gradient,
@@ -48,6 +48,7 @@ from .eligibility import (
     max_offerable,
     min_rated_power,
     time_to_deliver,
+    tradable_mw,
 )
 from .markets import (
     CANONICAL_BLOCKS,

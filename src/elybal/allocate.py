@@ -1,10 +1,14 @@
 """Daily bid allocation across the six 4 h capacity auction blocks.
 
-Blocks are independent, so each one is solved by exhaustive enumeration
-of integer FCR (symmetric) and aFRR (positive) quantities over a 1 MW
-setpoint grid.  The symmetric FCR band is reserved around the setpoint;
-an aFRR activation then starts below that band, so both products can be
-carried at once without double-counting headroom.
+The symmetric FCR band is reserved around the setpoint; an aFRR (positive)
+activation then starts below that band, so both products can be carried at
+once without double-counting headroom.  Blocks are independent, and at a
+fixed setpoint the block score is linear in the FCR quantity except where
+the aFRR bid below the band stops being capped by its ramp or drops under
+its minimum bid, so the optimum sits at a corner: aFRR bids nothing or its
+tradable top, and FCR bids 0, a tradable end or a lot at one of those kinks.
+Each point of the setpoint grid therefore costs a handful of candidate
+pairs, not an enumeration of quantities.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eligibility import check_eligibility
+from .eligibility import capacity_limit_mw, check_eligibility, tradable_mw
 from .markets import (
     CANONICAL_BLOCKS,
     BalancingProduct,
@@ -109,28 +113,17 @@ def _grid_points(lo: float, hi: float, step: float) -> list[float]:
     return [i * step for i in range(first, last + 1)]
 
 
-def _quantity_choices(limit_mw: float, product: BalancingProduct) -> list[float]:
-    """0 plus every tradable quantity up to the physical limit."""
+def _min_tradable_mw(product: BalancingProduct) -> float:
+    """Smallest bid on the trading grid at or above the minimum bid."""
     inc = product.trade_increment_mw
-    top = int(math.floor(limit_mw / inc + _EPS))
-    choices = [0.0]
-    for lots in range(1, top + 1):
-        q = lots * inc
-        if q >= product.min_bid_mw - _EPS:
-            choices.append(q)
-    return choices
+    return max(1, math.ceil(product.min_bid_mw / inc - _EPS)) * inc
 
 
 def _hydrogen_loss_kg(unit: ElectrolyzerUnit, setpoint_mw: float, hours: float) -> float:
     """Production forgone by holding the setpoint instead of full load."""
-    curve = unit.efficiency_curve
-    if curve is None:
-        raise ValueError(
-            "hydrogen opportunity cost needs an efficiency curve on the unit"
-        )
 
     def production_kg(power_mw: float) -> float:
-        se = specific_energy_at(curve, power_mw / unit.rated_power_mw)
+        se = specific_energy_at(unit.efficiency_curve, power_mw / unit.rated_power_mw)
         return power_mw * hours * 1000.0 / se
 
     return production_kg(unit.rated_power_mw) - production_kg(setpoint_mw)
@@ -163,48 +156,80 @@ def _better(
     return setpoint > b_sp + _EPS
 
 
+def _fcr_choices(
+    fcr_prod: BalancingProduct, fcr_top: float, room: float, afrr_levels: tuple[float, ...]
+) -> list[float]:
+    """0 plus the FCR quantities where the block score can peak.
+
+    Each FCR lot moves the aFRR origin down, out of ``room``, the headroom
+    below the setpoint.  So the aFRR top falls in steps as q_fcr grows:
+    flat while the aFRR ramp reach caps it, then one aFRR lot at a time,
+    then 0 below the aFRR minimum bid.  Along a step the score rises with
+    q_fcr, and across the last FCR lots of the steps it is linear, so the
+    optimum is 0, a tradable end, or the last lot of a step (or the lot
+    after it) whose aFRR top is in ``afrr_levels``.  That holds when one
+    trading increment is a multiple of the other.
+    """
+    lo = _min_tradable_mw(fcr_prod)
+    if fcr_top < lo - _EPS:
+        return [0.0]
+    candidates = {0.0, lo, fcr_top}
+    for level in afrr_levels:
+        if level > 0.0:
+            last = tradable_mw(room - level, fcr_prod)
+            for q in (last, last + fcr_prod.trade_increment_mw):
+                candidates.add(min(max(q, lo), fcr_top))
+    return sorted(candidates)
+
+
 def _best_for_block(
     unit: ElectrolyzerUnit,
     fcr_prod: BalancingProduct | None,
     fcr_price: float,
     afrr_prod: BalancingProduct | None,
     afrr_price_block: float,
-    options: AllocationOptions,
+    pinned: float | None,
+    setpoint_costs: list[tuple[float, float]],
 ) -> tuple[float, float, float, float]:
-    """Returns (q_fcr, q_afrr, setpoint, score) for one block."""
-    min_p, max_p = unit.min_power_mw, unit.rated_power_mw
-    slow_ramp = min(unit.ramp_up_mw_per_s, unit.ramp_down_mw_per_s)
-    h2_value = options.hydrogen_value_eur_per_kg
-    duration = fcr_prod.duration_h if fcr_prod else afrr_prod.duration_h
+    """Returns (q_fcr, q_afrr, setpoint, score) for one block.
+
+    ``pinned`` fixes the FCR quantity; ``setpoint_costs`` pairs each
+    candidate setpoint with its hydrogen cost.
+    """
+
+    def afrr_top(origin_mw: float) -> float:
+        if afrr_prod is None:
+            return 0.0
+        return tradable_mw(capacity_limit_mw(unit, afrr_prod, origin_mw), afrr_prod)
+
+    # aFRR tops that end a linear stretch of the score in q_fcr: the ramp
+    # reach, the smallest bid, the top at the lowest FCR lot and the step
+    # above the top at the highest
+    afrr_reach = afrr_top(unit.rated_power_mw)
+    afrr_min = _min_tradable_mw(afrr_prod) if afrr_reach > 0.0 else 0.0
+    afrr_step = afrr_prod.trade_increment_mw if afrr_reach > 0.0 else 0.0
+    fcr_lowest = _min_tradable_mw(fcr_prod) if fcr_prod is not None else 0.0
 
     best_key = None
-    best_choice = (0.0, 0.0, max_p, 0.0)
-    for sp in _grid_points(min_p, max_p, options.setpoint_grid_mw):
-        h2_cost = (
-            h2_value * _hydrogen_loss_kg(unit, sp, duration) if h2_value is not None else 0.0
-        )
-        if fcr_prod is not None:
-            fcr_limit = min(
-                sp - min_p,
-                max_p - sp,
-                slow_ramp * fcr_prod.availability_s,
-            )
-            fcr_choices = _quantity_choices(fcr_limit, fcr_prod)
-            if options.pre_reserved_fcr_mw is not None:
-                pinned = options.pre_reserved_fcr_mw
-                fcr_choices = [q for q in fcr_choices if abs(q - pinned) <= _EPS]
-        else:
+    best_choice = (0.0, 0.0, unit.rated_power_mw, 0.0)
+    for sp, h2_cost in setpoint_costs:
+        if fcr_prod is None:
             fcr_choices = [0.0]
-        for q_fcr in fcr_choices:
-            if afrr_prod is not None:
-                afrr_limit = min(
-                    sp - q_fcr - min_p,
-                    unit.ramp_down_mw_per_s * afrr_prod.availability_s,
-                )
-                afrr_choices = _quantity_choices(afrr_limit, afrr_prod)
+        else:
+            fcr_top = tradable_mw(capacity_limit_mw(unit, fcr_prod, sp), fcr_prod)
+            if pinned is not None:
+                fcr_choices = [pinned] if pinned <= fcr_top + _EPS else []
             else:
-                afrr_choices = [0.0]
-            for q_afrr in afrr_choices:
+                levels = (
+                    afrr_reach,
+                    afrr_min,
+                    afrr_top(sp - fcr_lowest),
+                    afrr_top(sp - fcr_top) + afrr_step,
+                )
+                fcr_choices = _fcr_choices(fcr_prod, fcr_top, sp - unit.min_power_mw, levels)
+        for q_fcr in fcr_choices:
+            top = afrr_top(sp - q_fcr)
+            for q_afrr in (0.0, top) if top > 0.0 else (0.0,):
                 score = q_fcr * fcr_price + q_afrr * afrr_price_block - h2_cost
                 if _better(score, q_fcr + q_afrr, q_fcr, sp, best_key):
                     best_key = (score, q_fcr + q_afrr, q_fcr, sp)
@@ -242,8 +267,40 @@ def optimize_day(
             raise ValueError("aFRR is offered but no capacity price was given")
         if afrr_price_per_block_eur < 0:
             raise ValueError("afrr_price_per_block_eur must be >= 0")
-    if options.pre_reserved_fcr_mw is not None and fcr_prod is None:
-        raise ValueError("pre_reserved_fcr_mw given but FCR is not among the products")
+    if fcr_prod is not None and afrr_prod is not None:
+        small, big = sorted((fcr_prod.trade_increment_mw, afrr_prod.trade_increment_mw))
+        if abs(big / small - round(big / small)) > _EPS:
+            raise ValueError(
+                "FCR and aFRR trading increments must be whole multiples of one "
+                f"another, got {fcr_prod.trade_increment_mw:g} and "
+                f"{afrr_prod.trade_increment_mw:g} MW"
+            )
+    pinned = options.pre_reserved_fcr_mw
+    if pinned is not None:
+        if fcr_prod is None:
+            raise ValueError("pre_reserved_fcr_mw given but FCR is not among the products")
+        if abs(pinned - tradable_mw(pinned, fcr_prod)) > _EPS:
+            raise ValueError(
+                f"pre_reserved_fcr_mw = {pinned:g} MW is not a tradable FCR quantity: "
+                f"it must be 0 or on the {fcr_prod.trade_increment_mw:g} MW trading grid "
+                f"at or above the {fcr_prod.min_bid_mw:g} MW minimum bid"
+            )
+    h2_value = options.hydrogen_value_eur_per_kg
+    duration = fcr_prod.duration_h if fcr_prod else afrr_prod.duration_h
+    curve = unit.efficiency_curve
+    if h2_value is not None and (curve is None or curve.domain[1] < 1.0 - _EPS):
+        have = "none" if curve is None else "domain [{:g}, {:g}]".format(*curve.domain)
+        raise ValueError(
+            "hydrogen_value_eur_per_kg prices production forgone against full load and "
+            f"needs an efficiency curve that reaches load fraction 1; the unit's curve: {have}"
+        )
+    lowest_sp = unit.min_power_mw
+    if h2_value is not None:  # forgone production is only known on the curve
+        lowest_sp = max(lowest_sp, curve.domain[0] * unit.rated_power_mw)
+    setpoint_costs = [
+        (sp, h2_value * _hydrogen_loss_kg(unit, sp, duration) if h2_value is not None else 0.0)
+        for sp in _grid_points(lowest_sp, unit.rated_power_mw, options.setpoint_grid_mw)
+    ]
 
     entries: list[ScheduleEntry] = []
     revenue = 0.0
@@ -255,7 +312,8 @@ def optimize_day(
             fcr_prices.price(block) if fcr_prod is not None else 0.0,
             afrr_prod,
             afrr_price_per_block_eur if afrr_prod is not None else 0.0,
-            options,
+            pinned,
+            setpoint_costs,
         )
         if q_fcr > 0:
             entries.append(ScheduleEntry(block, fcr_prod, q_fcr, Direction.SYM, sp))
@@ -263,15 +321,14 @@ def optimize_day(
         if q_afrr > 0:
             entries.append(ScheduleEntry(block, afrr_prod, q_afrr, Direction.POS, sp))
             revenue += q_afrr * afrr_price_per_block_eur
-        if options.hydrogen_value_eur_per_kg is not None and (q_fcr > 0 or q_afrr > 0):
-            duration = fcr_prod.duration_h if fcr_prod else afrr_prod.duration_h
+        if h2_value is not None and (q_fcr > 0 or q_afrr > 0):
             h2_loss += _hydrogen_loss_kg(unit, sp, duration)
 
     schedule = BidSchedule(tuple(entries))
     validate_schedule(unit, schedule)
     objective = revenue
-    if options.hydrogen_value_eur_per_kg is not None:
-        objective -= h2_loss * options.hydrogen_value_eur_per_kg
+    if h2_value is not None:
+        objective -= h2_loss * h2_value
     return AllocationResult(schedule, revenue, h2_loss, objective)
 
 
@@ -320,101 +377,3 @@ def validate_schedule(unit: ElectrolyzerUnit, schedule: BidSchedule) -> None:
         for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
             if lo < hi - _EPS:
                 raise ValueError(f"block {label}: reserved capacity ranges overlap")
-
-
-def brute_force_oracle(
-    unit: ElectrolyzerUnit,
-    products: list[BalancingProduct] | tuple[BalancingProduct, ...],
-    fcr_prices: CapacityPriceTable | None,
-    afrr_price_per_block_eur: float | None,
-    options: AllocationOptions | None = None,
-    blocks: tuple[TimeBlock, ...] | None = None,
-    max_combinations: int = 10**6,
-) -> AllocationResult:
-    """Reference optimizer: plain cross product over all integer bids.
-
-    Deliberately written without the pruning used by ``optimize_day`` so
-    the two can cross-check each other.  Refuses to run when the search
-    space exceeds ``max_combinations``.
-    """
-    options = options or AllocationOptions()
-    blocks = blocks if blocks is not None else CANONICAL_BLOCKS
-    fcr_prod, afrr_prod = _split_products(tuple(products))
-
-    min_p, max_p = unit.min_power_mw, unit.rated_power_mw
-    step = options.setpoint_grid_mw
-    setpoints = _grid_points(min_p, max_p, step)
-    n_quant = int(math.floor(max_p / 1.0 + _EPS)) + 1
-    space = len(blocks) * len(setpoints) * n_quant * n_quant
-    if space > max_combinations:
-        raise ValueError(
-            f"search space of {space} combinations exceeds the oracle bound {max_combinations}"
-        )
-
-    def feasible(sp: float, q_f: float, q_a: float) -> bool:
-        if options.pre_reserved_fcr_mw is not None:
-            if abs(q_f - options.pre_reserved_fcr_mw) > _EPS:
-                return False
-        if q_f > 0:
-            if fcr_prod is None or q_f < fcr_prod.min_bid_mw - _EPS:
-                return False
-            lots = q_f / fcr_prod.trade_increment_mw
-            if abs(lots - round(lots)) > _EPS:
-                return False
-            if sp - q_f < min_p - _EPS or sp + q_f > max_p + _EPS:
-                return False
-            slowest = min(unit.ramp_up_mw_per_s, unit.ramp_down_mw_per_s)
-            if q_f / slowest > fcr_prod.availability_s + _EPS:
-                return False
-        if q_a > 0:
-            if afrr_prod is None or q_a < afrr_prod.min_bid_mw - _EPS:
-                return False
-            lots = q_a / afrr_prod.trade_increment_mw
-            if abs(lots - round(lots)) > _EPS:
-                return False
-            if sp - q_f - q_a < min_p - _EPS:
-                return False
-            if q_a / unit.ramp_down_mw_per_s > afrr_prod.availability_s + _EPS:
-                return False
-        return True
-
-    h2_value = options.hydrogen_value_eur_per_kg
-    entries: list[ScheduleEntry] = []
-    revenue = 0.0
-    h2_loss_total = 0.0
-    for block in blocks:
-        fcr_price = fcr_prices.price(block) if fcr_prod is not None else 0.0
-        afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
-        best_key = None
-        best = (0.0, 0.0, max_p)
-        for sp in setpoints:
-            if h2_value is not None:
-                duration = fcr_prod.duration_h if fcr_prod else afrr_prod.duration_h
-                h2_cost = h2_value * _hydrogen_loss_kg(unit, sp, duration)
-            else:
-                h2_cost = 0.0
-            for qf_lots in range(n_quant):
-                q_f = float(qf_lots)
-                for qa_lots in range(n_quant):
-                    q_a = float(qa_lots)
-                    if not feasible(sp, q_f, q_a):
-                        continue
-                    score = q_f * fcr_price + q_a * afrr_price - h2_cost
-                    if _better(score, q_f + q_a, q_f, sp, best_key):
-                        best_key = (score, q_f + q_a, q_f, sp)
-                        best = (q_f, q_a, sp)
-        q_f, q_a, sp = best
-        if q_f > 0:
-            entries.append(ScheduleEntry(block, fcr_prod, q_f, Direction.SYM, sp))
-            revenue += q_f * fcr_price
-        if q_a > 0:
-            entries.append(ScheduleEntry(block, afrr_prod, q_a, Direction.POS, sp))
-            revenue += q_a * afrr_price
-        if h2_value is not None and (q_f > 0 or q_a > 0):
-            duration = fcr_prod.duration_h if fcr_prod else afrr_prod.duration_h
-            h2_loss_total += _hydrogen_loss_kg(unit, sp, duration)
-
-    objective = revenue
-    if h2_value is not None:
-        objective -= h2_loss_total * h2_value
-    return AllocationResult(BidSchedule(tuple(entries)), revenue, h2_loss_total, objective)

@@ -4,7 +4,8 @@ The central idea is that the traded capacity is decoupled from the rated
 power of the plant: a slow-ramping electrolyzer can still firm up a small
 bid, because the deadline applies to the offered megawatts, not to the
 full nameplate range.  ``eq1_gradient`` and its inverses quantify that
-trade-off; ``check_eligibility`` applies the market rules one by one.
+trade-off; ``check_eligibility`` applies the market rules one by one, and
+``capacity_limit_mw`` gives the largest bid they admit at a setpoint.
 """
 
 from __future__ import annotations
@@ -143,6 +144,54 @@ def time_to_deliver(unit: ElectrolyzerUnit, delta_p_mw: float, direction: str) -
     return delta_p_mw / unit.ramp_mw_per_s(direction)
 
 
+def _headroom_mw(unit: ElectrolyzerUnit, product: BalancingProduct, setpoint_mw: float) -> float:
+    """Room the activation can move into: below the setpoint for POS (a
+    load decrease), above it for NEG, the narrower side for SYM."""
+    room_down = setpoint_mw - unit.min_power_mw
+    room_up = unit.rated_power_mw - setpoint_mw
+    if product.direction is Direction.SYM:
+        return min(room_down, room_up)
+    if product.direction is Direction.POS:
+        return room_down
+    return room_up
+
+
+def _ramp_mw_per_s(unit: ElectrolyzerUnit, product: BalancingProduct) -> float:
+    """Ramp that paces the delivery: down for POS, up for NEG, the slower
+    direction for SYM."""
+    if product.direction is Direction.SYM:
+        return min(unit.ramp_up_mw_per_s, unit.ramp_down_mw_per_s)
+    if product.direction is Direction.POS:
+        return unit.ramp_down_mw_per_s
+    return unit.ramp_up_mw_per_s
+
+
+def capacity_limit_mw(
+    unit: ElectrolyzerUnit, product: BalancingProduct, setpoint_mw: float
+) -> float:
+    """Largest bid, in MW off the trading grid, that fits the headroom at
+    the setpoint and that the ramp delivers within the product deadline.
+
+    This is the capacity/ramp decoupling: the deadline bounds the offered
+    megawatts, not the rated power.  Outside the operating band the limit
+    is 0.
+    """
+    if not unit.min_power_mw - _TOL <= setpoint_mw <= unit.rated_power_mw + _TOL:
+        return 0.0
+    return min(
+        _headroom_mw(unit, product, setpoint_mw),
+        _ramp_mw_per_s(unit, product) * product.availability_s,
+    )
+
+
+def tradable_mw(limit_mw: float, product: BalancingProduct) -> float:
+    """Largest bid on the trading grid up to ``limit_mw``, or 0 when that
+    falls short of the minimum bid."""
+    inc = product.trade_increment_mw
+    bid = math.floor(limit_mw / inc + _TOL) * inc
+    return bid if bid >= product.min_bid_mw - _TOL else 0.0
+
+
 def check_eligibility(
     unit: ElectrolyzerUnit,
     product: BalancingProduct,
@@ -194,14 +243,7 @@ def check_eligibility(
     )
 
     # C3: headroom around the setpoint
-    room_down = setpoint_mw - min_p  # available load decrease (POS)
-    room_up = max_p - setpoint_mw  # available load increase (NEG)
-    if product.direction is Direction.SYM:
-        room = min(room_down, room_up)
-    elif product.direction is Direction.POS:
-        room = room_down
-    else:
-        room = room_up
+    room = _headroom_mw(unit, product, setpoint_mw)
     headroom_ok = room >= bid_mw - _TOL
     checks.append(
         ConstraintCheck(
@@ -214,15 +256,7 @@ def check_eligibility(
     )
 
     # C4: full delivery within the availability deadline
-    if product.direction is Direction.SYM:
-        delivery_s = max(
-            time_to_deliver(unit, bid_mw, "up"),
-            time_to_deliver(unit, bid_mw, "down"),
-        )
-    elif product.direction is Direction.POS:
-        delivery_s = time_to_deliver(unit, bid_mw, "down")
-    else:
-        delivery_s = time_to_deliver(unit, bid_mw, "up")
+    delivery_s = bid_mw / _ramp_mw_per_s(unit, product)
     checks.append(
         ConstraintCheck(
             RAMP_DEADLINE,
@@ -280,8 +314,8 @@ def default_setpoint(unit: ElectrolyzerUnit, product: BalancingProduct) -> float
 
 def _setpoint_for_bid(
     unit: ElectrolyzerUnit, product: BalancingProduct, bid_mw: float
-) -> float | None:
-    """Feasible-headroom setpoint for a candidate bid, or None."""
+) -> float:
+    """``default_setpoint`` moved just far enough to leave the bid headroom."""
     min_p, max_p = unit.min_power_mw, unit.rated_power_mw
     if product.direction is Direction.SYM:
         lo, hi = min_p + bid_mw, max_p - bid_mw
@@ -289,10 +323,7 @@ def _setpoint_for_bid(
         lo, hi = min_p + bid_mw, max_p
     else:
         lo, hi = min_p, max_p - bid_mw
-    if lo > hi + _TOL:
-        return None
-    preferred = default_setpoint(unit, product)
-    return min(max(preferred, lo), hi)
+    return min(max(default_setpoint(unit, product), lo), hi)
 
 
 def max_offerable(
@@ -302,24 +333,25 @@ def max_offerable(
 ) -> tuple[float, float]:
     """Largest eligible bid for the product, with the setpoint that hosts it.
 
-    When ``setpoint_mw`` is given the search only varies the bid;
-    otherwise the setpoint is re-chosen per candidate following
-    ``default_setpoint``.  Returns (0.0, setpoint) when no bid passes.
+    The bid is the tradable part of ``capacity_limit_mw`` at the given
+    setpoint.  Without one it is taken at the widest setpoint (the band
+    midpoint for SYM, rated power for POS, minimum load for NEG) and then
+    hosted at the setpoint nearest ``default_setpoint`` that leaves it
+    headroom.  Returns (0.0, setpoint) when no bid fits.
     """
-    inc = product.trade_increment_mw
-    max_lots = int(math.floor(unit.rated_power_mw / inc + _TOL))
-    for lots in range(max_lots, 0, -1):
-        bid = lots * inc
-        if bid < product.min_bid_mw - _TOL:
-            break
-        sp = setpoint_mw if setpoint_mw is not None else _setpoint_for_bid(unit, product, bid)
-        if sp is None:
-            continue
-        try:
-            report = check_eligibility(unit, product, bid, sp)
-        except ValueError:
-            continue
-        if report.eligible:
-            return bid, sp
-    fallback = setpoint_mw if setpoint_mw is not None else default_setpoint(unit, product)
-    return 0.0, fallback
+    if setpoint_mw is None:
+        widest = {
+            Direction.SYM: 0.5 * (unit.min_power_mw + unit.rated_power_mw),
+            Direction.POS: unit.rated_power_mw,
+            Direction.NEG: unit.min_power_mw,
+        }[product.direction]
+        bid = tradable_mw(capacity_limit_mw(unit, product, widest), product)
+        sp = _setpoint_for_bid(unit, product, bid)
+    else:
+        sp = setpoint_mw
+        bid = tradable_mw(capacity_limit_mw(unit, product, sp), product)
+    # the closed form and the check state one rule; at a float-tolerance
+    # edge of a lot boundary the check has the last word
+    if bid > 0.0 and not check_eligibility(unit, product, bid, sp).eligible:
+        bid = tradable_mw(bid - product.trade_increment_mw, product)
+    return bid, sp

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elybal.allocate import brute_force_oracle, optimize_day
+from elybal.allocate import optimize_day
 from elybal.dispatch import ActivationSignal, SignalKind, simulate
 from elybal.economics import (
     afrr_day_capacity_revenue,
@@ -43,6 +43,7 @@ from elybal.markets import (
 )
 from elybal.model import ElectrolyzerUnit, Fleet, Technology, aggregate
 from elybal.scenario_io import load_capacity_prices, preset
+from oracles import brute_force_oracle
 
 REPO = Path(__file__).resolve().parents[1]
 PRICES = load_capacity_prices(REPO / "scenarios" / "prices" / "capacity_2024_07_25.csv")

@@ -252,6 +252,17 @@ class TestAllocateCommand:
         assert "19500.00" in capsys.readouterr().out
 
 
+    def test_untradable_fcr_pin_is_an_input_error(self, tmp_path, capsys):
+        text = Path(REVENUE).read_text(encoding="utf-8")
+        text = text.replace("pre_reserved_fcr_mw = 5", "pre_reserved_fcr_mw = 2.5")
+        text = text.replace("prices/", str(SCENARIOS / "prices") + "/")
+        text = text.replace("signals/", str(SCENARIOS / "signals") + "/")
+        scenario = tmp_path / "pinned.scenario"
+        scenario.write_text(text, encoding="utf-8")
+        assert main(["allocate", "--scenario", str(scenario)]) == 1
+        assert "pre_reserved_fcr_mw" in capsys.readouterr().err
+
+
 class TestEconomicsCommand:
     def test_revenue_day_report(self, capsys):
         code = main(["economics", "--scenario", REVENUE])
