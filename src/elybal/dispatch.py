@@ -10,17 +10,22 @@ full activation for deviations of +/-0.2 Hz and beyond.
 The plant model is a pure rate limiter: no actuation lag, no setpoint
 filtering.  Anything slower in reality only adds to the delays computed
 here.
+
+Signals and trajectories are handled as whole arrays.  Array sums add in
+another order than a sequential loop, so energies and hydrogen masses may
+differ from one at the 1e-15 relative level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .markets import BalancingProduct, Direction
-from .model import ElectrolyzerUnit
+from .model import EfficiencyCurve, ElectrolyzerUnit, specific_energy_at
 
 DROOP_FULL_ACTIVATION_HZ = 0.2
 DELIVERY_TOLERANCE = 0.005  # fraction of the bid
@@ -44,25 +49,28 @@ class ActivationSignal:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.timestep_s <= 0:
-            raise ValueError(f"timestep_s must be > 0, got {self.timestep_s}")
+        if not 0 < self.timestep_s < math.inf:
+            raise ValueError(f"timestep_s must be finite and > 0, got {self.timestep_s}")
         if not self.values:
             raise ValueError("signal needs at least one sample")
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"signal sample {np.argmin(np.isfinite(self.values))} is not finite")
 
     @classmethod
     def from_rows(cls, kind: SignalKind, rows: list[tuple[float, float]]) -> "ActivationSignal":
         """Build from (time_s, value) rows, enforcing t0 = 0 and uniform spacing."""
         if len(rows) < 2:
             raise ValueError("signal file needs at least two rows to fix the timestep")
-        times = [t for t, _ in rows]
+        times = np.array([t for t, _ in rows], dtype=float)
         if abs(times[0]) > 1e-9:
             raise ValueError(f"signal must start at t = 0 s, got {times[0]}")
-        dt = times[1] - times[0]
+        dt = float(times[1] - times[0])
         if dt <= 0:
             raise ValueError("signal times must be strictly increasing")
-        for i, (t0, t1) in enumerate(zip(times, times[1:])):
-            if abs((t1 - t0) - dt) > 1e-9 * max(1.0, dt):
-                raise ValueError(f"non-uniform timestep between rows {i} and {i + 1}")
+        off_grid = ~(np.abs(np.diff(times) - dt) <= 1e-9 * max(1.0, dt))  # NaN is off too
+        if off_grid.any():
+            i = int(np.argmax(off_grid))
+            raise ValueError(f"non-uniform timestep between rows {i} and {i + 1}")
         return cls(kind, tuple(v for _, v in rows), dt)
 
     @property
@@ -83,8 +91,10 @@ class PowerTrajectory:
         object.__setattr__(self, "powers_mw", powers)
         if powers.ndim != 1 or powers.size == 0:
             raise ValueError("trajectory needs a one-dimensional, non-empty sample array")
-        if self.timestep_s <= 0:
-            raise ValueError("timestep_s must be > 0")
+        if not np.isfinite(powers).all():
+            raise ValueError("trajectory has non-finite power samples")
+        if not 0 < self.timestep_s < math.inf:
+            raise ValueError("timestep_s must be finite and > 0")
         lo = self.unit.min_power_mw - _TOL_MW
         hi = self.unit.rated_power_mw + _TOL_MW
         if powers.min() < lo or powers.max() > hi:
@@ -122,25 +132,25 @@ class ComplianceResult:
 
 def droop_target(freq_deviation_hz: float, bid_mw: float) -> float:
     """FCR power offset (MW) for a frequency deviation, saturating at the bid."""
+    kind = SignalKind.FREQUENCY_DEVIATION
+    return float(_requested_offsets(kind, freq_deviation_hz, bid_mw, Direction.SYM))
+
+
+def _requested_offsets(kind: SignalKind, values, bid_mw: float, direction: Direction) -> np.ndarray:
+    """Power offsets (MW) the signal samples request from a ``bid_mw`` bid."""
     if bid_mw < 0:
         raise ValueError(f"bid must be >= 0, got {bid_mw}")
-    activation = max(-1.0, min(1.0, freq_deviation_hz / DROOP_FULL_ACTIVATION_HZ))
-    return activation * bid_mw
-
-
-def _requested_offset(
-    kind: SignalKind, value: float, bid_mw: float, direction: Direction
-) -> float:
+    values = np.asarray(values, dtype=float)
     if kind is SignalKind.FREQUENCY_DEVIATION:
-        offset = droop_target(value, bid_mw)
+        offsets = np.clip(values / DROOP_FULL_ACTIVATION_HZ, -1.0, 1.0) * bid_mw
     else:
-        offset = max(-bid_mw, min(bid_mw, value))
+        offsets = np.clip(values, -bid_mw, bid_mw)
     # one-sided products only ever activate into their own band
     if direction is Direction.POS:
-        offset = min(offset, 0.0)
+        offsets = np.minimum(offsets, 0.0)
     elif direction is Direction.NEG:
-        offset = max(offset, 0.0)
-    return offset
+        offsets = np.maximum(offsets, 0.0)
+    return offsets
 
 
 def _check_band(
@@ -177,24 +187,21 @@ def simulate(
     The output starts at the setpoint and chases the requested level with
     at most ramp * rated_power per second of movement, using the ramp rate
     of the respective direction.  Requests are clipped to the bid and to
-    the product direction before being applied.
+    the product direction before being applied; sample k reacts to the
+    request at k - 1.  Only the clamp on the previous sample is a loop.
     """
-    if bid_mw < 0:
-        raise ValueError(f"bid must be >= 0, got {bid_mw}")
+    offsets = _requested_offsets(signal.kind, signal.values, bid_mw, direction)
     _check_band(unit, setpoint_mw, bid_mw, direction)
     dt = signal.timestep_s
     up_step = unit.ramp_up_mw_per_s * dt
     down_step = unit.ramp_down_mw_per_s * dt
-    lo, hi = unit.min_power_mw, unit.rated_power_mw
-    powers = np.empty(len(signal.values))
-    powers[0] = setpoint_mw
-    for k in range(1, len(signal.values)):
-        offset = _requested_offset(signal.kind, signal.values[k - 1], bid_mw, direction)
-        target = min(max(setpoint_mw + offset, lo), hi)
-        step = target - powers[k - 1]
-        step = min(max(step, -down_step), up_step)
-        powers[k] = powers[k - 1] + step
-    return PowerTrajectory(dt, powers, unit)
+    targets = np.clip(setpoint_mw + offsets[:-1], unit.min_power_mw, unit.rated_power_mw)
+    p = float(setpoint_mw)
+    powers = [p]
+    for target in targets.tolist():
+        p += min(max(target - p, -down_step), up_step)
+        powers.append(p)
+    return PowerTrajectory(dt, np.array(powers), unit)
 
 
 def check_compliance(
@@ -210,8 +217,10 @@ def check_compliance(
     the bid, no later than the availability deadline after its onset.  A
     request that ends before both delivery and deadline is not graded.
     The delivered energy integrates the offset from the setpoint over the
-    whole horizon (trapezoidal, in MWh).
+    whole horizon (trapezoidal, in MWh).  Onsets start runs of full
+    activation of one sign; only the loop over onsets is in Python.
     """
+    offsets = _requested_offsets(signal.kind, signal.values, bid_mw, product.direction)
     n = len(trajectory.powers_mw)
     if n != len(signal.values):
         raise ValueError(
@@ -221,51 +230,32 @@ def check_compliance(
         raise ValueError("trajectory and signal timesteps differ")
     dt = trajectory.timestep_s
     powers = trajectory.powers_mw
+    energy = float(np.trapezoid(powers - setpoint_mw, dx=dt)) / 3600.0
 
-    energy = 0.0
-    for k in range(n - 1):
-        energy += 0.5 * ((powers[k] - setpoint_mw) + (powers[k + 1] - setpoint_mw)) * dt
-    energy = float(energy) / 3600.0
-
-    if bid_mw <= 0:
+    if bid_mw == 0:
         return ComplianceResult(True, None, 0.0, energy)
 
-    offsets = [
-        _requested_offset(signal.kind, v, bid_mw, product.direction) for v in signal.values
-    ]
-    full = [abs(o) >= bid_mw * (1.0 - 1e-9) for o in offsets]
+    full = np.abs(offsets) >= bid_mw * (1.0 - 1e-9)
+    same = np.zeros(n, dtype=bool)  # continues the run of the sample before
+    same[1:] = full[1:] & full[:-1] & (offsets[:-1] * offsets[1:] > 0)
+    onsets = np.flatnonzero(full & ~same)
+    breaks = np.append(np.flatnonzero(~same), n)
+    ends = breaks[np.searchsorted(breaks, onsets, side="right")]
     tol = DELIVERY_TOLERANCE * bid_mw
 
     delays: list[float] = []
     violations: list[float] = []
-    for i in range(n):
-        same_request = (
-            i > 0 and full[i - 1] and offsets[i - 1] * offsets[i] > 0
-        )
-        if not full[i] or same_request:
-            continue
-        # onset of a sustained full activation at index i
+    for i, end in zip(onsets.tolist(), ends.tolist()):
         required = setpoint_mw + offsets[i]
-        end = i
-        while end < n and full[end] and offsets[end] * offsets[i] > 0:
-            end += 1
-        delivered_at = None
-        for j in range(i, end):
-            if abs(powers[j] - required) <= tol:
-                delivered_at = j
-                break
-        onset_s = i * dt
-        if delivered_at is not None:
-            delay = (delivered_at - i) * dt
+        hits = np.flatnonzero(np.abs(powers[i:end] - required) <= tol)
+        # undelivered, the delay is the time observed; it counts once the
+        # deadline passed while the request was still standing
+        delay = int(hits[0]) * dt if hits.size else (end - 1 - i) * dt
+        late = delay > product.availability_s + 1e-9
+        if hits.size or late:
             delays.append(delay)
-            if delay > product.availability_s + 1e-9:
-                violations.append(onset_s + product.availability_s)
-        else:
-            observed = (end - 1 - i) * dt
-            if observed > product.availability_s + 1e-9:
-                # deadline passed while the request was still standing
-                delays.append(observed)
-                violations.append(onset_s + product.availability_s)
+        if late:
+            violations.append(i * dt + product.availability_s)
 
     return ComplianceResult(
         compliant=not violations,
@@ -275,24 +265,16 @@ def check_compliance(
     )
 
 
-def hydrogen_output(trajectory: PowerTrajectory, curve) -> float:
+def hydrogen_output(trajectory: PowerTrajectory, curve: EfficiencyCurve | None) -> float:
     """Hydrogen produced over a trajectory, in kg.
 
     Power is averaged per interval (trapezoidal) and converted with the
-    specific energy at that interval's load fraction.  Raises when the
-    trajectory leaves the curve domain: datasheet efficiency curves are
-    not extrapolated.
+    specific energy at that interval's load fraction, all intervals in one
+    array.  Raises when the curve is missing or the trajectory leaves its
+    domain: datasheet efficiency curves are not extrapolated.
     """
-    from .model import specific_energy_at
-
     powers = trajectory.powers_mw
-    if len(powers) < 2:
-        return 0.0
-    dt = trajectory.timestep_s
-    rated = trajectory.unit.rated_power_mw
-    kg = 0.0
-    for k in range(len(powers) - 1):
-        p_avg = 0.5 * (powers[k] + powers[k + 1])
-        energy_kwh = p_avg * dt / 3600.0 * 1000.0
-        kg += energy_kwh / specific_energy_at(curve, p_avg / rated)
-    return kg
+    p_avg = 0.5 * (powers[:-1] + powers[1:])
+    se = specific_energy_at(curve, p_avg / trajectory.unit.rated_power_mw)
+    energy_kwh = p_avg * trajectory.timestep_s / 3600.0 * 1000.0
+    return float(np.sum(energy_kwh / se))

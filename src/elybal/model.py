@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 
 class Technology(str, Enum):
@@ -43,28 +47,33 @@ class EfficiencyCurve:
         """Lowest and highest load fraction covered by the curve."""
         return self.breakpoints[0][0], self.breakpoints[-1][0]
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Breakpoints widened by the 1e-12 domain band, which takes the edge values."""
+        fractions, energies = zip(*self.breakpoints)
+        return (np.array([fractions[0] - 1e-12, *fractions, fractions[-1] + 1e-12]),
+                np.array([energies[0], *energies, energies[-1]]))
 
-def specific_energy_at(curve: EfficiencyCurve, load_fraction: float) -> float:
+
+def specific_energy_at(
+    curve: EfficiencyCurve | None, load_fraction: float | np.ndarray
+) -> float | np.ndarray:
     """Specific energy (kWh/kg) at ``load_fraction``, linearly interpolated.
 
-    Raises ValueError outside the curve domain: no extrapolation.
+    ``load_fraction`` is a float or an array of them; a float gives a
+    float, an array an array of the same shape.  Raises ValueError when
+    there is no curve and outside the curve domain: no extrapolation.
     """
-    lo, hi = curve.domain
-    if not (lo - 1e-12 <= load_fraction <= hi + 1e-12):
+    if curve is None:
+        raise ValueError("no efficiency curve: hydrogen accounting needs efficiency_points")
+    se = np.interp(load_fraction, *curve._table, left=np.nan, right=np.nan)
+    outside = se != se  # NaN marks a query beyond the widened domain
+    if np.count_nonzero(outside):
+        bad = np.ravel(load_fraction)[np.ravel(outside)][0]
         raise ValueError(
-            f"load fraction {load_fraction} outside efficiency curve domain [{lo}, {hi}]"
+            f"load fraction {float(bad)} outside efficiency curve domain {list(curve.domain)}"
         )
-    pts = curve.breakpoints
-    # exact breakpoint hits are returned verbatim
-    for f, e in pts:
-        if load_fraction == f:
-            return e
-    for (f0, e0), (f1, e1) in zip(pts, pts[1:]):
-        if f0 <= load_fraction <= f1:
-            t = (load_fraction - f0) / (f1 - f0)
-            return e0 + t * (e1 - e0)
-    # only reachable for queries within the 1e-12 tolerance band at the edges
-    return pts[0][1] if load_fraction < lo else pts[-1][1]
+    return float(se) if se.ndim == 0 else se
 
 
 @dataclass(frozen=True)
@@ -86,18 +95,16 @@ class ElectrolyzerUnit:
     efficiency_curve: EfficiencyCurve | None = None
 
     def __post_init__(self) -> None:
-        if self.rated_power_mw <= 0:
-            raise ValueError(f"rated_power_mw must be > 0, got {self.rated_power_mw}")
         if not 0 < self.min_load_fraction < 1:
             raise ValueError(
                 f"min_load_fraction must be in (0, 1), got {self.min_load_fraction}"
             )
-        if self.ramp_up <= 0:
-            raise ValueError(f"ramp_up must be > 0, got {self.ramp_up}")
         if self.ramp_down is None:
             object.__setattr__(self, "ramp_down", self.ramp_up)
-        if self.ramp_down <= 0:
-            raise ValueError(f"ramp_down must be > 0, got {self.ramp_down}")
+        for name in ("rated_power_mw", "ramp_up", "ramp_down"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.efficiency_curve is not None:
             lo, hi = self.efficiency_curve.domain
             if lo < self.min_load_fraction - 1e-9 or hi > 1.0 + 1e-9:

@@ -156,6 +156,9 @@ def _parse_sections(text: str, source: str) -> list[_Section]:
     return sections
 
 
+# one object per unit; the largest paper case (40 GW of 2 MW units) needs 20,000
+_MAX_UNIT_COUNT = 100_000
+
 _SECTION_KEYS = {
     "scenario": {"name", "description"},
     "unit": {
@@ -315,9 +318,10 @@ def _build_units(section: _Section, source: str) -> list[ElectrolyzerUnit]:
     count = 1
     if count_item is not None:
         value = _float(count_item, source)
-        if value < 1 or not value.is_integer():
+        if not 1 <= value <= _MAX_UNIT_COUNT or not value.is_integer():
             raise ScenarioError(
-                f"count must be >= 1 and whole, got {count_item.value}", key=count_item.key,
+                f"count must be >= 1 and whole, at most {_MAX_UNIT_COUNT}, "
+                f"got {count_item.value}", key=count_item.key,
                 line=count_item.line, source=source,
             )
         count = int(value)

@@ -1,15 +1,20 @@
-"""Reference searches the fast code paths are checked against.
+"""Reference implementations the fast code paths are checked against.
 
-Both are deliberately naive: ``brute_force_oracle`` tries every integer
+All are deliberately naive: ``brute_force_oracle`` tries every integer
 (FCR, aFRR) pair at every setpoint and states the bid rules on its own,
 and ``max_offerable_scan`` walks the bids down from rated power through
-``check_eligibility``.  Keep them plain; their job is to be obviously
-right, not fast.
+``check_eligibility``.  The dispatch references (``simulate_loop``,
+``check_compliance_loop``, ``hydrogen_output_loop`` and
+``specific_energy_at_scalar``) step through the samples one at a time
+with the scalar request rule ``requested_offset``.  Keep them plain;
+their job is to be obviously right, not fast.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from elybal.allocate import (
     AllocationOptions,
@@ -21,6 +26,15 @@ from elybal.allocate import (
     _hydrogen_loss_kg,
     _split_products,
 )
+from elybal.dispatch import (
+    DELIVERY_TOLERANCE,
+    DROOP_FULL_ACTIVATION_HZ,
+    ActivationSignal,
+    ComplianceResult,
+    PowerTrajectory,
+    SignalKind,
+    _check_band,
+)
 from elybal.eligibility import check_eligibility, default_setpoint
 from elybal.markets import (
     CANONICAL_BLOCKS,
@@ -29,7 +43,7 @@ from elybal.markets import (
     Direction,
     TimeBlock,
 )
-from elybal.model import ElectrolyzerUnit
+from elybal.model import EfficiencyCurve, ElectrolyzerUnit
 
 _EPS = 1e-9
 
@@ -170,3 +184,152 @@ def max_offerable_scan(
             return bid, sp
     fallback = setpoint_mw if setpoint_mw is not None else default_setpoint(unit, product)
     return 0.0, fallback
+
+
+def requested_offset(
+    kind: SignalKind, value: float, bid_mw: float, direction: Direction
+) -> float:
+    """Power offset (MW) one signal sample requests from a ``bid_mw`` bid."""
+    if kind is SignalKind.FREQUENCY_DEVIATION:
+        offset = max(-1.0, min(1.0, value / DROOP_FULL_ACTIVATION_HZ)) * bid_mw
+    else:
+        offset = max(-bid_mw, min(bid_mw, value))
+    # one-sided products only ever activate into their own band
+    if direction is Direction.POS:
+        offset = min(offset, 0.0)
+    elif direction is Direction.NEG:
+        offset = max(offset, 0.0)
+    return offset
+
+
+def simulate_loop(
+    unit: ElectrolyzerUnit,
+    setpoint_mw: float,
+    bid_mw: float,
+    signal: ActivationSignal,
+    direction: Direction = Direction.SYM,
+) -> PowerTrajectory:
+    """Reference for ``dispatch.simulate``: one clamp per sample."""
+    if bid_mw < 0:
+        raise ValueError(f"bid must be >= 0, got {bid_mw}")
+    _check_band(unit, setpoint_mw, bid_mw, direction)
+    dt = signal.timestep_s
+    up_step = unit.ramp_up_mw_per_s * dt
+    down_step = unit.ramp_down_mw_per_s * dt
+    lo, hi = unit.min_power_mw, unit.rated_power_mw
+    powers = np.empty(len(signal.values))
+    powers[0] = setpoint_mw
+    for k in range(1, len(signal.values)):
+        offset = requested_offset(signal.kind, signal.values[k - 1], bid_mw, direction)
+        target = min(max(setpoint_mw + offset, lo), hi)
+        step = target - powers[k - 1]
+        step = min(max(step, -down_step), up_step)
+        powers[k] = powers[k - 1] + step
+    return PowerTrajectory(dt, powers, unit)
+
+
+def check_compliance_loop(
+    trajectory: PowerTrajectory,
+    signal: ActivationSignal,
+    product: BalancingProduct,
+    setpoint_mw: float,
+    bid_mw: float,
+) -> ComplianceResult:
+    """Reference for ``dispatch.check_compliance``: a sequential energy sum
+    and, for each onset, a scan to the end of its run."""
+    n = len(trajectory.powers_mw)
+    if n != len(signal.values):
+        raise ValueError(
+            f"trajectory ({n} samples) and signal ({len(signal.values)}) differ in horizon"
+        )
+    if abs(trajectory.timestep_s - signal.timestep_s) > 1e-9 * max(1.0, signal.timestep_s):
+        raise ValueError("trajectory and signal timesteps differ")
+    dt = trajectory.timestep_s
+    powers = trajectory.powers_mw
+
+    energy = 0.0
+    for k in range(n - 1):
+        energy += 0.5 * ((powers[k] - setpoint_mw) + (powers[k + 1] - setpoint_mw)) * dt
+    energy = float(energy) / 3600.0
+
+    if bid_mw <= 0:
+        return ComplianceResult(True, None, 0.0, energy)
+
+    offsets = [
+        requested_offset(signal.kind, v, bid_mw, product.direction) for v in signal.values
+    ]
+    full = [abs(o) >= bid_mw * (1.0 - 1e-9) for o in offsets]
+    tol = DELIVERY_TOLERANCE * bid_mw
+
+    delays: list[float] = []
+    violations: list[float] = []
+    for i in range(n):
+        same_request = (
+            i > 0 and full[i - 1] and offsets[i - 1] * offsets[i] > 0
+        )
+        if not full[i] or same_request:
+            continue
+        # onset of a sustained full activation at index i
+        required = setpoint_mw + offsets[i]
+        end = i
+        while end < n and full[end] and offsets[end] * offsets[i] > 0:
+            end += 1
+        delivered_at = None
+        for j in range(i, end):
+            if abs(powers[j] - required) <= tol:
+                delivered_at = j
+                break
+        onset_s = i * dt
+        if delivered_at is not None:
+            delay = (delivered_at - i) * dt
+            delays.append(delay)
+            if delay > product.availability_s + 1e-9:
+                violations.append(onset_s + product.availability_s)
+        else:
+            observed = (end - 1 - i) * dt
+            if observed > product.availability_s + 1e-9:
+                # deadline passed while the request was still standing
+                delays.append(observed)
+                violations.append(onset_s + product.availability_s)
+
+    return ComplianceResult(
+        compliant=not violations,
+        first_violation_time_s=min(violations) if violations else None,
+        max_delivery_delay_s=max(delays, default=0.0),
+        delivered_energy_mwh=energy,
+    )
+
+
+def specific_energy_at_scalar(curve: EfficiencyCurve, load_fraction: float) -> float:
+    """Reference for ``model.specific_energy_at``: a walk over the segments."""
+    lo, hi = curve.domain
+    if not (lo - 1e-12 <= load_fraction <= hi + 1e-12):
+        raise ValueError(
+            f"load fraction {load_fraction} outside efficiency curve domain [{lo}, {hi}]"
+        )
+    pts = curve.breakpoints
+    # exact breakpoint hits are returned verbatim
+    for f, e in pts:
+        if load_fraction == f:
+            return e
+    for (f0, e0), (f1, e1) in zip(pts, pts[1:]):
+        if f0 <= load_fraction <= f1:
+            t = (load_fraction - f0) / (f1 - f0)
+            return e0 + t * (e1 - e0)
+    # only reachable for queries within the 1e-12 tolerance band at the edges
+    return pts[0][1] if load_fraction < lo else pts[-1][1]
+
+
+def hydrogen_output_loop(trajectory: PowerTrajectory, curve: EfficiencyCurve) -> float:
+    """Reference for ``dispatch.hydrogen_output``: one interval at a time."""
+    powers = trajectory.powers_mw
+    if len(powers) < 2:
+        return 0.0
+    dt = trajectory.timestep_s
+    rated = trajectory.unit.rated_power_mw
+    kg = 0.0
+    for k in range(len(powers) - 1):
+        p_avg = 0.5 * (powers[k] + powers[k + 1])
+        energy_kwh = p_avg * dt / 3600.0 * 1000.0
+        kg += energy_kwh / specific_energy_at_scalar(curve, p_avg / rated)
+    return kg

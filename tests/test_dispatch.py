@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from elybal.dispatch import (
@@ -18,7 +21,13 @@ from elybal.dispatch import (
     simulate,
 )
 from elybal.markets import Direction, afrr, fcr
-from elybal.model import EfficiencyCurve, ElectrolyzerUnit, Technology
+from elybal.model import EfficiencyCurve, ElectrolyzerUnit, Technology, specific_energy_at
+from oracles import (
+    check_compliance_loop,
+    hydrogen_output_loop,
+    simulate_loop,
+    specific_energy_at_scalar,
+)
 
 DEMO_UNIT = ElectrolyzerUnit(
     name="demo", technology=Technology.AEL, rated_power_mw=4.0,
@@ -58,10 +67,22 @@ class TestActivationSignal:
             ActivationSignal.from_rows(SignalKind.SETPOINT_REQUEST, [(1.0, 0.0), (2.0, 0.0)])
 
     def test_uniform_spacing_enforced(self):
-        with pytest.raises(ValueError, match="non-uniform"):
-            ActivationSignal.from_rows(
-                SignalKind.SETPOINT_REQUEST, [(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)]
-            )
+        for third in (3.0, math.nan):
+            with pytest.raises(ValueError, match="non-uniform timestep between rows 1 and 2"):
+                ActivationSignal.from_rows(
+                    SignalKind.SETPOINT_REQUEST, [(0.0, 0.0), (1.0, 0.0), (third, 0.0)]
+                )
+
+    def test_non_finite_sample_rejected(self):
+        # min(bid, nan) is bid: this signal used to drive a 100 MW unit at
+        # 60 MW with a 5 MW bid up to 61 MW
+        with pytest.raises(ValueError, match="sample 1 is not finite"):
+            ActivationSignal(SignalKind.SETPOINT_REQUEST, (0.0, math.nan, -5.0, -5.0))
+
+    @pytest.mark.parametrize("timestep_s", [math.nan, math.inf])
+    def test_non_finite_timestep_rejected(self, timestep_s):
+        with pytest.raises(ValueError, match="timestep_s must be finite"):
+            ActivationSignal(SignalKind.SETPOINT_REQUEST, (0.0, 1.0), timestep_s)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
@@ -154,6 +175,11 @@ class TestPowerTrajectory:
         traj = PowerTrajectory(2.0, np.array([3.0, 3.0, 3.0]), DEMO_UNIT)
         assert traj.duration_s == 4.0
 
+    def test_rejects_non_finite_samples(self):
+        # every band and slew comparison with NaN is false
+        with pytest.raises(ValueError, match="non-finite"):
+            PowerTrajectory(1.0, np.array([3.0, math.nan, 3.0]), DEMO_UNIT)
+
 
 class TestCompliance:
     def test_fcr_violation_recorded_at_the_deadline(self):
@@ -210,6 +236,12 @@ class TestCompliance:
         result = check_compliance(traj, sig, afrr(), 3.0, 1.0)
         assert type(result.delivered_energy_mwh) is float
 
+    def test_negative_bid_rejected(self):
+        sig = step_signal(-1.0, 10, 20)
+        traj = simulate(DEMO_UNIT, 3.0, 1.0, sig)
+        with pytest.raises(ValueError, match="bid must be >= 0"):
+            check_compliance(traj, sig, fcr(), 3.0, -1.0)
+
     def test_mismatched_horizons_rejected(self):
         sig = step_signal(-1.0, 10, 20)
         traj = simulate(DEMO_UNIT, 3.0, 1.0, sig)
@@ -241,3 +273,106 @@ class TestHydrogenOutput:
         unit = ElectrolyzerUnit("h2", Technology.AEL, 4.0, 0.25, 0.01)
         traj = PowerTrajectory(1.0, np.array([4.0]), unit)
         assert hydrogen_output(traj, self.CURVE) == 0.0
+
+    def test_missing_curve_is_named(self):
+        # aggregated fleet units carry no efficiency curve
+        traj = PowerTrajectory(1.0, np.array([3.0, 3.0]), DEMO_UNIT)
+        with pytest.raises(ValueError, match="no efficiency curve"):
+            hydrogen_output(traj, None)
+
+
+@st.composite
+def curves(draw, lo: float = 0.05):
+    """Efficiency curves with two to five breakpoints from ``lo`` to 1."""
+    inner = draw(st.lists(st.floats(lo, 1.0, exclude_min=True, exclude_max=True),
+                          max_size=3, unique=True))
+    fractions = [lo, *sorted(inner), 1.0]
+    energies = draw(st.lists(st.floats(40.0, 70.0), min_size=len(fractions),
+                             max_size=len(fractions)))
+    return EfficiencyCurve(tuple(zip(fractions, energies)))
+
+
+@st.composite
+def dispatch_cases(draw):
+    """A unit, operating point, signal and product the dispatch code accepts.
+
+    Signals are piecewise constant (held levels around the full-activation
+    threshold) or noisy (a random walk plus noise), of either kind; bids
+    run from 0 to the widest the direction allows and setpoints across the
+    band that hosts the bid.
+    """
+    min_load = draw(st.floats(0.05, 0.6))
+    unit = ElectrolyzerUnit(
+        "case", Technology.AEL, draw(st.floats(1.0, 500.0)), min_load,
+        ramp_up=draw(st.floats(5e-4, 0.2)),
+        ramp_down=draw(st.one_of(st.none(), st.floats(5e-4, 0.2))),
+        efficiency_curve=draw(curves(min_load)),
+    )
+    direction = draw(st.sampled_from(list(Direction)))
+    band = unit.rated_power_mw - unit.min_power_mw
+    widest = band / 2 if direction is Direction.SYM else band
+    bid = draw(st.floats(0.0, 1.0)) * widest  # 0 is among the floats drawn
+    sp_lo = unit.min_power_mw + (bid if direction is not Direction.NEG else 0.0)
+    sp_hi = unit.rated_power_mw - (bid if direction is not Direction.POS else 0.0)
+    setpoint = min(sp_lo + draw(st.floats(0.0, 1.0)) * (sp_hi - sp_lo), sp_hi)
+
+    kind = draw(st.sampled_from(list(SignalKind)))
+    full = 0.2 if kind is SignalKind.FREQUENCY_DEVIATION else (bid or 1.0)
+    if draw(st.booleans()):
+        levels = [full * f for f in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)]
+        holds = draw(st.lists(st.tuples(st.sampled_from(levels), st.integers(1, 120)),
+                              min_size=1, max_size=10))
+        values = [level for level, hold in holds for _ in range(hold)]
+        event("piecewise constant")
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(1, 600))
+        values = (np.cumsum(rng.normal(0.0, 0.2 * full, n)) + rng.normal(0.0, 0.1 * full, n))
+        event("noisy")
+    signal = ActivationSignal(kind, tuple(values), draw(st.sampled_from([0.5, 1.0, 4.0])))
+    product = fcr() if direction is Direction.SYM else afrr(direction)
+    availability = draw(st.sampled_from([1.0, 10.0, product.availability_s]))
+    return unit, setpoint, bid, signal, dataclasses.replace(product, availability_s=availability)
+
+
+class TestAgainstSampleLoops:
+    """The array code against the per-sample loops kept in ``oracles``.
+
+    Tolerances: trajectories 1e-9 MW (the arithmetic is the same);
+    verdicts, first violations and delays exactly; energy and hydrogen
+    1e-9 relative or 1e-12 absolute (array sums add in another order).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=dispatch_cases())
+    def test_dispatch_matches_the_sample_loops(self, case):
+        unit, setpoint, bid, signal, product = case
+        traj = simulate(unit, setpoint, bid, signal, product.direction)
+        ref = simulate_loop(unit, setpoint, bid, signal, product.direction)
+        np.testing.assert_allclose(traj.powers_mw, ref.powers_mw, rtol=0.0, atol=1e-9)
+
+        got = check_compliance(traj, signal, product, setpoint, bid)
+        want = check_compliance_loop(traj, signal, product, setpoint, bid)
+        event("violation" if not want.compliant else "compliant")
+        assert got.compliant == want.compliant
+        assert got.first_violation_time_s == want.first_violation_time_s
+        assert got.max_delivery_delay_s == want.max_delivery_delay_s
+        assert math.isclose(got.delivered_energy_mwh, want.delivered_energy_mwh,
+                            rel_tol=1e-9, abs_tol=1e-12)
+
+        kg = hydrogen_output(traj, unit.efficiency_curve)
+        kg_ref = hydrogen_output_loop(traj, unit.efficiency_curve)
+        assert math.isclose(kg, kg_ref, rel_tol=1e-9, abs_tol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve=curves(), shares=st.lists(st.floats(0.0, 1.0), max_size=50))
+    def test_specific_energy_matches_the_scalar_walk(self, curve, shares):
+        lo, hi = curve.domain
+        xs = np.array([lo + f * (hi - lo) for f in shares]
+                      + [f for f, _ in curve.breakpoints] + [lo - 5e-13, hi + 5e-13])
+        want = [specific_energy_at_scalar(curve, x) for x in xs.tolist()]
+        np.testing.assert_allclose(specific_energy_at(curve, xs), want, rtol=1e-13, atol=0.0)
+        assert type(specific_energy_at(curve, float(xs[0]))) is float
+        for outside in (lo - 1e-9, hi + 1e-9, math.nan):
+            with pytest.raises(ValueError, match="outside efficiency curve domain"):
+                specific_energy_at(curve, np.append(xs, outside))

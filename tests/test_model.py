@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -85,6 +87,12 @@ class TestElectrolyzerUnit:
             make_unit(ramp_up=0.0)
         with pytest.raises(ValueError):
             make_unit(ramp_down=-0.01)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["rated_power_mw", "ramp_up", "ramp_down"])
+    def test_rejects_non_finite_power_and_ramps(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_unit(**{field: value})
 
     def test_ramp_down_defaults_to_ramp_up(self):
         unit = make_unit(ramp_up=0.0061)

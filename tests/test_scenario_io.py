@@ -307,6 +307,13 @@ efficiency_points = 50-55
                 load_scenario(path)
             assert (exc.value.key, exc.value.line) == ("count", 3)
 
+    def test_count_is_capped(self, tmp_path):
+        # checked before any unit is built: 1e8 units would exhaust memory
+        path = write(tmp_path, "big.scenario", "[unit]\npreset = mcphy\ncount = 100001\n")
+        with pytest.raises(ScenarioError, match="at most 100000") as exc:
+            load_scenario(path)
+        assert (exc.value.key, exc.value.line) == ("count", 3)
+
 
 # Free text carries no decimal digits, so no generated line asks for a
 # fleet of millions of units; numbers come from the bounded strategies.
