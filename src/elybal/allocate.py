@@ -37,11 +37,11 @@ class AllocationOptions:
     setpoint_grid_mw: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.setpoint_grid_mw <= 0:
+        if not self.setpoint_grid_mw > 0:
             raise ValueError("setpoint_grid_mw must be > 0")
-        if self.hydrogen_value_eur_per_kg is not None and self.hydrogen_value_eur_per_kg < 0:
+        if self.hydrogen_value_eur_per_kg is not None and not self.hydrogen_value_eur_per_kg >= 0:
             raise ValueError("hydrogen_value_eur_per_kg must be >= 0")
-        if self.pre_reserved_fcr_mw is not None and self.pre_reserved_fcr_mw < 0:
+        if self.pre_reserved_fcr_mw is not None and not self.pre_reserved_fcr_mw >= 0:
             raise ValueError("pre_reserved_fcr_mw must be >= 0")
 
 
@@ -265,7 +265,7 @@ def optimize_day(
     if afrr_prod is not None:
         if afrr_price_per_block_eur is None:
             raise ValueError("aFRR is offered but no capacity price was given")
-        if afrr_price_per_block_eur < 0:
+        if not afrr_price_per_block_eur >= 0:
             raise ValueError("afrr_price_per_block_eur must be >= 0")
     if fcr_prod is not None and afrr_prod is not None:
         small, big = sorted((fcr_prod.trade_increment_mw, afrr_prod.trade_increment_mw))

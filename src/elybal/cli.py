@@ -22,13 +22,14 @@ given.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .allocate import AllocationOptions, optimize_day
-from .dispatch import check_compliance, simulate
+from .dispatch import PowerTrajectory, check_compliance, simulate
 from .economics import build_report
 from .eligibility import check_eligibility, default_setpoint, max_offerable
 from .markets import apply_grid_fee, avg_price_below_threshold
@@ -36,9 +37,11 @@ from .model import ElectrolyzerUnit
 from .scenario_io import (
     PRESETS,
     Fragment,
+    Scenario,
     ScenarioError,
     emit_report,
     flag_fragment,
+    load_capacity_prices,
     load_scenario,
     preset,
     read_fragment,
@@ -101,13 +104,11 @@ def cmd_eligibility(args) -> int:
         setpoint = default_setpoint(unit, product)
     report = check_eligibility(unit, product, bid, setpoint)
     max_bid, max_sp = max_offerable(unit, product, setpoint)
+    payload = report.to_dict()
+    payload["max_offerable_mw"] = max_bid
+    payload["max_offerable_setpoint_mw"] = max_sp
 
     if args.format == "json":
-        import json
-
-        payload = report.to_dict()
-        payload["max_offerable_mw"] = max_bid
-        payload["max_offerable_setpoint_mw"] = max_sp
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(
@@ -129,127 +130,72 @@ def cmd_eligibility(args) -> int:
         print(verdict)
         print(f"max offerable at this setpoint: {max_bid:g} MW")
     if args.out:
-        payload = report.to_dict()
-        payload["max_offerable_mw"] = max_bid
-        payload["max_offerable_setpoint_mw"] = max_sp
         emit_report(payload, "json", Path(args.out))
     return 0 if report.eligible else 2
 
 
-def _run_simulate(path: Path, out_dir: Path | None) -> tuple[str, bool, str]:
-    scenario = load_scenario(path)
-    if scenario.dispatch is None:
-        raise ScenarioError("scenario has no [dispatch] section", source=str(path))
-    if scenario.signal is None:
-        raise ScenarioError("scenario has no [signal] section", source=str(path))
+def _section(scenario: Scenario, value, name: str):
+    """``value``, the scenario's [name] section; an input error when it is absent."""
+    if not value:
+        raise ScenarioError(f"scenario has no [{name}] section", source=str(scenario.path))
+    return value
+
+
+def _simulate(scenario: Scenario, args) -> tuple[str, bool, dict]:
+    settings = _section(scenario, scenario.dispatch, "dispatch")
+    signal = _section(scenario, scenario.signal, "signal")
     unit = scenario.primary_unit()
-    product = scenario.product(scenario.dispatch.product_name)
-    setpoint = scenario.dispatch.setpoint_mw
-    bid = scenario.dispatch.bid_mw
-    trajectory = simulate(unit, setpoint, bid, scenario.signal, product.direction)
-    compliance = check_compliance(trajectory, scenario.signal, product, setpoint, bid)
-    lines = [
+    product = scenario.product(settings.product_name)
+    setpoint, bid = settings.setpoint_mw, settings.bid_mw
+    trajectory = simulate(unit, setpoint, bid, signal, product.direction)
+    compliance = check_compliance(trajectory, signal, product, setpoint, bid)
+    text = "\n".join([
         f"{scenario.name}: {product.label} {bid:g} MW at setpoint {setpoint:g} MW",
         f"  compliant: {compliance.compliant}",
         f"  max delivery delay: {compliance.max_delivery_delay_s:g} s "
         f"(deadline {product.availability_s:g} s)",
         f"  delivered energy: {compliance.delivered_energy_mwh:.6f} MWh",
-    ]
-    if out_dir is not None:
-        base = out_dir / scenario.name
-        if "json" in scenario.output_formats:
-            emit_report(
-                {"compliance": compliance.to_dict(), "scenario": scenario.name},
-                "json", base.with_suffix(".compliance.json"),
-            )
-        if "csv" in scenario.output_formats:
-            emit_report(
-                {"compliance": compliance.to_dict(), "scenario": scenario.name},
-                "csv", base.with_suffix(".compliance.csv"),
-            )
-        write_trajectory_csv(trajectory, base.with_suffix(".trajectory.csv"))
-        if "plotdata" in scenario.output_formats:
-            emit_report({"trajectory": trajectory}, "plotdata", out_dir / f"{scenario.name}_plot")
-    return "\n".join(lines), compliance.compliant, scenario.name
+    ])
+    report = {"compliance": compliance.to_dict(), "scenario": scenario.name}
+    return text, compliance.compliant, {"compliance": report, "trajectory": trajectory}
 
 
-def cmd_simulate(args) -> int:
-    out_dir = Path(args.out) if args.out else None
-    results = [_run_simulate(_resolve_path(p), out_dir) for p in args.scenario]
-    all_ok = True
-    for text, ok, _ in results:
-        print(text)
-        all_ok = all_ok and ok
-    return 0 if all_ok else 2
-
-
-def _run_allocate(path: Path, prices_override: Path | None, out_dir: Path | None) -> str:
-    scenario = load_scenario(path)
+def _allocate(scenario: Scenario, args) -> tuple[str, bool, dict]:
     unit = scenario.primary_unit()
-    if not scenario.products:
-        raise ScenarioError("scenario has no [product] section", source=str(path))
-    fcr_prices = scenario.fcr_prices
-    if prices_override is not None:
-        from .scenario_io import load_capacity_prices
-
-        fcr_prices = load_capacity_prices(prices_override)
-    result = optimize_day(
-        unit,
-        scenario.products,
-        fcr_prices,
-        scenario.afrr_price_eur_per_mw_block,
-        scenario.allocate_options or AllocationOptions(),
-    )
-    if out_dir is not None:
-        base = out_dir / scenario.name
-        if "json" in scenario.output_formats:
-            emit_report(result, "json", base.with_suffix(".allocation.json"))
-        if "csv" in scenario.output_formats:
-            emit_report(result, "csv", base.with_suffix(".allocation.csv"))
+    _section(scenario, scenario.products, "product")
+    fcr_prices = load_capacity_prices(args.prices) if args.prices else scenario.fcr_prices
+    options = scenario.allocate_options or AllocationOptions()
+    result = optimize_day(unit, scenario.products, fcr_prices,
+                          scenario.afrr_price_eur_per_mw_block, options)
     reserved = {}
     for e in result.schedule.entries:
         reserved[e.product.label] = reserved.get(e.product.label, 0.0) + e.quantity_mw
     summary = ", ".join(f"{k}: {v:g} MW-blocks" for k, v in sorted(reserved.items()))
-    return (
+    text = (
         f"{scenario.name}: capacity revenue {result.capacity_revenue_eur:.2f} euro/day"
         + (f" ({summary})" if summary else " (no bids)")
     )
+    return text, True, {"allocation": result}
 
 
-def cmd_allocate(args) -> int:
-    out_dir = Path(args.out) if args.out else None
-    prices = Path(args.prices) if args.prices else None
-    results = [_run_allocate(_resolve_path(p), prices, out_dir) for p in args.scenario]
-    for text in results:
-        print(text)
-    return 0
-
-
-def _run_economics(path: Path, out_dir: Path | None) -> str:
-    scenario = load_scenario(path)
-    eco = scenario.economics
-    if eco is None:
-        raise ScenarioError("scenario has no [economics] section", source=str(path))
+def _economics(scenario: Scenario, args) -> tuple[str, bool, dict]:
+    eco = _section(scenario, scenario.economics, "economics")
     price = eco.electricity_price_eur_per_mwh
     assumptions: dict = {
         "hours_per_day": eco.hours_per_day,
         "grid_fee_pct": eco.grid_fee_fraction * 100.0,
     }
-    if price is None and scenario.spot_prices is not None and eco.spot_threshold_eur_per_mwh:
-        price, hours = avg_price_below_threshold(
-            scenario.spot_prices, eco.spot_threshold_eur_per_mwh
-        )
-        assumptions["spot_threshold_eur_per_mwh"] = eco.spot_threshold_eur_per_mwh
+    threshold = eco.spot_threshold_eur_per_mwh
+    if price is None and scenario.spot_prices is not None and threshold is not None:
+        price, hours = avg_price_below_threshold(scenario.spot_prices, threshold)
+        assumptions["spot_threshold_eur_per_mwh"] = threshold
         assumptions["qualifying_hours"] = hours
     if price is not None:
         assumptions["electricity_price_eur_per_mwh"] = price
         price = apply_grid_fee(price, eco.grid_fee_fraction)
         assumptions["electricity_price_with_fees_eur_per_mwh"] = price
-    afrr_hourly = (
-        scenario.afrr_price_eur_per_mw_block / 4.0
-        if scenario.afrr_price_eur_per_mw_block is not None
-        else None
-    )
+    block_price = scenario.afrr_price_eur_per_mw_block
+    afrr_hourly = block_price / 4.0 if block_price is not None else None
     report = build_report(
         fcr_bid_mw=eco.fcr_bid_mw,
         fcr_prices=scenario.fcr_prices,
@@ -264,12 +210,6 @@ def _run_economics(path: Path, out_dir: Path | None) -> str:
         afrr_activation_revenue_eur=eco.afrr_activation_revenue_eur,
         assumptions=assumptions,
     )
-    if out_dir is not None:
-        base = out_dir / scenario.name
-        if "json" in scenario.output_formats:
-            emit_report(report, "json", base.with_suffix(".economics.json"))
-        if "csv" in scenario.output_formats:
-            emit_report(report, "csv", base.with_suffix(".economics.csv"))
     parts = [f"{scenario.name}:"]
     if report.fcr_revenue_eur is not None:
         parts.append(f"FCR {report.fcr_revenue_eur:.2f} euro/day")
@@ -281,15 +221,41 @@ def _run_economics(path: Path, out_dir: Path | None) -> str:
         parts.append(f"fleet share {report.coverage.share * 100:g}%")
         if report.coverage.headroom_band is not None:
             parts.append(f"band {report.coverage.headroom_band * 100:g}%")
-    return " ".join(parts)
+    return " ".join(parts), True, {"economics": report}
 
 
-def cmd_economics(args) -> int:
-    out_dir = Path(args.out) if args.out else None
-    results = [_run_economics(_resolve_path(p), out_dir) for p in args.scenario]
-    for text in results:
+def _write_reports(scenario: Scenario, reports: dict, out_dir: Path) -> None:
+    """Write ``<out_dir>/<name>.<kind>.<fmt>`` per ``[output] formats``.
+
+    A trajectory is always written as CSV, and under ``plotdata`` also as
+    ``<name>_plot/``.  The scenario name is used verbatim, dots included.
+    """
+    for kind, payload in reports.items():
+        base = f"{scenario.name}.{kind}"
+        if isinstance(payload, PowerTrajectory):
+            write_trajectory_csv(payload, out_dir / f"{base}.csv")
+            if "plotdata" in scenario.output_formats:
+                emit_report({kind: payload}, "plotdata", out_dir / f"{scenario.name}_plot")
+            continue
+        for fmt in ("json", "csv"):
+            if fmt in scenario.output_formats:
+                emit_report(payload, fmt, out_dir / f"{base}.{fmt}")
+
+
+def cmd_scenarios(args) -> int:
+    """Run a scenario command on every ``--scenario``, then print the texts in
+    argument order.  The command's runner maps one scenario to its text, its
+    verdict and its reports, keyed by report kind."""
+    results = []
+    for value in args.scenario:
+        scenario = load_scenario(_resolve_path(value))
+        text, ok, reports = args.runner(scenario, args)
+        if args.out:
+            _write_reports(scenario, reports, Path(args.out))
+        results.append((text, ok))
+    for text, _ in results:
         print(text)
-    return 0
+    return 0 if all(ok for _, ok in results) else 2
 
 
 def cmd_presets(args) -> int:
@@ -333,21 +299,18 @@ def build_parser() -> _Parser:
     p_el.add_argument("--out", help="also write the report as JSON to this file")
     p_el.set_defaults(func=cmd_eligibility)
 
-    p_sim = sub.add_parser("simulate", help="rate-limited response to an activation signal")
-    p_sim.add_argument("--scenario", required=True, nargs="+", help="scenario file(s)")
-    p_sim.add_argument("--out", help="output directory for trajectory and compliance files")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_alloc = sub.add_parser("allocate", help="revenue-maximal daily bid schedule")
-    p_alloc.add_argument("--scenario", required=True, nargs="+", help="scenario file(s)")
-    p_alloc.add_argument("--prices", help="override FCR capacity price CSV")
-    p_alloc.add_argument("--out", help="output directory")
-    p_alloc.set_defaults(func=cmd_allocate)
-
-    p_eco = sub.add_parser("economics", help="revenue, cost and coverage report")
-    p_eco.add_argument("--scenario", required=True, nargs="+", help="scenario file(s)")
-    p_eco.add_argument("--out", help="output directory")
-    p_eco.set_defaults(func=cmd_economics)
+    for name, runner, help_text, out_help in (
+        ("simulate", _simulate, "rate-limited response to an activation signal",
+         "output directory for trajectory and compliance files"),
+        ("allocate", _allocate, "revenue-maximal daily bid schedule", "output directory"),
+        ("economics", _economics, "revenue, cost and coverage report", "output directory"),
+    ):
+        p_cmd = sub.add_parser(name, help=help_text)
+        p_cmd.add_argument("--scenario", required=True, nargs="+", help="scenario file(s)")
+        if name == "allocate":
+            p_cmd.add_argument("--prices", help="override FCR capacity price CSV")
+        p_cmd.add_argument("--out", help=out_help)
+        p_cmd.set_defaults(func=cmd_scenarios, runner=runner)
 
     p_pre = sub.add_parser("presets", help="browse the unit catalog")
     pre_sub = p_pre.add_subparsers(dest="action", required=True)

@@ -144,8 +144,8 @@ class CapacityPriceTable:
             canonical = normalize_block_label(label)
             if canonical in normalized:
                 raise ValueError(f"duplicate price for block {canonical}")
-            if price < 0:
-                raise ValueError(f"negative capacity price {price} for block {canonical}")
+            if not 0 <= price < float("inf"):
+                raise ValueError(f"negative or non-finite capacity price {price} for block {canonical}")
             normalized[canonical] = float(price)
         ordered = {b.label: normalized[b.label] for b in CANONICAL_BLOCKS if b.label in normalized}
         object.__setattr__(self, "prices", ordered)

@@ -544,10 +544,17 @@ def load_scenario(path: str | Path) -> Scenario:
                 return _float(item, source) if item is not None else None
 
             fee_pct = opt_float("grid_fee_pct")
+            hours_item = section.get("hours_per_day")
+            hours = _float(hours_item, source) if hours_item is not None else 24.0
+            if not 0 < hours <= 24:
+                raise ScenarioError(
+                    f"hours_per_day must be in (0, 24], got {hours_item.value}",
+                    key=hours_item.key, line=hours_item.line, source=source,
+                )
             sym_item = section.get("coverage_symmetric")
             economics_settings = EconomicsSettings(
                 setpoint_mw=opt_float("setpoint_mw"),
-                hours_per_day=opt_float("hours_per_day") or 24.0,
+                hours_per_day=hours,
                 electricity_price_eur_per_mwh=opt_float("electricity_price_eur_per_mwh"),
                 spot_threshold_eur_per_mwh=opt_float("spot_threshold_eur_per_mwh"),
                 grid_fee_fraction=(fee_pct / 100.0) if fee_pct is not None else 0.0,

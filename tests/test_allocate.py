@@ -125,6 +125,17 @@ class TestOptimizeDay:
         with pytest.raises(ValueError):
             AllocationOptions(hydrogen_value_eur_per_kg=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["hydrogen_value_eur_per_kg", "pre_reserved_fcr_mw", "setpoint_grid_mw"]
+    )
+    def test_options_reject_nan(self, field):
+        with pytest.raises(ValueError, match=field):
+            AllocationOptions(**{field: math.nan})
+
+    def test_nan_afrr_price_rejected(self):
+        with pytest.raises(ValueError, match="afrr_price_per_block_eur"):
+            optimize_day(BIG_UNIT, [afrr()], None, afrr_price_per_block_eur=math.nan)
+
     def test_result_to_dict_is_flat_data(self):
         result = optimize_day(BIG_UNIT, [fcr()], PRICES, None)
         d = result.to_dict()

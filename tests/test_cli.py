@@ -18,6 +18,19 @@ GERMAN = str(SCENARIOS / "german_fleet_2030.scenario")
 EU = str(SCENARIOS / "eu_fleet_2030.scenario")
 
 
+def revenue_copy(tmp_path: Path, filename: str, *replacements: tuple[str, str]) -> str:
+    """The 100 MW revenue scenario with absolute CSV paths and the given text replaced."""
+    text = Path(REVENUE).read_text(encoding="utf-8")
+    text = text.replace("prices/", str(SCENARIOS / "prices") + "/")
+    text = text.replace("signals/", str(SCENARIOS / "signals") + "/")
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / filename
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 class TestPresets:
     def test_list(self, capsys):
         assert main(["presets", "list"]) == 0
@@ -293,6 +306,64 @@ class TestEconomicsCommand:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert lines[0].startswith("german_fleet_2030")
         assert lines[1].startswith("eu_fleet_2030")
+
+    @pytest.mark.parametrize("hours", ["0", "-1", "24.5"])
+    def test_hours_per_day_outside_a_day_is_located(self, tmp_path, capsys, hours):
+        path = revenue_copy(tmp_path, "hours.scenario",
+                            ("hours_per_day = 24", f"hours_per_day = {hours}"))
+        assert main(["economics", "--scenario", path]) == 1
+        err = capsys.readouterr().err
+        assert "line 39, key 'hours_per_day'" in err
+        assert "(0, 24]" in err
+
+    def test_zero_spot_threshold_is_a_threshold(self, tmp_path, capsys):
+        (tmp_path / "spot.csv").write_text(
+            "timestamp,price_eur_per_mwh\n2024-07-25T00:00:00,-5\n2024-07-25T01:00:00,40\n",
+            encoding="utf-8",
+        )
+        scenario = tmp_path / "spot.scenario"
+        scenario.write_text(
+            "[scenario]\nname = spot\n\n[prices]\nspot_csv = spot.csv\n\n"
+            "[economics]\nsetpoint_mw = 10\nspot_threshold_eur_per_mwh = 0\n",
+            encoding="utf-8",
+        )
+        assert main(["economics", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "spot.economics.json").read_text())
+        assert payload["assumptions"]["spot_threshold_eur_per_mwh"] == 0.0
+        assert payload["assumptions"]["qualifying_hours"] == 1
+        assert payload["assumptions"]["electricity_price_eur_per_mwh"] == -5.0
+        assert payload["electricity_cost_eur"] == -1200.0
+
+
+class TestScenarioCommands:
+    @pytest.mark.parametrize("command, kinds", [
+        ("simulate", ("compliance.json", "compliance.csv", "trajectory.csv")),
+        ("allocate", ("allocation.json", "allocation.csv")),
+        ("economics", ("economics.json", "economics.csv")),
+    ])
+    def test_dotted_names_keep_their_files_apart(self, tmp_path, capsys, command, kinds):
+        names = ("x.a", "x.b")
+        paths = [
+            revenue_copy(tmp_path, f"{n}.scenario", ("name = revenue_100mw", f"name = {n}"))
+            for n in names
+        ]
+        out = tmp_path / "out"
+        assert main([command, "--scenario", *paths, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{n}.{kind}" for n in names for kind in kinds
+        )
+
+    def test_simulate_mixed_verdicts_exit_2_in_argument_order(self, capsys):
+        assert main(["simulate", "--scenario", REVENUE, DEMO]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split(":")[0] for l in lines if not l.startswith(" ")] == [
+            "revenue_100mw", "demo4grid",
+        ]
+        assert [l.strip() for l in lines if "compliant" in l] == [
+            "compliant: True", "compliant: False",
+        ]
 
 
 class TestArgumentHandling:

@@ -154,6 +154,12 @@ class TestCapacityPriceTable:
         with pytest.raises(ValueError, match="negative"):
             CapacityPriceTable({"NEGPOS_00_04": -0.01})
 
+    @pytest.mark.parametrize("price", [float("nan"), float("inf")])
+    def test_rejects_non_finite_price(self, price):
+        # the CSV loader rejects these; a table built in Python must too
+        with pytest.raises(ValueError, match="non-finite"):
+            CapacityPriceTable({b.label: price for b in CANONICAL_BLOCKS})
+
     def test_day_sum_requires_all_blocks(self):
         with pytest.raises(ValueError, match="NEGPOS_04_08"):
             day_capacity_price_sum(CapacityPriceTable({"00-04": 5.0}))
