@@ -7,14 +7,23 @@ fixed setpoint the block score is linear in the FCR quantity except where
 the aFRR bid below the band stops being capped by its ramp or drops under
 its minimum bid, so the optimum sits at a corner: aFRR bids nothing or its
 tradable top, and FCR bids 0, a tradable end or a lot at one of those kinks.
-Each point of the setpoint grid therefore costs a handful of candidate
-pairs, not an enumeration of quantities.
+
+None of those corners depends on the block, only the FCR price does.  So
+``optimize_day`` builds one candidate table per day with numpy over the
+whole setpoint grid (``_day_table``: setpoint, FCR and aFRR quantity, and
+the hydrogen forgone at the setpoint), and each block is one score vector
+``q_fcr * fcr_price + q_afrr * afrr_price - hydrogen_cost`` and one pick.
+The pick (``_pick``) applies one tie rule: the score within ``_EPS`` of the
+best, then the least reserved capacity, then the least FCR (each within
+``_EPS``), then the highest setpoint, the first candidate on exact ties.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .eligibility import capacity_limit_mw, check_eligibility, tradable_mw
 from .markets import (
@@ -107,10 +116,10 @@ def _split_products(
     return fcr_prod, afrr_prod
 
 
-def _grid_points(lo: float, hi: float, step: float) -> list[float]:
+def _grid_points(lo: float, hi: float, step: float) -> np.ndarray:
     first = math.ceil(lo / step - _EPS)
     last = math.floor(hi / step + _EPS)
-    return [i * step for i in range(first, last + 1)]
+    return np.arange(first, last + 1) * step
 
 
 def _min_tradable_mw(product: BalancingProduct) -> float:
@@ -119,122 +128,97 @@ def _min_tradable_mw(product: BalancingProduct) -> float:
     return max(1, math.ceil(product.min_bid_mw / inc - _EPS)) * inc
 
 
-def _hydrogen_loss_kg(unit: ElectrolyzerUnit, setpoint_mw: float, hours: float) -> float:
-    """Production forgone by holding the setpoint instead of full load."""
+def _hydrogen_loss_kg(
+    unit: ElectrolyzerUnit, setpoint_mw: float | np.ndarray, hours: float
+) -> float | np.ndarray:
+    """Production forgone by holding the setpoint(s) instead of full load."""
 
-    def production_kg(power_mw: float) -> float:
+    def production_kg(power_mw: float | np.ndarray) -> float | np.ndarray:
         se = specific_energy_at(unit.efficiency_curve, power_mw / unit.rated_power_mw)
         return power_mw * hours * 1000.0 / se
 
     return production_kg(unit.rated_power_mw) - production_kg(setpoint_mw)
 
 
-def _better(
-    score: float,
-    reserved: float,
-    q_fcr: float,
-    setpoint: float,
-    best: tuple[float, float, float, float] | None,
-) -> bool:
-    """Tie-break order: score, then less reserved capacity, then less FCR,
-    then the higher setpoint (more hydrogen)."""
-    if best is None:
-        return True
-    b_score, b_reserved, b_fcr, b_sp = best
-    if score > b_score + _EPS:
-        return True
-    if score < b_score - _EPS:
-        return False
-    if reserved < b_reserved - _EPS:
-        return True
-    if reserved > b_reserved + _EPS:
-        return False
-    if q_fcr < b_fcr - _EPS:
-        return True
-    if q_fcr > b_fcr + _EPS:
-        return False
-    return setpoint > b_sp + _EPS
+def _top_mw(
+    unit: ElectrolyzerUnit, product: BalancingProduct | None, setpoint_mw: float | np.ndarray
+) -> float | np.ndarray:
+    """Largest tradable bid of the product at the setpoint(s); 0 without it."""
+    if product is None:
+        return np.zeros_like(setpoint_mw)
+    return tradable_mw(capacity_limit_mw(unit, product, setpoint_mw), product)
 
 
-def _fcr_choices(
-    fcr_prod: BalancingProduct, fcr_top: float, room: float, afrr_levels: tuple[float, ...]
-) -> list[float]:
-    """0 plus the FCR quantities where the block score can peak.
-
-    Each FCR lot moves the aFRR origin down, out of ``room``, the headroom
-    below the setpoint.  So the aFRR top falls in steps as q_fcr grows:
-    flat while the aFRR ramp reach caps it, then one aFRR lot at a time,
-    then 0 below the aFRR minimum bid.  Along a step the score rises with
-    q_fcr, and across the last FCR lots of the steps it is linear, so the
-    optimum is 0, a tradable end, or the last lot of a step (or the lot
-    after it) whose aFRR top is in ``afrr_levels``.  That holds when one
-    trading increment is a multiple of the other.
-    """
-    lo = _min_tradable_mw(fcr_prod)
-    if fcr_top < lo - _EPS:
-        return [0.0]
-    candidates = {0.0, lo, fcr_top}
-    for level in afrr_levels:
-        if level > 0.0:
-            last = tradable_mw(room - level, fcr_prod)
-            for q in (last, last + fcr_prod.trade_increment_mw):
-                candidates.add(min(max(q, lo), fcr_top))
-    return sorted(candidates)
-
-
-def _best_for_block(
+def _day_table(
     unit: ElectrolyzerUnit,
     fcr_prod: BalancingProduct | None,
-    fcr_price: float,
     afrr_prod: BalancingProduct | None,
-    afrr_price_block: float,
     pinned: float | None,
-    setpoint_costs: list[tuple[float, float]],
-) -> tuple[float, float, float, float]:
-    """Returns (q_fcr, q_afrr, setpoint, score) for one block.
+    setpoints: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates of a day as (setpoint index, q_fcr, q_afrr) arrays,
+    ordered by setpoint, then FCR ascending, then aFRR 0 before its top.
 
-    ``pinned`` fixes the FCR quantity; ``setpoint_costs`` pairs each
-    candidate setpoint with its hydrogen cost.
+    Each FCR lot moves the aFRR origin down, out of the room below the
+    setpoint, so the aFRR top falls in steps as q_fcr grows: flat while the
+    aFRR ramp reach caps it, then one aFRR lot at a time, then 0 below the
+    aFRR minimum bid.  Along a step the score rises with q_fcr, and across
+    the last FCR lots of the steps it is linear, so the optimum is 0, a
+    tradable end, or the last lot of a step (or the lot after it) whose
+    aFRR top is one of four levels: the ramp reach, the smallest bid, the
+    top at the lowest FCR lot and the step above the top at the highest.
+    That holds when one trading increment is a multiple of the other.  A
+    pin is the single FCR candidate where it fits.  NaN marks an empty slot.
     """
-
-    def afrr_top(origin_mw: float) -> float:
-        if afrr_prod is None:
-            return 0.0
-        return tradable_mw(capacity_limit_mw(unit, afrr_prod, origin_mw), afrr_prod)
-
-    # aFRR tops that end a linear stretch of the score in q_fcr: the ramp
-    # reach, the smallest bid, the top at the lowest FCR lot and the step
-    # above the top at the highest
-    afrr_reach = afrr_top(unit.rated_power_mw)
-    afrr_min = _min_tradable_mw(afrr_prod) if afrr_reach > 0.0 else 0.0
-    afrr_step = afrr_prod.trade_increment_mw if afrr_reach > 0.0 else 0.0
-    fcr_lowest = _min_tradable_mw(fcr_prod) if fcr_prod is not None else 0.0
-
-    best_key = None
-    best_choice = (0.0, 0.0, unit.rated_power_mw, 0.0)
-    for sp, h2_cost in setpoint_costs:
-        if fcr_prod is None:
-            fcr_choices = [0.0]
+    n = len(setpoints)
+    if fcr_prod is None:
+        q_fcr = np.zeros((n, 1))
+    else:
+        fcr_top = _top_mw(unit, fcr_prod, setpoints)
+        if pinned is not None:
+            q_fcr = np.where(pinned <= fcr_top + _EPS, pinned, np.nan)[:, None]
         else:
-            fcr_top = tradable_mw(capacity_limit_mw(unit, fcr_prod, sp), fcr_prod)
-            if pinned is not None:
-                fcr_choices = [pinned] if pinned <= fcr_top + _EPS else []
-            else:
-                levels = (
-                    afrr_reach,
-                    afrr_min,
-                    afrr_top(sp - fcr_lowest),
-                    afrr_top(sp - fcr_top) + afrr_step,
-                )
-                fcr_choices = _fcr_choices(fcr_prod, fcr_top, sp - unit.min_power_mw, levels)
-        for q_fcr in fcr_choices:
-            top = afrr_top(sp - q_fcr)
-            for q_afrr in (0.0, top) if top > 0.0 else (0.0,):
-                score = q_fcr * fcr_price + q_afrr * afrr_price_block - h2_cost
-                if _better(score, q_fcr + q_afrr, q_fcr, sp, best_key):
-                    best_key = (score, q_fcr + q_afrr, q_fcr, sp)
-                    best_choice = (q_fcr, q_afrr, sp, score)
-    return best_choice
+            lo = _min_tradable_mw(fcr_prod)
+            reach = _top_mw(unit, afrr_prod, unit.rated_power_mw)
+            levels = np.column_stack([
+                np.full(n, reach),
+                np.full(n, _min_tradable_mw(afrr_prod) if reach > 0.0 else 0.0),
+                _top_mw(unit, afrr_prod, setpoints - lo),
+                _top_mw(unit, afrr_prod, setpoints - fcr_top)
+                + (afrr_prod.trade_increment_mw if reach > 0.0 else 0.0),
+            ])
+            last = tradable_mw((setpoints - unit.min_power_mw)[:, None] - levels, fcr_prod)
+            kinks = np.hstack([last, last + fcr_prod.trade_increment_mw])
+            kinks = np.minimum(np.maximum(kinks, lo), fcr_top[:, None])
+            kinks[np.hstack([levels, levels]) <= 0.0] = np.nan
+            q_fcr = np.column_stack([np.zeros(n), np.full(n, lo), fcr_top, kinks])
+            q_fcr[fcr_top < lo - _EPS, 1:] = np.nan
+            q_fcr.sort(axis=1)
+            q_fcr[:, 1:][q_fcr[:, 1:] == q_fcr[:, :-1]] = np.nan
+    top = _top_mw(unit, afrr_prod, setpoints[:, None] - q_fcr)
+    q_afrr = np.stack([np.zeros_like(top), top], axis=-1)
+    keep = ~np.isnan(q_fcr)[..., None] & np.stack([np.ones_like(top, bool), top > 0.0], axis=-1)
+    rows = np.broadcast_to(np.arange(n)[:, None, None], keep.shape)
+    return rows[keep], np.broadcast_to(q_fcr[..., None], keep.shape)[keep], q_afrr[keep]
+
+
+def _pick(
+    score: np.ndarray, reserved: np.ndarray, q_fcr: np.ndarray, setpoint: np.ndarray
+) -> int | None:
+    """Index of the best candidate, or None when there is none.
+
+    The tie rule, applied in turn: the score within ``_EPS`` of the max,
+    then the reserved capacity within ``_EPS`` of the min, then the FCR
+    quantity within ``_EPS`` of the min, then the highest setpoint (more
+    hydrogen), the first candidate on exact ties.
+    """
+    if not score.size:
+        return None
+    idx = np.flatnonzero(score >= score.max() - _EPS)
+    for key in (reserved, q_fcr):
+        values = key[idx]
+        idx = idx[values <= values.min() + _EPS]
+    return int(idx[np.argmax(setpoint[idx])])
 
 
 def optimize_day(
@@ -279,7 +263,7 @@ def optimize_day(
     if pinned is not None:
         if fcr_prod is None:
             raise ValueError("pre_reserved_fcr_mw given but FCR is not among the products")
-        if abs(pinned - tradable_mw(pinned, fcr_prod)) > _EPS:
+        if not abs(pinned - tradable_mw(pinned, fcr_prod)) <= _EPS:
             raise ValueError(
                 f"pre_reserved_fcr_mw = {pinned:g} MW is not a tradable FCR quantity: "
                 f"it must be 0 or on the {fcr_prod.trade_increment_mw:g} MW trading grid "
@@ -297,32 +281,33 @@ def optimize_day(
     lowest_sp = unit.min_power_mw
     if h2_value is not None:  # forgone production is only known on the curve
         lowest_sp = max(lowest_sp, curve.domain[0] * unit.rated_power_mw)
-    setpoint_costs = [
-        (sp, h2_value * _hydrogen_loss_kg(unit, sp, duration) if h2_value is not None else 0.0)
-        for sp in _grid_points(lowest_sp, unit.rated_power_mw, options.setpoint_grid_mw)
-    ]
+    setpoints = _grid_points(lowest_sp, unit.rated_power_mw, options.setpoint_grid_mw)
+    rows, q_fcr, q_afrr = _day_table(unit, fcr_prod, afrr_prod, pinned, setpoints)
+    setpoint = setpoints[rows]
+    reserved = q_fcr + q_afrr
+    h2_kg = np.zeros(rows.size)
+    if h2_value is not None:
+        h2_kg = _hydrogen_loss_kg(unit, setpoints, duration)[rows]
+    h2_cost = h2_kg * (h2_value or 0.0)
 
     entries: list[ScheduleEntry] = []
     revenue = 0.0
     h2_loss = 0.0
+    afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
     for block in blocks:
-        q_fcr, q_afrr, sp, _ = _best_for_block(
-            unit,
-            fcr_prod,
-            fcr_prices.price(block) if fcr_prod is not None else 0.0,
-            afrr_prod,
-            afrr_price_per_block_eur if afrr_prod is not None else 0.0,
-            pinned,
-            setpoint_costs,
-        )
-        if q_fcr > 0:
-            entries.append(ScheduleEntry(block, fcr_prod, q_fcr, Direction.SYM, sp))
-            revenue += q_fcr * fcr_prices.price(block)
-        if q_afrr > 0:
-            entries.append(ScheduleEntry(block, afrr_prod, q_afrr, Direction.POS, sp))
-            revenue += q_afrr * afrr_price_per_block_eur
-        if h2_value is not None and (q_fcr > 0 or q_afrr > 0):
-            h2_loss += _hydrogen_loss_kg(unit, sp, duration)
+        fcr_price = fcr_prices.price(block) if fcr_prod is not None else 0.0
+        best = _pick(q_fcr * fcr_price + q_afrr * afrr_price - h2_cost, reserved, q_fcr, setpoint)
+        if best is None:
+            continue
+        qf, qa, sp = float(q_fcr[best]), float(q_afrr[best]), float(setpoint[best])
+        if qf > 0:
+            entries.append(ScheduleEntry(block, fcr_prod, qf, Direction.SYM, sp))
+            revenue += qf * fcr_price
+        if qa > 0:
+            entries.append(ScheduleEntry(block, afrr_prod, qa, Direction.POS, sp))
+            revenue += qa * afrr_price
+        if qf > 0 or qa > 0:
+            h2_loss += float(h2_kg[best])
 
     schedule = BidSchedule(tuple(entries))
     validate_schedule(unit, schedule)

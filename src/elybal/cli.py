@@ -243,19 +243,21 @@ def _write_reports(scenario: Scenario, reports: dict, out_dir: Path) -> None:
 
 
 def cmd_scenarios(args) -> int:
-    """Run a scenario command on every ``--scenario``, then print the texts in
-    argument order.  The command's runner maps one scenario to its text, its
-    verdict and its reports, keyed by report kind."""
-    results = []
+    """Run a scenario command on every ``--scenario``, then write the reports
+    and print the texts in argument order.  The command's runner maps one
+    scenario to its text, its verdict and its reports, keyed by report kind.
+    Nothing is written or printed until every scenario has run, so a run
+    that fails on a later scenario leaves no files behind."""
+    runs = []
     for value in args.scenario:
         scenario = load_scenario(_resolve_path(value))
-        text, ok, reports = args.runner(scenario, args)
-        if args.out:
+        runs.append((scenario, *args.runner(scenario, args)))
+    if args.out:
+        for scenario, _, _, reports in runs:
             _write_reports(scenario, reports, Path(args.out))
-        results.append((text, ok))
-    for text, _ in results:
+    for _, text, _, _ in runs:
         print(text)
-    return 0 if all(ok for _, ok in results) else 2
+    return 0 if all(ok for _, _, ok, _ in runs) else 2
 
 
 def cmd_presets(args) -> int:

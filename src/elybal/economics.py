@@ -26,7 +26,7 @@ def afrr_day_capacity_revenue(
 
 def electricity_cost(setpoint_mw: float, hours: float, price_eur_per_mwh: float) -> float:
     """Energy bill for holding a setpoint, fees already included in the price."""
-    if setpoint_mw < 0 or hours < 0:
+    if not setpoint_mw >= 0 or not hours >= 0:
         raise ValueError("setpoint_mw and hours must be >= 0")
     return setpoint_mw * hours * price_eur_per_mwh
 
@@ -64,9 +64,9 @@ def fleet_coverage(
     A symmetric product needs the requirement in both directions, so the
     operating band it claims is twice the per-direction share.
     """
-    if required_reserve_mw < 0:
+    if not required_reserve_mw >= 0:
         raise ValueError("required_reserve_mw must be >= 0")
-    if fleet_power_mw <= 0:
+    if not fleet_power_mw > 0:
         raise ValueError("fleet_power_mw must be > 0")
     share = required_reserve_mw / fleet_power_mw
     band = 2.0 * share if symmetric else None

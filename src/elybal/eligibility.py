@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .markets import BalancingProduct, Direction
 from .model import ElectrolyzerUnit
 
@@ -144,13 +146,15 @@ def time_to_deliver(unit: ElectrolyzerUnit, delta_p_mw: float, direction: str) -
     return delta_p_mw / unit.ramp_mw_per_s(direction)
 
 
-def _headroom_mw(unit: ElectrolyzerUnit, product: BalancingProduct, setpoint_mw: float) -> float:
+def _headroom_mw(
+    unit: ElectrolyzerUnit, product: BalancingProduct, setpoint_mw: float | np.ndarray
+) -> float | np.ndarray:
     """Room the activation can move into: below the setpoint for POS (a
     load decrease), above it for NEG, the narrower side for SYM."""
     room_down = setpoint_mw - unit.min_power_mw
     room_up = unit.rated_power_mw - setpoint_mw
     if product.direction is Direction.SYM:
-        return min(room_down, room_up)
+        return np.minimum(room_down, room_up)
     if product.direction is Direction.POS:
         return room_down
     return room_up
@@ -166,30 +170,35 @@ def _ramp_mw_per_s(unit: ElectrolyzerUnit, product: BalancingProduct) -> float:
     return unit.ramp_up_mw_per_s
 
 
+def _float_or_array(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.ndim == 0 else values
+
+
 def capacity_limit_mw(
-    unit: ElectrolyzerUnit, product: BalancingProduct, setpoint_mw: float
-) -> float:
+    unit: ElectrolyzerUnit, product: BalancingProduct, setpoint_mw: float | np.ndarray
+) -> float | np.ndarray:
     """Largest bid, in MW off the trading grid, that fits the headroom at
     the setpoint and that the ramp delivers within the product deadline.
 
     This is the capacity/ramp decoupling: the deadline bounds the offered
-    megawatts, not the rated power.  Outside the operating band the limit
-    is 0.
+    megawatts, not the rated power.  Outside the operating band (and at a
+    NaN setpoint) the limit is 0.  A float gives a float, an array an
+    array of the same shape.
     """
-    if not unit.min_power_mw - _TOL <= setpoint_mw <= unit.rated_power_mw + _TOL:
-        return 0.0
-    return min(
-        _headroom_mw(unit, product, setpoint_mw),
-        _ramp_mw_per_s(unit, product) * product.availability_s,
-    )
+    sp = np.asarray(setpoint_mw, dtype=float)
+    in_band = (unit.min_power_mw - _TOL <= sp) & (sp <= unit.rated_power_mw + _TOL)
+    reach = _ramp_mw_per_s(unit, product) * product.availability_s
+    limit = np.minimum(_headroom_mw(unit, product, sp), reach)
+    return _float_or_array(np.where(in_band, limit, 0.0))
 
 
-def tradable_mw(limit_mw: float, product: BalancingProduct) -> float:
+def tradable_mw(limit_mw: float | np.ndarray, product: BalancingProduct) -> float | np.ndarray:
     """Largest bid on the trading grid up to ``limit_mw``, or 0 when that
-    falls short of the minimum bid."""
+    falls short of the minimum bid (or the limit is NaN).  A float gives a
+    float, an array an array of the same shape."""
     inc = product.trade_increment_mw
-    bid = math.floor(limit_mw / inc + _TOL) * inc
-    return bid if bid >= product.min_bid_mw - _TOL else 0.0
+    bid = np.floor(np.asarray(limit_mw, dtype=float) / inc + _TOL) * inc
+    return _float_or_array(np.where(bid >= product.min_bid_mw - _TOL, bid, 0.0))
 
 
 def check_eligibility(
@@ -243,7 +252,7 @@ def check_eligibility(
     )
 
     # C3: headroom around the setpoint
-    room = _headroom_mw(unit, product, setpoint_mw)
+    room = float(_headroom_mw(unit, product, setpoint_mw))
     headroom_ok = room >= bid_mw - _TOL
     checks.append(
         ConstraintCheck(

@@ -203,7 +203,7 @@ def avg_price_below_threshold(
 
 def apply_grid_fee(price_eur_per_mwh: float, fee_fraction: float) -> float:
     """Add proportional grid fees and surcharges to an energy price."""
-    if fee_fraction < 0:
+    if not fee_fraction >= 0:
         raise ValueError(f"fee_fraction must be >= 0, got {fee_fraction}")
     return price_eur_per_mwh * (1.0 + fee_fraction)
 

@@ -2,7 +2,8 @@
 
 All are deliberately naive: ``brute_force_oracle`` tries every integer
 (FCR, aFRR) pair at every setpoint and states the bid rules on its own,
-and ``max_offerable_scan`` walks the bids down from rated power through
+``optimize_day_loop`` scores the allocator's corner candidates one
+setpoint at a time, and ``max_offerable_scan`` walks the bids down from rated power through
 ``check_eligibility``.  The dispatch references (``simulate_loop``,
 ``check_compliance_loop``, ``hydrogen_output_loop`` and
 ``specific_energy_at_scalar``) step through the samples one at a time
@@ -21,9 +22,10 @@ from elybal.allocate import (
     AllocationResult,
     BidSchedule,
     ScheduleEntry,
-    _better,
     _grid_points,
     _hydrogen_loss_kg,
+    _min_tradable_mw,
+    _pick,
     _split_products,
 )
 from elybal.dispatch import (
@@ -35,7 +37,12 @@ from elybal.dispatch import (
     SignalKind,
     _check_band,
 )
-from elybal.eligibility import check_eligibility, default_setpoint
+from elybal.eligibility import (
+    capacity_limit_mw,
+    check_eligibility,
+    default_setpoint,
+    tradable_mw,
+)
 from elybal.markets import (
     CANONICAL_BLOCKS,
     BalancingProduct,
@@ -59,8 +66,9 @@ def brute_force_oracle(
 ) -> AllocationResult:
     """Reference optimizer: plain cross product over all integer bids.
 
-    Shares only the objective and the tie-break order with ``optimize_day``.
-    Refuses to run when the search space exceeds ``max_combinations``.
+    Shares only the objective and the tie rule (``_pick``, applied to all
+    feasible pairs of a block) with ``optimize_day``.  Refuses to run when
+    the search space exceeds ``max_combinations``.
     """
     options = options or AllocationOptions()
     blocks = blocks if blocks is not None else CANONICAL_BLOCKS
@@ -72,7 +80,7 @@ def brute_force_oracle(
     if h2_value is not None:
         # forgone production is only known where the efficiency curve is
         lowest_sp = max(min_p, unit.efficiency_curve.domain[0] * max_p)
-    setpoints = _grid_points(lowest_sp, max_p, options.setpoint_grid_mw)
+    setpoints = _grid_points(lowest_sp, max_p, options.setpoint_grid_mw).tolist()
     n_quant = int(math.floor(max_p / 1.0 + _EPS)) + 1
     space = len(blocks) * len(setpoints) * n_quant * n_quant
     if space > max_combinations:
@@ -114,8 +122,7 @@ def brute_force_oracle(
     for block in blocks:
         fcr_price = fcr_prices.price(block) if fcr_prod is not None else 0.0
         afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
-        best_key = None
-        best = (0.0, 0.0, max_p)
+        candidates = []  # (score, reserved, q_f, sp, q_a)
         for sp in setpoints:
             if h2_value is not None:
                 h2_cost = h2_value * _hydrogen_loss_kg(unit, sp, duration)
@@ -125,13 +132,14 @@ def brute_force_oracle(
                 q_f = float(qf_lots)
                 for qa_lots in range(n_quant):
                     q_a = float(qa_lots)
-                    if not feasible(sp, q_f, q_a):
-                        continue
-                    score = q_f * fcr_price + q_a * afrr_price - h2_cost
-                    if _better(score, q_f + q_a, q_f, sp, best_key):
-                        best_key = (score, q_f + q_a, q_f, sp)
-                        best = (q_f, q_a, sp)
-        q_f, q_a, sp = best
+                    if feasible(sp, q_f, q_a):
+                        score = q_f * fcr_price + q_a * afrr_price - h2_cost
+                        candidates.append((score, q_f + q_a, q_f, sp, q_a))
+        q_f, q_a, sp = 0.0, 0.0, max_p
+        if candidates:
+            score, reserved, fcr_q, setpoint, _ = np.array(candidates).T
+            best = _pick(score, reserved, fcr_q, setpoint)
+            _, _, q_f, sp, q_a = candidates[best]
         if q_f > 0:
             entries.append(ScheduleEntry(block, fcr_prod, q_f, Direction.SYM, sp))
             revenue += q_f * fcr_price
@@ -145,6 +153,166 @@ def brute_force_oracle(
     if h2_value is not None:
         objective -= h2_loss_total * h2_value
     return AllocationResult(BidSchedule(tuple(entries)), revenue, h2_loss_total, objective)
+
+
+def _better(
+    score: float,
+    reserved: float,
+    q_fcr: float,
+    setpoint: float,
+    best: tuple[float, float, float, float] | None,
+) -> bool:
+    """Tie-break order: score, then less reserved capacity, then less FCR,
+    then the higher setpoint (more hydrogen)."""
+    if best is None:
+        return True
+    b_score, b_reserved, b_fcr, b_sp = best
+    if score > b_score + _EPS:
+        return True
+    if score < b_score - _EPS:
+        return False
+    if reserved < b_reserved - _EPS:
+        return True
+    if reserved > b_reserved + _EPS:
+        return False
+    if q_fcr < b_fcr - _EPS:
+        return True
+    if q_fcr > b_fcr + _EPS:
+        return False
+    return setpoint > b_sp + _EPS
+
+
+def _fcr_choices(
+    fcr_prod: BalancingProduct, fcr_top: float, room: float, afrr_levels: tuple[float, ...]
+) -> list[float]:
+    """0 plus the FCR quantities where the block score can peak.
+
+    Each FCR lot moves the aFRR origin down, out of ``room``, the headroom
+    below the setpoint.  So the aFRR top falls in steps as q_fcr grows:
+    flat while the aFRR ramp reach caps it, then one aFRR lot at a time,
+    then 0 below the aFRR minimum bid.  Along a step the score rises with
+    q_fcr, and across the last FCR lots of the steps it is linear, so the
+    optimum is 0, a tradable end, or the last lot of a step (or the lot
+    after it) whose aFRR top is in ``afrr_levels``.  That holds when one
+    trading increment is a multiple of the other.
+    """
+    lo = _min_tradable_mw(fcr_prod)
+    if fcr_top < lo - _EPS:
+        return [0.0]
+    candidates = {0.0, lo, fcr_top}
+    for level in afrr_levels:
+        if level > 0.0:
+            last = tradable_mw(room - level, fcr_prod)
+            for q in (last, last + fcr_prod.trade_increment_mw):
+                candidates.add(min(max(q, lo), fcr_top))
+    return sorted(candidates)
+
+
+def _best_for_block(
+    unit: ElectrolyzerUnit,
+    fcr_prod: BalancingProduct | None,
+    fcr_price: float,
+    afrr_prod: BalancingProduct | None,
+    afrr_price_block: float,
+    pinned: float | None,
+    setpoint_costs: list[tuple[float, float]],
+) -> tuple[float, float, float, float]:
+    """Returns (q_fcr, q_afrr, setpoint, score) for one block.
+
+    ``pinned`` fixes the FCR quantity; ``setpoint_costs`` pairs each
+    candidate setpoint with its hydrogen cost.
+    """
+
+    def afrr_top(origin_mw: float) -> float:
+        if afrr_prod is None:
+            return 0.0
+        return tradable_mw(capacity_limit_mw(unit, afrr_prod, origin_mw), afrr_prod)
+
+    # aFRR tops that end a linear stretch of the score in q_fcr: the ramp
+    # reach, the smallest bid, the top at the lowest FCR lot and the step
+    # above the top at the highest
+    afrr_reach = afrr_top(unit.rated_power_mw)
+    afrr_min = _min_tradable_mw(afrr_prod) if afrr_reach > 0.0 else 0.0
+    afrr_step = afrr_prod.trade_increment_mw if afrr_reach > 0.0 else 0.0
+    fcr_lowest = _min_tradable_mw(fcr_prod) if fcr_prod is not None else 0.0
+
+    best_key = None
+    best_choice = (0.0, 0.0, unit.rated_power_mw, 0.0)
+    for sp, h2_cost in setpoint_costs:
+        if fcr_prod is None:
+            fcr_choices = [0.0]
+        else:
+            fcr_top = tradable_mw(capacity_limit_mw(unit, fcr_prod, sp), fcr_prod)
+            if pinned is not None:
+                fcr_choices = [pinned] if pinned <= fcr_top + _EPS else []
+            else:
+                levels = (
+                    afrr_reach,
+                    afrr_min,
+                    afrr_top(sp - fcr_lowest),
+                    afrr_top(sp - fcr_top) + afrr_step,
+                )
+                fcr_choices = _fcr_choices(fcr_prod, fcr_top, sp - unit.min_power_mw, levels)
+        for q_fcr in fcr_choices:
+            top = afrr_top(sp - q_fcr)
+            for q_afrr in (0.0, top) if top > 0.0 else (0.0,):
+                score = q_fcr * fcr_price + q_afrr * afrr_price_block - h2_cost
+                if _better(score, q_fcr + q_afrr, q_fcr, sp, best_key):
+                    best_key = (score, q_fcr + q_afrr, q_fcr, sp)
+                    best_choice = (q_fcr, q_afrr, sp, score)
+    return best_choice
+
+
+def optimize_day_loop(
+    unit: ElectrolyzerUnit,
+    products: list[BalancingProduct] | tuple[BalancingProduct, ...],
+    fcr_prices: CapacityPriceTable | None,
+    afrr_price_per_block_eur: float | None,
+    options: AllocationOptions | None = None,
+    blocks: tuple[TimeBlock, ...] | None = None,
+) -> AllocationResult:
+    """Reference for ``optimize_day`` on days too large for the brute force:
+    the same corner candidates, scored one setpoint at a time and kept by
+    the sequential comparison ``_better``.  Takes valid inputs only."""
+    options = options or AllocationOptions()
+    blocks = blocks if blocks is not None else CANONICAL_BLOCKS
+    fcr_prod, afrr_prod = _split_products(tuple(products))
+    h2_value = options.hydrogen_value_eur_per_kg
+    duration = fcr_prod.duration_h if fcr_prod else afrr_prod.duration_h
+    lowest_sp = unit.min_power_mw
+    if h2_value is not None:
+        lowest_sp = max(lowest_sp, unit.efficiency_curve.domain[0] * unit.rated_power_mw)
+    setpoint_costs = [
+        (sp, h2_value * _hydrogen_loss_kg(unit, sp, duration) if h2_value is not None else 0.0)
+        for sp in _grid_points(lowest_sp, unit.rated_power_mw, options.setpoint_grid_mw).tolist()
+    ]
+
+    entries: list[ScheduleEntry] = []
+    revenue = 0.0
+    h2_loss = 0.0
+    for block in blocks:
+        q_fcr, q_afrr, sp, _ = _best_for_block(
+            unit,
+            fcr_prod,
+            fcr_prices.price(block) if fcr_prod is not None else 0.0,
+            afrr_prod,
+            afrr_price_per_block_eur if afrr_prod is not None else 0.0,
+            options.pre_reserved_fcr_mw,
+            setpoint_costs,
+        )
+        if q_fcr > 0:
+            entries.append(ScheduleEntry(block, fcr_prod, q_fcr, Direction.SYM, sp))
+            revenue += q_fcr * fcr_prices.price(block)
+        if q_afrr > 0:
+            entries.append(ScheduleEntry(block, afrr_prod, q_afrr, Direction.POS, sp))
+            revenue += q_afrr * afrr_price_per_block_eur
+        if h2_value is not None and (q_fcr > 0 or q_afrr > 0):
+            h2_loss += _hydrogen_loss_kg(unit, sp, duration)
+
+    objective = revenue
+    if h2_value is not None:
+        objective -= h2_loss * h2_value
+    return AllocationResult(BidSchedule(tuple(entries)), revenue, h2_loss, objective)
 
 
 def max_offerable_scan(

@@ -27,7 +27,7 @@ from elybal.markets import (
     mfrr,
 )
 from elybal.model import EfficiencyCurve, ElectrolyzerUnit, Technology
-from oracles import brute_force_oracle
+from oracles import brute_force_oracle, optimize_day_loop
 
 PRICES = CapacityPriceTable({
     "NEGPOS_00_04": 14.71,
@@ -145,9 +145,10 @@ class TestOptimizeDay:
 
 
 class TestPinnedFcr:
-    @pytest.mark.parametrize("pin", [2.5, 0.5])
+    @pytest.mark.parametrize("pin", [2.5, 0.5, math.inf])
     def test_untradable_pin_is_an_input_error(self, pin):
-        # 2.5 MW is off the 1 MW grid, 0.5 MW below the 1 MW minimum bid
+        # 2.5 MW is off the 1 MW grid, 0.5 MW below the 1 MW minimum bid,
+        # and an infinite pin is on no grid
         with pytest.raises(ValueError, match=r"pre_reserved_fcr_mw.*1 MW trading grid"):
             optimize_day(
                 BIG_UNIT, [fcr(), afrr()], PRICES, 80.0,
@@ -380,9 +381,31 @@ MIN_BID_KINK = _one_setpoint_day(16.0, 0.2, 0.02, None, (1.0, 1.0), (3.0, 2.0),
                                  39.0, 36.0, 11.0)
 
 
+UNIT_GRID = BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, True, 4.0, Direction.SYM)
+UNIT_GRID_AFRR = BalancingProduct(ProductKind.AFRR, 1.0, 1.0, 300.0, False, 4.0, Direction.POS)
+FLAT_CURVE = EfficiencyCurve(((0.2, 50.0), (1.0, 50.0)))  # 80 kg per MW and 4 h block
+
+
 @settings(max_examples=150, deadline=None)
 @given(day=allocation_days())
 @example(day=MIN_BID_KINK)
+# tie rule, level by level.  Setpoint: 1 MW FCR scores 30 euro at every
+# setpoint from 3 to 9 MW; 9 MW wins.
+@example(day=_day(ElectrolyzerUnit("tie", Technology.AEL, 10.0, 0.2, 0.005), UNIT_GRID,
+                  UNIT_GRID_AFRR, [30.0] * 6, 0.0, AllocationOptions(), "fcr"))
+# reserved: 2 MW FCR and 1 MW FCR + 2 MW aFRR both score 80 euro; 2 MW wins
+@example(day=_one_setpoint_day(10.0, 0.5, 0.02, None, (1.0, 1.0), (2.0, 1.0),
+                               40.0, 20.0, 8.0))
+# FCR: 0 + 3, 1 + 2 and 2 + 1 MW all score 90 euro on 3 MW; no FCR wins
+@example(day=_one_setpoint_day(10.0, 0.5, 0.02, None, (1.0, 1.0), (1.0, 1.0),
+                               30.0, 30.0, 8.0))
+# hydrogen: 1 MW FCR at 29 MW earns its 8 euro of forgone hydrogen plus
+# 1e-12, so it outscores 12 MW aFRR alone at 30 MW by under 1e-9 euro; the
+# less reserved 30 MW wins
+@example(day=_day(ElectrolyzerUnit("h2tie", Technology.AEL, 30.0, 0.2, 0.05, 0.0014,
+                                   efficiency_curve=FLAT_CURVE),
+                  UNIT_GRID, UNIT_GRID_AFRR, [8.0 + 1e-12] * 6, 30.0,
+                  AllocationOptions(hydrogen_value_eur_per_kg=0.1)))
 # the last FCR lot of the aFRR step reached from the lowest FCR lot
 @example(day=_one_setpoint_day(28.0, 0.2, 0.1, 0.01, (2.0, 1.0), (2.0, 2.0),
                                59.0, 73.0, 21.25))
@@ -397,3 +420,43 @@ def test_optimizer_matches_the_brute_force_oracle(day):
     slow = brute_force_oracle(*day)
     assert fast.schedule.entries == slow.schedule.entries
     assert fast.objective_eur == pytest.approx(slow.objective_eur, rel=1e-12, abs=1e-9)
+
+
+@st.composite
+def large_days(draw):
+    """100 MW to 2 GW plants on the shipped FCR and aFRR POS products:
+    free, pinned FCR or hydrogen-valued, setpoint grids of 0.25-2 MW with
+    at most 1,000 setpoints, so that the loop stays quick."""
+    rated = float(draw(st.integers(100, 2000)))
+    u = draw(st.sampled_from([0.1, 0.2, 0.4, 0.5]))
+    ramp_up = draw(st.sampled_from([0.000167, 0.001, 0.005, 0.01]))
+    ramp_down = draw(st.sampled_from([None, 0.0005, 0.002]))
+    grid = draw(st.sampled_from(
+        [g for g in (0.25, 0.5, 1.0, 2.0) if rated * (1 - u) / g <= 1000]))
+    block_prices = draw(st.lists(CENTS, min_size=6, max_size=6))
+    afrr_price = draw(st.one_of(CENTS, st.sampled_from(block_prices)))
+    mode = draw(st.sampled_from(["free", "pinned", "hydrogen"]))
+    curve = None
+    options = AllocationOptions(setpoint_grid_mw=grid)
+    if mode == "pinned":
+        options = AllocationOptions(
+            pre_reserved_fcr_mw=float(draw(st.integers(0, 40))), setpoint_grid_mw=grid)
+    elif mode == "hydrogen":
+        curve = EfficiencyCurve(((u, draw(st.sampled_from([48.0, 52.0]))), (0.7, 50.0),
+                                 (1.0, 55.0)))
+        options = AllocationOptions(
+            hydrogen_value_eur_per_kg=draw(st.sampled_from([0.0, 0.5, 2.0, 5.0])),
+            setpoint_grid_mw=grid)
+    unit = ElectrolyzerUnit("large", Technology.AEL, rated, u, ramp_up, ramp_down,
+                            efficiency_curve=curve)
+    return _day(unit, fcr(), afrr(), block_prices, afrr_price, options)
+
+
+@settings(max_examples=20, deadline=None)
+@given(day=large_days())
+def test_optimizer_matches_the_setpoint_loop_on_large_days(day):
+    fast = optimize_day(*day)
+    slow = optimize_day_loop(*day)
+    assert fast.schedule.entries == slow.schedule.entries
+    assert fast.objective_eur == slow.objective_eur
+    assert fast.hydrogen_loss_kg == slow.hydrogen_loss_kg

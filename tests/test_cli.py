@@ -275,6 +275,16 @@ class TestAllocateCommand:
         assert main(["allocate", "--scenario", str(scenario)]) == 1
         assert "pre_reserved_fcr_mw" in capsys.readouterr().err
 
+    def test_a_failing_scenario_leaves_no_output(self, tmp_path, capsys):
+        bad = revenue_copy(tmp_path, "bad.scenario",
+                           ("pre_reserved_fcr_mw = 5", "pre_reserved_fcr_mw = 2.5"))
+        out = tmp_path / "out"
+        assert main(["allocate", "--scenario", REVENUE, bad, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "pre_reserved_fcr_mw" in captured.err
+        assert captured.out == ""
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestEconomicsCommand:
     def test_revenue_day_report(self, capsys):

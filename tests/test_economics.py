@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -52,6 +54,10 @@ class TestRevenueArithmetic:
 
     def test_electricity_cost(self):
         assert electricity_cost(95.0, 24.0, 65.0) == 148200.0
+
+    def test_electricity_cost_rejects_nan(self):
+        with pytest.raises(ValueError, match="setpoint_mw"):
+            electricity_cost(math.nan, 24.0, 50.0)
 
 
 class TestSavingsRatio:
@@ -104,6 +110,10 @@ class TestFleetCoverage:
             fleet_coverage(-1.0, 100.0, True)
         with pytest.raises(ValueError):
             fleet_coverage(1.0, 0.0, True)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="required_reserve_mw"):
+            fleet_coverage(math.nan, 100.0, True)
 
 
 class TestBuildReport:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -304,3 +305,18 @@ def offer_cases(draw):
                afrr(Direction.NEG), None))
 def test_max_offerable_matches_the_descending_scan(case):
     assert max_offerable(*case) == max_offerable_scan(*case)
+
+
+@pytest.mark.parametrize("product", PRODUCTS, ids=lambda p: p.label)
+def test_capacity_limit_and_tradable_take_arrays(product):
+    unit = ElectrolyzerUnit("arr", Technology.AEL, 100.0, 0.3, 0.004, 0.002)
+    # below, across and above the operating band, off-grid points included
+    setpoints = np.linspace(25.0, 105.0, 321)
+    limits = capacity_limit_mw(unit, product, setpoints)
+    bids = tradable_mw(limits, product)
+    assert limits.shape == bids.shape == setpoints.shape
+    for sp, limit, bid in zip(setpoints.tolist(), limits.tolist(), bids.tolist()):
+        scalar_limit = capacity_limit_mw(unit, product, sp)
+        scalar_bid = tradable_mw(scalar_limit, product)
+        assert type(scalar_limit) is float and type(scalar_bid) is float
+        assert (limit, bid) == (scalar_limit, scalar_bid)

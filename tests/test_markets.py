@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from datetime import datetime, timedelta
 
 import pytest
@@ -214,3 +215,8 @@ def test_grid_fee_is_proportional():
     assert apply_grid_fee(50.0, 0.0) == 50.0
     with pytest.raises(ValueError):
         apply_grid_fee(50.0, -0.1)
+
+
+def test_grid_fee_rejects_nan():
+    with pytest.raises(ValueError, match="fee_fraction"):
+        apply_grid_fee(50.0, math.nan)
