@@ -11,14 +11,16 @@ The plant model is a pure rate limiter: no actuation lag, no setpoint
 filtering.  Anything slower in reality only adds to the delays computed
 here.
 
-Signals and trajectories are handled as whole arrays.  Array sums add in
-another order than a sequential loop, so energies and hydrogen masses may
-differ from one at the 1e-15 relative level.
+Signals and trajectories are held as read-only float64 arrays and handled
+as whole arrays; only the rate limiter steps through the samples.  Array
+sums add in another order than a sequential loop, so energies and
+hydrogen masses may differ from one at the 1e-15 relative level.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,29 +41,48 @@ class SignalKind(str, Enum):
     SETPOINT_REQUEST = "setpoint"  # requested power offset in MW
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActivationSignal:
-    """Uniformly sampled activation request starting at t = 0."""
+    """Uniformly sampled activation request starting at t = 0.
+
+    ``values`` is a read-only float64 copy of the samples given.
+    """
 
     kind: SignalKind
-    values: tuple[float, ...]
+    values: np.ndarray
     timestep_s: float = DEFAULT_TIMESTEP_S
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = np.array(self.values, dtype=np.float64)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
         if not 0 < self.timestep_s < math.inf:
             raise ValueError(f"timestep_s must be finite and > 0, got {self.timestep_s}")
-        if not self.values:
-            raise ValueError("signal needs at least one sample")
-        if not np.isfinite(self.values).all():
-            raise ValueError(f"signal sample {np.argmin(np.isfinite(self.values))} is not finite")
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("signal needs a one-dimensional array of at least one sample")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"signal sample {np.argmin(finite)} is not finite")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ActivationSignal):
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self.timestep_s == other.timestep_s
+            and np.array_equal(self.values, other.values)
+        )
 
     @classmethod
-    def from_rows(cls, kind: SignalKind, rows: list[tuple[float, float]]) -> "ActivationSignal":
-        """Build from (time_s, value) rows, enforcing t0 = 0 and uniform spacing."""
+    def from_rows(
+        cls, kind: SignalKind, rows: np.ndarray | list[tuple[float, float]]
+    ) -> "ActivationSignal":
+        """Build from (time_s, value) rows, an (n, 2) array, enforcing t0 = 0
+        and uniform spacing."""
+        rows = np.asarray(rows, dtype=float)
         if len(rows) < 2:
             raise ValueError("signal file needs at least two rows to fix the timestep")
-        times = np.array([t for t, _ in rows], dtype=float)
+        times = rows[:, 0]
         if abs(times[0]) > 1e-9:
             raise ValueError(f"signal must start at t = 0 s, got {times[0]}")
         dt = float(times[1] - times[0])
@@ -71,7 +92,7 @@ class ActivationSignal:
         if off_grid.any():
             i = int(np.argmax(off_grid))
             raise ValueError(f"non-uniform timestep between rows {i} and {i + 1}")
-        return cls(kind, tuple(v for _, v in rows), dt)
+        return cls(kind, rows[:, 1], dt)
 
     @property
     def times(self) -> np.ndarray:
@@ -138,8 +159,8 @@ def droop_target(freq_deviation_hz: float, bid_mw: float) -> float:
 
 def _requested_offsets(kind: SignalKind, values, bid_mw: float, direction: Direction) -> np.ndarray:
     """Power offsets (MW) the signal samples request from a ``bid_mw`` bid."""
-    if bid_mw < 0:
-        raise ValueError(f"bid must be >= 0, got {bid_mw}")
+    if not 0 <= bid_mw < math.inf:
+        raise ValueError(f"bid must be >= 0 and finite, got {bid_mw}")
     values = np.asarray(values, dtype=float)
     if kind is SignalKind.FREQUENCY_DEVIATION:
         offsets = np.clip(values / DROOP_FULL_ACTIVATION_HZ, -1.0, 1.0) * bid_mw
@@ -157,7 +178,7 @@ def _check_band(
     unit: ElectrolyzerUnit, setpoint_mw: float, bid_mw: float, direction: Direction
 ) -> None:
     min_p, max_p = unit.min_power_mw, unit.rated_power_mw
-    if setpoint_mw < min_p - _TOL_MW or setpoint_mw > max_p + _TOL_MW:
+    if not min_p - _TOL_MW <= setpoint_mw <= max_p + _TOL_MW:  # NaN is outside too
         raise ValueError(
             f"setpoint {setpoint_mw} MW outside operating band [{min_p}, {max_p}] MW"
         )
@@ -188,7 +209,8 @@ def simulate(
     at most ramp * rated_power per second of movement, using the ramp rate
     of the respective direction.  Requests are clipped to the bid and to
     the product direction before being applied; sample k reacts to the
-    request at k - 1.  Only the clamp on the previous sample is a loop.
+    request at k - 1.  Only the clamp on the previous sample is a loop,
+    over plain floats.
     """
     offsets = _requested_offsets(signal.kind, signal.values, bid_mw, direction)
     _check_band(unit, setpoint_mw, bid_mw, direction)
@@ -196,12 +218,19 @@ def simulate(
     up_step = unit.ramp_up_mw_per_s * dt
     down_step = unit.ramp_down_mw_per_s * dt
     targets = np.clip(setpoint_mw + offsets[:-1], unit.min_power_mw, unit.rated_power_mw)
+    max_down = -down_step
     p = float(setpoint_mw)
-    powers = [p]
-    for target in targets.tolist():
-        p += min(max(target - p, -down_step), up_step)
-        powers.append(p)
-    return PowerTrajectory(dt, np.array(powers), unit)
+    powers = array("d", [p])
+    append = powers.append
+    for target in memoryview(targets):  # yields Python floats
+        step = target - p
+        if step > up_step:
+            step = up_step
+        elif step < max_down:
+            step = max_down
+        p += step
+        append(p)
+    return PowerTrajectory(dt, np.frombuffer(powers), unit)
 
 
 def check_compliance(
@@ -221,6 +250,8 @@ def check_compliance(
     activation of one sign; only the loop over onsets is in Python.
     """
     offsets = _requested_offsets(signal.kind, signal.values, bid_mw, product.direction)
+    if not math.isfinite(setpoint_mw):
+        raise ValueError(f"setpoint must be finite, got {setpoint_mw}")
     n = len(trajectory.powers_mw)
     if n != len(signal.values):
         raise ValueError(

@@ -215,11 +215,11 @@ def check_eligibility(
     and are paced by the slower ramp direction.  Landing exactly on the
     deadline still qualifies.
     """
-    if bid_mw <= 0:
-        raise ValueError(f"bid must be > 0 MW, got {bid_mw}")
+    if not 0 < bid_mw < math.inf:
+        raise ValueError(f"bid must be > 0 MW and finite, got {bid_mw}")
     min_p = unit.min_power_mw
     max_p = unit.rated_power_mw
-    if setpoint_mw < min_p - _TOL or setpoint_mw > max_p + _TOL:
+    if not min_p - _TOL <= setpoint_mw <= max_p + _TOL:  # NaN is outside too
         raise ValueError(
             f"setpoint {setpoint_mw} MW outside operating band [{min_p}, {max_p}] MW"
         )
@@ -346,7 +346,8 @@ def max_offerable(
     setpoint.  Without one it is taken at the widest setpoint (the band
     midpoint for SYM, rated power for POS, minimum load for NEG) and then
     hosted at the setpoint nearest ``default_setpoint`` that leaves it
-    headroom.  Returns (0.0, setpoint) when no bid fits.
+    headroom.  Returns (0.0, setpoint) when no bid fits; a non-finite
+    setpoint is an error.
     """
     if setpoint_mw is None:
         widest = {
@@ -357,6 +358,8 @@ def max_offerable(
         bid = tradable_mw(capacity_limit_mw(unit, product, widest), product)
         sp = _setpoint_for_bid(unit, product, bid)
     else:
+        if not math.isfinite(setpoint_mw):
+            raise ValueError(f"setpoint must be finite, got {setpoint_mw}")
         sp = setpoint_mw
         bid = tradable_mw(capacity_limit_mw(unit, product, sp), product)
     # the closed form and the check state one rule; at a float-tolerance

@@ -15,9 +15,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+
+import numpy as np
 
 from .allocate import AllocationOptions, AllocationResult
 from .dispatch import ActivationSignal, ComplianceResult, PowerTrajectory, SignalKind
@@ -799,22 +802,49 @@ def load_spot_prices(path: str | Path) -> SpotPriceSeries:
         raise ScenarioError(str(exc), source=source) from None
 
 
+def _loadtxt_signal_rows(path: Path) -> np.ndarray | None:
+    """The (time_s, value) data rows as an (n, 2) array when numpy alone
+    reads the file: the header on line 1 and two finite plain numbers per
+    line.  None sends the file to the row walk."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = fh.readline()
+            if [h.strip().lower() for h in header.split(",")] != ["time_s", "value"]:
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. "input contained no data"
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if rows.shape[1] != 2 or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
 def load_signal(path: str | Path, kind: SignalKind) -> ActivationSignal:
-    """Read a time_s,value CSV into an activation signal."""
+    """Read a time_s,value CSV into an activation signal.
+
+    One ``np.loadtxt`` call reads a plain file.  Whatever it rejects
+    (quoted cells, ``1_000``, a bad, missing or non-finite cell, a header
+    off line 1) is read again by the row walk, which alone decides what
+    is accepted and where an error is reported; both give the same floats.
+    """
     path = Path(path)
     source = str(path)
-    samples: list[tuple[float, float]] = []
-    for lineno, time_s, value in _read_csv_rows(path, ["time_s", "value"]):
-        try:
-            t = float(time_s)
-        except ValueError:
-            t = math.nan
-        if not math.isfinite(t):
-            raise ScenarioError(
-                f"expected a finite number, got '{time_s}'", key="time_s", line=lineno,
-                source=source,
-            )
-        samples.append((t, value))
+    samples = _loadtxt_signal_rows(path)
+    if samples is None:
+        samples = []
+        for lineno, time_s, value in _read_csv_rows(path, ["time_s", "value"]):
+            try:
+                t = float(time_s)
+            except ValueError:
+                t = math.nan
+            if not math.isfinite(t):
+                raise ScenarioError(
+                    f"expected a finite number, got '{time_s}'", key="time_s", line=lineno,
+                    source=source,
+                )
+            samples.append((t, value))
     try:
         return ActivationSignal.from_rows(kind, samples)
     except ValueError as exc:

@@ -7,13 +7,15 @@ setpoint at a time, and ``max_offerable_scan`` walks the bids down from rated po
 ``check_eligibility``.  The dispatch references (``simulate_loop``,
 ``check_compliance_loop``, ``hydrogen_output_loop`` and
 ``specific_energy_at_scalar``) step through the samples one at a time
-with the scalar request rule ``requested_offset``.  Keep them plain;
-their job is to be obviously right, not fast.
+with the scalar request rule ``requested_offset``.  ``load_signal_rows``
+reads a signal CSV row by row through ``csv`` and ``float``.  Keep them
+plain; their job is to be obviously right, not fast.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +53,7 @@ from elybal.markets import (
     TimeBlock,
 )
 from elybal.model import EfficiencyCurve, ElectrolyzerUnit
+from elybal.scenario_io import ScenarioError, _read_csv_rows
 
 _EPS = 1e-9
 
@@ -501,3 +504,25 @@ def hydrogen_output_loop(trajectory: PowerTrajectory, curve: EfficiencyCurve) ->
         energy_kwh = p_avg * dt / 3600.0 * 1000.0
         kg += energy_kwh / specific_energy_at_scalar(curve, p_avg / rated)
     return kg
+
+
+def load_signal_rows(path: str | Path, kind: SignalKind) -> ActivationSignal:
+    """Reference for ``scenario_io.load_signal``: the row walk alone."""
+    path = Path(path)
+    source = str(path)
+    samples: list[tuple[float, float]] = []
+    for lineno, time_s, value in _read_csv_rows(path, ["time_s", "value"]):
+        try:
+            t = float(time_s)
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise ScenarioError(
+                f"expected a finite number, got '{time_s}'", key="time_s", line=lineno,
+                source=source,
+            )
+        samples.append((t, value))
+    try:
+        return ActivationSignal.from_rows(kind, samples)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), source=source) from None

@@ -93,8 +93,25 @@ class TestActivationSignal:
             SignalKind.FREQUENCY_DEVIATION, [(0.0, 0.0), (0.5, -0.1), (1.0, -0.2)]
         )
         assert sig.timestep_s == 0.5
-        assert sig.values == (0.0, -0.1, -0.2)
+        assert np.array_equal(sig.values, (0.0, -0.1, -0.2))
         assert list(sig.times) == [0.0, 0.5, 1.0]
+
+    def test_values_are_a_read_only_float64_copy(self):
+        samples = np.array([0.0, -0.1, -0.2])
+        sig = ActivationSignal(SignalKind.FREQUENCY_DEVIATION, samples)
+        samples[0] = 1.0
+        assert sig.values.dtype == np.float64
+        assert sig.values[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            sig.values[0] = 1.0
+
+    def test_equality_compares_kind_timestep_and_samples(self):
+        sig = ActivationSignal(SignalKind.SETPOINT_REQUEST, (0.0, -1.0), 0.5)
+        assert sig == ActivationSignal(SignalKind.SETPOINT_REQUEST, np.array([0.0, -1.0]), 0.5)
+        assert sig != ActivationSignal(SignalKind.FREQUENCY_DEVIATION, (0.0, -1.0), 0.5)
+        assert sig != ActivationSignal(SignalKind.SETPOINT_REQUEST, (0.0, -1.0), 1.0)
+        assert sig != ActivationSignal(SignalKind.SETPOINT_REQUEST, (0.0, -1.0, -1.0), 0.5)
+        assert sig != ActivationSignal(SignalKind.SETPOINT_REQUEST, (0.0, -0.5), 0.5)
 
 
 class TestSimulate:
@@ -144,6 +161,15 @@ class TestSimulate:
             simulate(DEMO_UNIT, 1.5, 1.0, sig, Direction.POS)
         with pytest.raises(ValueError, match="upward activation"):
             simulate(DEMO_UNIT, 3.5, 1.0, sig, Direction.NEG)
+
+    @pytest.mark.parametrize("setpoint, bid, named", [
+        (math.nan, 1.0, "setpoint nan MW"),
+        (3.0, math.nan, "got nan"),
+        (3.0, math.inf, "got inf"),
+    ])
+    def test_non_finite_setpoint_or_bid_rejected(self, setpoint, bid, named):
+        with pytest.raises(ValueError, match=named):
+            simulate(DEMO_UNIT, setpoint, bid, step_signal(-1.0, 10, 20))
 
     @settings(max_examples=60)
     @given(
@@ -242,6 +268,17 @@ class TestCompliance:
         with pytest.raises(ValueError, match="bid must be >= 0"):
             check_compliance(traj, sig, fcr(), 3.0, -1.0)
 
+    @pytest.mark.parametrize("setpoint, bid, named", [
+        (math.nan, 1.0, "setpoint must be finite, got nan"),
+        (math.inf, 1.0, "setpoint must be finite, got inf"),
+        (3.0, math.nan, "bid must be >= 0 and finite, got nan"),
+    ])
+    def test_non_finite_setpoint_or_bid_is_not_a_verdict(self, setpoint, bid, named):
+        sig = step_signal(-1.0, 10, 20)
+        traj = simulate(DEMO_UNIT, 3.0, 1.0, sig)
+        with pytest.raises(ValueError, match=named):
+            check_compliance(traj, sig, fcr(), setpoint, bid)
+
     def test_mismatched_horizons_rejected(self):
         sig = step_signal(-1.0, 10, 20)
         traj = simulate(DEMO_UNIT, 3.0, 1.0, sig)
@@ -338,7 +375,8 @@ def dispatch_cases(draw):
 class TestAgainstSampleLoops:
     """The array code against the per-sample loops kept in ``oracles``.
 
-    Tolerances: trajectories 1e-9 MW (the arithmetic is the same);
+    Tolerances: trajectories exactly, and within 1e-9 MW so a failure
+    shows its size (the arithmetic is the same);
     verdicts, first violations and delays exactly; energy and hydrogen
     1e-9 relative or 1e-12 absolute (array sums add in another order).
     """
@@ -350,6 +388,7 @@ class TestAgainstSampleLoops:
         traj = simulate(unit, setpoint, bid, signal, product.direction)
         ref = simulate_loop(unit, setpoint, bid, signal, product.direction)
         np.testing.assert_allclose(traj.powers_mw, ref.powers_mw, rtol=0.0, atol=1e-9)
+        assert np.array_equal(traj.powers_mw, ref.powers_mw)
 
         got = check_compliance(traj, signal, product, setpoint, bid)
         want = check_compliance_loop(traj, signal, product, setpoint, bid)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -178,6 +180,17 @@ class TestCheckEligibility:
         with pytest.raises(ValueError):
             check_eligibility(DEMO_UNIT, afrr(), 0.0, 3.0)
 
+    @pytest.mark.parametrize("bid, setpoint, named", [
+        (1.0, math.nan, "setpoint nan MW"),
+        (1.0, math.inf, "setpoint inf MW"),
+        (math.nan, 3.0, "bid must be > 0 MW and finite, got nan"),
+        (math.inf, 3.0, "bid must be > 0 MW and finite, got inf"),
+    ])
+    def test_non_finite_input_is_an_error_not_a_verdict(self, bid, setpoint, named):
+        # a NaN setpoint used to pass the band check and fail on headroom
+        with pytest.raises(ValueError, match=named):
+            check_eligibility(DEMO_UNIT, fcr(), bid, setpoint)
+
     def test_report_round_trips_to_dict(self):
         report = check_eligibility(DEMO_UNIT, fcr(), 1.0, 3.0)
         d = report.to_dict()
@@ -217,6 +230,11 @@ class TestMaxOfferable:
     def test_free_setpoint_moves_to_the_pos_edge(self):
         bid, sp = max_offerable(DEMO_UNIT, afrr(Direction.POS))
         assert (bid, sp) == (3.0, 4.0)
+
+    @pytest.mark.parametrize("setpoint", [math.nan, math.inf, -math.inf])
+    def test_non_finite_setpoint_is_an_error(self, setpoint):
+        with pytest.raises(ValueError, match=f"setpoint must be finite, got {setpoint}"):
+            max_offerable(DEMO_UNIT, fcr(), setpoint)
 
     def test_string_built_product_behaves_like_enum_built(self):
         # regression: "POS" used to slip past the Direction identity checks

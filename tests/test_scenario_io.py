@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from elybal import scenario_io
 from elybal.dispatch import PowerTrajectory, SignalKind
 from elybal.markets import CapacityPriceTable, Direction, ProductKind, SpotPriceSeries
 from elybal.model import ElectrolyzerUnit, Technology
@@ -27,6 +29,7 @@ from elybal.scenario_io import (
     preset,
     write_trajectory_csv,
 )
+from oracles import load_signal_rows
 
 REPO_SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -482,7 +485,7 @@ class TestCsvLoaders:
     def test_signal(self, tmp_path):
         sig = load_signal(write(tmp_path, "s.csv", SIGNAL_CSV), SignalKind.SETPOINT_REQUEST)
         assert sig.timestep_s == 1.0
-        assert sig.values == (-1.0,) * 5
+        assert np.array_equal(sig.values, (-1.0,) * 5)
 
     def test_signal_must_start_at_zero(self, tmp_path):
         path = write(tmp_path, "s.csv", "time_s,value\n5,-1\n6,-1\n")
@@ -499,6 +502,105 @@ class TestCsvLoaders:
         path = write(tmp_path, "s.csv", "")
         with pytest.raises(ScenarioError, match="empty"):
             load_signal(path, SignalKind.SETPOINT_REQUEST)
+
+
+# Cells the two readers must agree on: plain floats in several spellings
+# and long decimals that round; odd spellings that float accepts, some of
+# them only after csv (quotes) or only in Python (underscores, non-ASCII
+# digits); and cells the row walk refuses ("#", empty, non-finite, a
+# third column).
+_CELL = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.17g}"),
+    st.tuples(st.integers(-10**22, 10**22), st.integers(0, 10**22), st.integers(-330, 330))
+    .map(lambda parts: "{}.{}e{}".format(*parts)),
+)
+_ODD_CELL = st.sampled_from(["1_000", '"1.5"', '" -2"', "\u0661", " 3 ", "+.5", "5.", "-0"])
+_BAD_CELL = st.sampled_from([
+    "1#2", "#", "", " ", "x", "nan", "-NaN", "inf", "-Infinity", "1e400", "-1e400", "0x10",
+    "1,5", "\x00", "\x0c7", '"1', "1e5e5",
+])
+_HEADER = st.sampled_from([
+    "TIME_S,Value", " time_s , value ", '"time_s","value"', "\ntime_s,value",
+    "time_s,value,", "time,value", "time_s;value", "", "\ufefftime_s,value",
+])
+
+
+@st.composite
+def signal_csv(draw) -> bytes:
+    """Signal CSV text.  A quarter of the files get an odd header; each
+    file draws how often its rows are bent (none in about half the files):
+    a time or value cell, the column count, or a blank or whitespace line
+    before a row."""
+    lines = [draw(_HEADER) if draw(st.integers(0, 3)) == 0 else "time_s,value"]
+    percent = draw(st.sampled_from([0, 0, 3, 10, 40]))
+    bent = st.integers(0, 99).map(lambda k: k < percent)
+    dt = draw(st.sampled_from([1.0, 0.5, 0.1, 4.0]))
+    for k in range(draw(st.integers(0, 12))):
+        time_s = repr(k * dt) if draw(st.booleans()) else f"{k * dt:g}"
+        if draw(bent):
+            time_s = draw(st.one_of(st.sampled_from([f'"{time_s}"', f" {time_s}\t"]),
+                                    st.sampled_from([f"{k * dt + 0.5:g}", "", "nan", "x"])))
+        value = draw(st.one_of(_ODD_CELL, _BAD_CELL)) if draw(bent) else draw(_CELL)
+        row = f"{time_s},{value}"
+        if draw(bent):
+            row += draw(st.sampled_from([",", ",1", " #x"]))
+        if draw(bent):
+            lines.append(draw(st.sampled_from(["", "", " ", "\t", ","])))
+        lines.append(row)
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return (eol.join(lines) + draw(st.sampled_from(["", eol, eol * 2]))).encode("utf-8")
+
+
+def _load_outcome(load, path: Path):
+    """What a loader gives: the signal bit for bit, or the error with its
+    location."""
+    try:
+        sig = load(path, SignalKind.FREQUENCY_DEVIATION)
+    except Exception as exc:  # the readers must fail alike, whatever the error
+        return ("error", type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "key", None), getattr(exc, "source", None))
+    return ("signal", sig.kind, sig.timestep_s.hex(), sig.values.dtype, sig.values.tobytes())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=signal_csv())
+@example(data=b"time_s,value\n0,1_000\n1_0,2\n")
+@example(data=b'time_s,value\n"0","1.5"\n1,2\n')
+@example(data=b"time_s,value\n\n0,1\n\n1,2\n\n")
+@example(data=b"time_s,value\n0,1\n   \n1,2\n")
+@example(data=b"time_s,value\n0,1,\n1,2,\n")
+@example(data=b"time_s,value\n0,1,5\n1,2,5\n")
+@example(data=b"time_s,value\n0,1#x\n1,2\n")
+@example(data=b"time_s,value\n0,nan\n1,2\n")
+@example(data=b"time_s,value\n0,1\ninf,2\n")
+@example(data=b"time_s,value\n0,1e400\n1,2\n")
+@example(data=b" TIME_S , Value \n0,1\n1,2\n")
+@example(data=b"time,value\n0,1\n1,2\n")
+@example(data=b"time_s,value\r\n0,0.1\r\n1,-0.2\r\n")
+@example(data=b"time_s,value\n0,1\n")
+@example(data=b"time_s,value\n")
+@example(data=b"")
+@example(data=b"time_s,value\n0,\xff\n1,2\n")
+def test_load_signal_matches_the_row_walk(tmp_path, data):
+    path = tmp_path / "signal.csv"
+    path.write_bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _load_outcome(load_signal, path)
+    assert not caught, [str(w.message) for w in caught]
+    assert got == _load_outcome(load_signal_rows, path)
+    event(f"numpy read: {scenario_io._loadtxt_signal_rows(path) is not None}, {got[0]}")
+
+
+def test_plain_signal_files_skip_the_row_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("row walk used")
+
+    monkeypatch.setattr(scenario_io, "_read_csv_rows", no_walk)
+    for path in sorted((REPO_SCENARIOS / "signals").glob("*.csv")):
+        assert load_signal(path, SignalKind.SETPOINT_REQUEST).values.size > 1
 
 
 UNIT = ElectrolyzerUnit("io", Technology.AEL, 4.0, 0.25, 0.0061)
