@@ -80,7 +80,6 @@ from .scenario_io import (
     PresetEntry,
     Scenario,
     ScenarioError,
-    dump_scenario,
     emit_report,
     load_capacity_prices,
     load_scenario,

@@ -7,12 +7,13 @@ input errors of any kind.
 Units, products and numbers given as flags go through the scenario
 parser.  ``--unit`` takes exactly the [unit] keys of a scenario file,
 inline as ``key=value,...`` or as an ``@file`` fragment reference
-(``--unit @plant.scenario`` reads that file's [unit] sections).  Unknown
-keys are rejected, and ``count`` aggregates identical units as ``--fleet``
-does.  A multi-point ``efficiency_points`` needs a fragment, because the
-inline form splits on commas.  ``--product``, ``--bid`` and ``--setpoint``
-take a bare value or an ``@file`` whose [product] or [dispatch] section
-holds it.  A non-finite number is an input error.
+(``--unit @plant.scenario`` reads that file's [unit] sections).  Unknown,
+repeated and out-of-range keys are rejected as in a scenario file, and
+``count`` aggregates identical units as ``--fleet`` does.  A multi-point
+``efficiency_points`` needs a fragment, because the inline form splits on
+commas.  ``--product``, ``--bid`` and ``--setpoint`` take a bare value or
+an ``@file`` whose [product] or [dispatch] section holds it.  A
+non-finite number is an input error.
 
 ``ELYBAL_SCENARIO_DIR`` provides a fallback directory for relative
 scenario paths; ``ELYBAL_DEFAULT_PRESET`` supplies a unit when none is
@@ -36,7 +37,6 @@ from .markets import apply_grid_fee, avg_price_below_threshold
 from .model import ElectrolyzerUnit
 from .scenario_io import (
     PRESETS,
-    Fragment,
     Scenario,
     ScenarioError,
     emit_report,
@@ -71,10 +71,10 @@ def _resolve_path(value: str) -> Path:
     return p
 
 
-def _fragment(value: str, flag: str, section: str, key: str | None = None) -> Fragment:
+def _fragment(value: str, flag: str, section: str, key: str | None = None) -> Scenario:
     """``@file`` reads that file's [section]; any other value is the flag's own."""
     if value.startswith("@"):
-        return read_fragment(_resolve_path(value[1:]), section)
+        return read_fragment(_resolve_path(value[1:]), section, key)
     return flag_fragment(flag, section, value, key)
 
 
@@ -83,7 +83,7 @@ def _unit_from_args(args) -> ElectrolyzerUnit:
         scenario = load_scenario(_resolve_path(args.fleet))
         return scenario.primary_unit()
     if getattr(args, "unit", None):
-        return _fragment(args.unit, "--unit", "unit").unit()
+        return _fragment(args.unit, "--unit", "unit").primary_unit()
     preset_name = getattr(args, "preset", None) or os.environ.get(DEFAULT_PRESET_ENV)
     if preset_name:
         return preset(preset_name).to_unit()
@@ -91,7 +91,7 @@ def _unit_from_args(args) -> ElectrolyzerUnit:
 
 
 def _number_flag(value: str, flag: str, key: str) -> float:
-    return _fragment(value, flag, "dispatch", key).number(key)
+    return getattr(_fragment(value, flag, "dispatch", key).dispatch, key)
 
 
 def cmd_eligibility(args) -> int:
@@ -210,6 +210,15 @@ def _economics(scenario: Scenario, args) -> tuple[str, bool, dict]:
         afrr_activation_revenue_eur=eco.afrr_activation_revenue_eur,
         assumptions=assumptions,
     )
+    if all(result is None for result in (report.fcr_revenue_eur, report.afrr_capacity_revenue_eur,
+                                         report.electricity_cost_eur, report.coverage)):
+        raise ScenarioError(
+            "[economics] computes nothing; each result needs a pair of keys: fcr_bid_mw with "
+            "[prices] fcr_capacity_csv, afrr_quantity_mw with an aFRR price, setpoint_mw with "
+            "electricity_price_eur_per_mwh (or [prices] spot_csv with "
+            "spot_threshold_eur_per_mwh), required_reserve_mw with fleet_power_mw",
+            source=str(scenario.path),
+        )
     parts = [f"{scenario.name}:"]
     if report.fcr_revenue_eur is not None:
         parts.append(f"FCR {report.fcr_revenue_eur:.2f} euro/day")

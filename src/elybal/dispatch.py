@@ -101,14 +101,19 @@ class ActivationSignal:
 
 @dataclass(frozen=True, eq=False)
 class PowerTrajectory:
-    """Simulated plant consumption, one sample per timestep."""
+    """Simulated plant consumption, one sample per timestep.
+
+    ``powers_mw`` is a read-only float64 copy of the samples given, so the
+    band and ramp checks made here hold for the trajectory's lifetime.
+    """
 
     timestep_s: float
     powers_mw: np.ndarray = field(repr=False)
     unit: ElectrolyzerUnit
 
     def __post_init__(self) -> None:
-        powers = np.asarray(self.powers_mw, dtype=float)
+        powers = np.array(self.powers_mw, dtype=np.float64)
+        powers.setflags(write=False)
         object.__setattr__(self, "powers_mw", powers)
         if powers.ndim != 1 or powers.size == 0:
             raise ValueError("trajectory needs a one-dimensional, non-empty sample array")
@@ -247,11 +252,12 @@ def check_compliance(
     request that ends before both delivery and deadline is not graded.
     The delivered energy integrates the offset from the setpoint over the
     whole horizon (trapezoidal, in MWh).  Onsets start runs of full
-    activation of one sign; only the loop over onsets is in Python.
+    activation of one sign; only the loop over onsets is in Python.  A
+    setpoint that cannot host the bid in the product's direction, as
+    ``simulate`` requires, is an input error, not a failed verdict.
     """
     offsets = _requested_offsets(signal.kind, signal.values, bid_mw, product.direction)
-    if not math.isfinite(setpoint_mw):
-        raise ValueError(f"setpoint must be finite, got {setpoint_mw}")
+    _check_band(trajectory.unit, setpoint_mw, bid_mw, product.direction)
     n = len(trajectory.powers_mw)
     if n != len(signal.values):
         raise ValueError(

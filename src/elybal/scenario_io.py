@@ -2,12 +2,13 @@
 
 Scenario format: flat key-value text, UTF-8, "." decimal separator, LF
 line endings.  ``#`` starts a comment, ``[section]`` opens a section and
-``key = value`` lines fill it.  Sections: [scenario], [unit] (repeatable),
-[product] (repeatable), [prices], [dispatch], [signal], [allocate],
-[economics], [output].  Ramp rates and load bounds are written in percent
-of rated power, as on manufacturer datasheets, and converted to fractions
-at the boundary.  Relative file references resolve against the scenario
-file's directory.
+``key = value`` lines fill it.  One table, ``_SCHEMA``, holds every
+section and key; ``_check`` holds scenario files and command line flags
+to it alike, so an unknown, repeated, missing or out-of-range key is an
+input error naming file (or flag), line and key.  Ramp rates and load
+bounds are written in percent of rated power, as on manufacturer
+datasheets, and converted to fractions at the boundary.  Relative file
+references resolve against the scenario file's directory.
 """
 
 from __future__ import annotations
@@ -16,21 +17,18 @@ import csv
 import json
 import math
 import warnings
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
-from .allocate import AllocationOptions, AllocationResult
-from .dispatch import ActivationSignal, ComplianceResult, PowerTrajectory, SignalKind
-from .economics import EconomicReport
-from .eligibility import EligibilityReport
+from .allocate import AllocationOptions
+from .dispatch import ActivationSignal, PowerTrajectory, SignalKind
 from .markets import (
     BalancingProduct,
     CapacityPriceTable,
-    Direction,
-    ProductKind,
     SpotPriceSeries,
     price_table_from_pairs,
     product_from_name,
@@ -46,9 +44,7 @@ class ScenarioError(ValueError):
         self.key = key
         self.line = line
         self.source = source
-        where = []
-        if source:
-            where.append(str(source))
+        where = [str(source)] if source else []
         if line is not None:
             where.append(f"line {line}")
         if key is not None:
@@ -120,251 +116,238 @@ def preset(key: str) -> PresetEntry:
 # ------------------------------------------------------- scenario parsing
 
 @dataclass
-class _Item:
-    key: str
-    value: str
-    line: int | None  # None for values given on the command line
-
-
-@dataclass
 class _Section:
+    """One [section] of a scenario file, or the keys of one flag."""
+
     name: str
-    line: int | None
-    items: list[_Item]
+    line: int | None  # None for values given on the command line
+    source: str  # file or flag, named in errors
+    items: list[tuple[str, str, int | None]] = field(default_factory=list)  # key, text, line
+    values: dict = field(default_factory=dict)  # by key, filled in by ``_check``
 
-    def get(self, key: str) -> _Item | None:
-        for item in self.items:
-            if item.key == key:
-                return item
-        return None
+    def error(self, message: str, key: str | None = None) -> ScenarioError:
+        """An input error at the first line of ``key``, else at the section header."""
+        line = next((line for k, _, line in self.items if k == key), self.line)
+        return ScenarioError(message, key=key, line=line, source=self.source)
 
 
-def _parse_sections(text: str, source: str) -> list[_Section]:
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got '{text}'") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got '{text}'")
+    return value
+
+
+def _whole(text: str) -> int:
+    if not (value := _number(text)).is_integer():
+        raise ValueError(f"expected a whole number, got '{text}'")
+    return int(value)
+
+
+def _choice(noun: str, options: dict[str, object]) -> Callable[[str], object]:
+    """Converter to the option a word names, ignoring case."""
+    by_word = {word.lower(): option for word, option in options.items()}
+
+    def convert(text: str) -> object:
+        if text.lower() not in by_word:
+            raise ValueError(f"unknown {noun} '{text}', expected {'/'.join(options)}")
+        return by_word[text.lower()]
+    return convert
+
+
+_format = _choice("output format", {f: f for f in ("json", "csv", "plotdata")})
+
+
+def _efficiency_points(text: str) -> EfficiencyCurve:
+    points = []
+    for part in filter(None, (part.strip() for part in text.split(","))):
+        if ":" not in part:
+            raise ValueError(f"expected 'load_pct:kwh_per_kg' pairs, got '{part}'")
+        load_pct, energy = part.split(":", 1)
+        points.append((_number(load_pct.strip()) / 100.0, _number(energy.strip())))
+    return EfficiencyCurve(tuple(points))
+
+
+def _within(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in an interval written like "(0, 24]" or "[0, inf)"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above_lo = lo < value if interval[0] == "(" else lo <= value
+    return above_lo and (value < hi if interval[-1] == ")" else value <= hi)
+
+
+@dataclass(frozen=True)
+class _Key:
+    """How one scenario key is read: ``convert`` turns the text into a value
+    (raising ValueError), ``range`` bounds it as written, dividing by
+    ``scale`` gives the stored unit (100 for percent, 0.25 for a price per
+    hour held over a 4 h block), ``default`` stands in when it is absent."""
+
+    convert: Callable[[str], object] = _number
+    range: str | None = None
+    scale: float | None = None
+    default: object = None
+    required: bool = False
+
+
+# Every section and key a scenario may hold: section -> (whether the
+# section may repeat, key -> how it is read).  A range is given only where
+# the code that uses the value rejects it anyway; checked here, the error
+# names the line that holds the value, whichever command runs.
+_SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
+    "scenario": (False, {"name": _Key(str), "description": _Key(str)}),
+    "unit": (True, {
+        "preset": _Key(preset),
+        # one object per unit; the largest paper case (40 GW of 2 MW units) needs 20,000
+        "count": _Key(_whole, "[1, 100000]", default=1),
+        "name": _Key(str),
+        "technology": _Key(_choice("technology", {t.value: t for t in Technology})),
+        "rated_power_mw": _Key(range="(0, inf)"),
+        "min_load_pct": _Key(range="(0, 100)", scale=100.0),
+        "ramp_up_pct_per_s": _Key(range="(0, inf)", scale=100.0),
+        "ramp_down_pct_per_s": _Key(range="(0, inf)", scale=100.0),
+        "efficiency_points": _Key(_efficiency_points),
+    }),
+    "product": (True, {"kind": _Key(str, required=True), "direction": _Key(str)}),
+    "prices": (False, {
+        "fcr_capacity_csv": _Key(Path),
+        "afrr_price_eur_per_mw_h": _Key(scale=0.25),
+        "afrr_price_eur_per_mw_block": _Key(),
+        "spot_csv": _Key(Path),
+    }),
+    "dispatch": (False, {
+        "setpoint_mw": _Key(range="[0, inf)", required=True),
+        "bid_mw": _Key(range="[0, inf)", required=True),
+        "product": _Key(str),
+    }),
+    "signal": (False, {
+        "kind": _Key(_choice("signal kind", {k.value: k for k in SignalKind}), required=True),
+        "csv": _Key(Path, required=True),
+    }),
+    "allocate": (False, {
+        "pre_reserved_fcr_mw": _Key(range="[0, inf)"),
+        "hydrogen_value_eur_per_kg": _Key(range="[0, inf)"),
+        "setpoint_grid_mw": _Key(range="(0, inf)", default=1.0),
+    }),
+    "economics": (False, {
+        "setpoint_mw": _Key(range="[0, inf)"),
+        "hours_per_day": _Key(range="(0, 24]", default=24.0),
+        "electricity_price_eur_per_mwh": _Key(),
+        "spot_threshold_eur_per_mwh": _Key(),
+        "grid_fee_pct": _Key(range="[0, inf)", scale=100.0, default=0.0),
+        "fcr_bid_mw": _Key(range="[0, inf)"),
+        "afrr_quantity_mw": _Key(range="[0, inf)"),
+        "required_reserve_mw": _Key(range="[0, inf)"),
+        "fleet_power_mw": _Key(range="(0, inf)"),
+        "coverage_symmetric": _Key(_choice("truth value", {
+            "true": True, "false": False, "yes": True, "no": False, "1": True, "0": False,
+        }), default=True),
+        "afrr_activation_revenue_eur": _Key(),
+    }),
+    "output": (False, {"formats": _Key(
+        lambda text: tuple(_format(f.strip()) for f in text.split(",") if f.strip()),
+        required=True, default=("json",),
+    )}),
+}
+
+
+def _check(section: _Section, required: Iterable[str] | None = None) -> _Section:
+    """The section with ``values`` filled from its items by ``_SCHEMA``.  An
+    unknown or repeated key, a value its converter or range rejects and a
+    missing required key (the table's, or those in ``required``) are input
+    errors at their line and key; absent keys get their default."""
+    keys = _SCHEMA[section.name][1]
+    values: dict = {}
+    for key, text, line in section.items:
+        spec = keys.get(key)
+        if spec is None:
+            raise section.error(f"unknown key in [{section.name}]", key)
+        if key in values:
+            raise ScenarioError(f"key given twice in [{section.name}]", key=key, line=line,
+                                source=section.source)
+        try:
+            value = spec.convert(text)
+        except ValueError as exc:
+            raise section.error(str(exc), key) from None
+        if spec.range is not None and not _within(value, spec.range):
+            raise section.error(f"{key} must be in {spec.range}, got {text}", key)
+        values[key] = value if spec.scale is None else value / spec.scale
+    if required is None:
+        required = [key for key, spec in keys.items() if spec.required]
+    for key in required:
+        if key not in values:
+            raise section.error(f"missing required key '{key}' in [{section.name}]", key)
+    section.values = {key: values.get(key, spec.default) for key, spec in keys.items()}
+    return section
+
+
+def _read_sections(path: Path) -> list[_Section]:
+    """The sections of a scenario file; an unknown or repeated once-only section is an error."""
+    source = str(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario: {exc}", source=source) from None
     sections: list[_Section] = []
-    current: _Section | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = _Section(line[1:-1].strip().lower(), lineno, [])
-            sections.append(current)
-            continue
-        if "=" not in line:
+            name = line[1:-1].strip().lower()
+            if name not in _SCHEMA:
+                raise ScenarioError(f"unknown section [{name}]", line=lineno, source=source)
+            first = next((s.line for s in sections if s.name == name), None)
+            if first is not None and not _SCHEMA[name][0]:
+                raise ScenarioError(f"section [{name}] may appear once, first at line {first}",
+                                    line=lineno, source=source)
+            sections.append(_Section(name, lineno, source))
+        elif "=" not in line:
             raise ScenarioError("expected 'key = value'", line=lineno, source=source)
-        if current is None:
+        elif not sections:
             raise ScenarioError("key outside any [section]", line=lineno, source=source)
-        key, value = line.split("=", 1)
-        current.items.append(_Item(key.strip().lower(), value.strip(), lineno))
+        else:
+            key, value = line.split("=", 1)
+            sections[-1].items.append((key.strip().lower(), value.strip(), lineno))
     return sections
 
 
-# one object per unit; the largest paper case (40 GW of 2 MW units) needs 20,000
-_MAX_UNIT_COUNT = 100_000
-
-_SECTION_KEYS = {
-    "scenario": {"name", "description"},
-    "unit": {
-        "preset", "count", "name", "technology", "rated_power_mw", "min_load_pct",
-        "ramp_up_pct_per_s", "ramp_down_pct_per_s", "efficiency_points",
-    },
-    "product": {"kind", "direction"},
-    "prices": {
-        "fcr_capacity_csv", "afrr_price_eur_per_mw_h", "afrr_price_eur_per_mw_block",
-        "spot_csv",
-    },
-    "dispatch": {"setpoint_mw", "bid_mw", "product"},
-    "signal": {"kind", "csv"},
-    "allocate": {"pre_reserved_fcr_mw", "hydrogen_value_eur_per_kg", "setpoint_grid_mw"},
-    "economics": {
-        "setpoint_mw", "hours_per_day", "electricity_price_eur_per_mwh",
-        "spot_threshold_eur_per_mwh", "grid_fee_pct", "fcr_bid_mw", "afrr_quantity_mw",
-        "required_reserve_mw", "fleet_power_mw", "coverage_symmetric",
-        "afrr_activation_revenue_eur",
-    },
-    "output": {"formats"},
-}
-
-
-def _check_keys(section: _Section, source: str) -> None:
-    if section.name not in _SECTION_KEYS:
-        raise ScenarioError(
-            f"unknown section [{section.name}]", line=section.line, source=source
-        )
-    allowed = _SECTION_KEYS[section.name]
-    for item in section.items:
-        if item.key not in allowed:
-            raise ScenarioError(
-                f"unknown key in [{section.name}]", key=item.key, line=item.line,
-                source=source,
-            )
-
-
-def _float(item: _Item, source: str) -> float:
-    try:
-        value = float(item.value)
-    except ValueError:
-        raise ScenarioError(
-            f"expected a number, got '{item.value}'", key=item.key, line=item.line,
-            source=source,
-        ) from None
-    if not math.isfinite(value):
-        raise ScenarioError(
-            f"expected a finite number, got '{item.value}'", key=item.key, line=item.line,
-            source=source,
-        )
-    return value
-
-
-def _bool(item: _Item, source: str) -> bool:
-    v = item.value.strip().lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    raise ScenarioError(
-        f"expected true/false, got '{item.value}'", key=item.key, line=item.line,
-        source=source,
-    )
-
-
-def _required(section: _Section, key: str, source: str) -> _Item:
-    item = section.get(key)
-    if item is None:
-        raise ScenarioError(
-            f"missing required key '{key}' in [{section.name}]", key=key,
-            line=section.line, source=source,
-        )
-    return item
-
-
-def _parse_efficiency_points(item: _Item, source: str) -> EfficiencyCurve:
-    points = []
-    for part in item.value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" not in part:
-            raise ScenarioError(
-                f"expected 'load_pct:kwh_per_kg' pairs, got '{part}'", key=item.key,
-                line=item.line, source=source,
-            )
-        load_s, energy_s = part.split(":", 1)
-        points.append((
-            _float(_Item(item.key, load_s.strip(), item.line), source) / 100.0,
-            _float(_Item(item.key, energy_s.strip(), item.line), source),
-        ))
-    try:
-        return EfficiencyCurve(tuple(points))
-    except ValueError as exc:
-        raise ScenarioError(str(exc), key=item.key, line=item.line, source=source) from None
-
-
-def _build_units(section: _Section, source: str) -> list[ElectrolyzerUnit]:
-    preset_item = section.get("preset")
-    entry = preset(preset_item.value) if preset_item is not None else None
-
-    name_item = section.get("name")
-    power_item = section.get("rated_power_mw")
-    tech_item = section.get("technology")
-    min_load_item = section.get("min_load_pct")
-    ramp_up_item = section.get("ramp_up_pct_per_s")
-    ramp_down_item = section.get("ramp_down_pct_per_s")
-    curve_item = section.get("efficiency_points")
-
-    if entry is None:
-        for required_key, item in (
-            ("technology", tech_item),
-            ("rated_power_mw", power_item),
-            ("min_load_pct", min_load_item),
-            ("ramp_up_pct_per_s", ramp_up_item),
-        ):
-            if item is None:
-                raise ScenarioError(
-                    f"missing required key '{required_key}' in [unit] without preset",
-                    key=required_key, line=section.line, source=source,
-                )
-
-    if tech_item is not None:
-        try:
-            technology = Technology(tech_item.value.strip().upper())
-        except ValueError:
-            raise ScenarioError(
-                f"unknown technology '{tech_item.value}', expected AEL/PEM/SOEC/AEM",
-                key=tech_item.key, line=tech_item.line, source=source,
-            ) from None
-    else:
-        technology = entry.technology
-
-    rated = _float(power_item, source) if power_item is not None else entry.power_mw
-    if min_load_item is not None:
-        min_load_pct = _float(min_load_item, source)
-        if not 0 < min_load_pct < 100:
-            raise ScenarioError(
-                f"min_load_pct must be in (0, 100), got {min_load_pct}",
-                key=min_load_item.key, line=min_load_item.line, source=source,
-            )
-        min_load = min_load_pct / 100.0
-    else:
-        min_load = entry.range_min_pct / 100.0
-    ramp_up = (
-        _float(ramp_up_item, source) / 100.0 if ramp_up_item is not None
-        else entry.ramp_pct_per_s / 100.0
-    )
-    ramp_down = _float(ramp_down_item, source) / 100.0 if ramp_down_item is not None else None
-    curve = _parse_efficiency_points(curve_item, source) if curve_item is not None else None
-    name = name_item.value if name_item is not None else (
-        entry.manufacturer if entry is not None else "unit"
-    )
-
-    count_item = section.get("count")
-    count = 1
-    if count_item is not None:
-        value = _float(count_item, source)
-        if not 1 <= value <= _MAX_UNIT_COUNT or not value.is_integer():
-            raise ScenarioError(
-                f"count must be >= 1 and whole, at most {_MAX_UNIT_COUNT}, "
-                f"got {count_item.value}", key=count_item.key,
-                line=count_item.line, source=source,
-            )
-        count = int(value)
+def _build_units(section: _Section) -> list[ElectrolyzerUnit]:
+    """The ``count`` identical units of a [unit] section, a preset filling in absent keys."""
+    v = section.values
+    base = v["preset"].to_unit() if v["preset"] is not None else None
+    fields = {}
+    for key, field_name in (
+        ("technology", "technology"), ("rated_power_mw", "rated_power_mw"),
+        ("min_load_pct", "min_load_fraction"), ("ramp_up_pct_per_s", "ramp_up"),
+    ):
+        if v[key] is None and base is None:
+            raise section.error(f"missing required key '{key}' in [unit] without preset", key)
+        fields[field_name] = v[key] if v[key] is not None else getattr(base, field_name)
+    name = v["name"] if v["name"] is not None else (base.name if base else "unit")
 
     def make(unit_name: str) -> ElectrolyzerUnit:
         try:
-            return ElectrolyzerUnit(
-                name=unit_name, technology=technology, rated_power_mw=rated,
-                min_load_fraction=min_load, ramp_up=ramp_up, ramp_down=ramp_down,
-                efficiency_curve=curve,
-            )
+            return ElectrolyzerUnit(name=unit_name, ramp_down=v["ramp_down_pct_per_s"],
+                                    efficiency_curve=v["efficiency_points"], **fields)
         except ValueError as exc:
-            raise ScenarioError(str(exc), line=section.line, source=source) from None
+            raise section.error(str(exc)) from None
 
-    if count == 1:
+    if v["count"] == 1:
         return [make(name)]
-    return [make(f"{name} #{i + 1}") for i in range(count)]
+    return [make(f"{name} #{i + 1}") for i in range(v["count"])]
 
 
-def _build_product(section: _Section, source: str) -> BalancingProduct:
-    kind_item = _required(section, "kind", source)
-    direction_item = section.get("direction")
-    label = kind_item.value.strip().lower()
-    if direction_item is not None:
-        label = f"{label}-{direction_item.value.strip().lower()}"
-        if label.endswith("-sym"):
-            label = label[: -len("-sym")]
+def _build_product(section: _Section) -> BalancingProduct:
+    label = section.values["kind"].lower()
+    if section.values["direction"] is not None:
+        label = f"{label}-{section.values['direction'].lower()}".removesuffix("-sym")
     try:
         return product_from_name(label)
     except ValueError as exc:
-        raise ScenarioError(
-            str(exc), key=kind_item.key, line=kind_item.line, source=source
-        ) from None
-
-
-def _one_unit(units: tuple[ElectrolyzerUnit, ...]) -> ElectrolyzerUnit:
-    """The single unit, or the aggregate of a fleet."""
-    if len(units) == 1:
-        return units[0]
-    return aggregate(Fleet(units))
+        raise section.error(str(exc), "kind") from None
 
 
 @dataclass(frozen=True)
@@ -391,18 +374,15 @@ class EconomicsSettings:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one analysis run needs, with file references resolved."""
+    """Everything one analysis run needs, with file references loaded."""
 
     name: str
     units: tuple[ElectrolyzerUnit, ...]
     products: tuple[BalancingProduct, ...]
     fcr_prices: CapacityPriceTable | None = None
-    fcr_prices_path: Path | None = None
     afrr_price_eur_per_mw_block: float | None = None
     spot_prices: SpotPriceSeries | None = None
-    spot_prices_path: Path | None = None
     signal: ActivationSignal | None = None
-    signal_path: Path | None = None
     dispatch: DispatchSettings | None = None
     allocate_options: AllocationOptions | None = None
     economics: EconomicsSettings | None = None
@@ -414,7 +394,7 @@ class Scenario:
         if not self.units:
             source = str(self.path) if self.path is not None else None
             raise ScenarioError("scenario defines no [unit]", source=source)
-        return _one_unit(self.units)
+        return self.units[0] if len(self.units) == 1 else aggregate(Fleet(self.units))
 
     def product(self, name: str | None = None) -> BalancingProduct:
         if not self.products:
@@ -428,319 +408,99 @@ class Scenario:
         raise ScenarioError(f"scenario has no product '{name}'")
 
 
-def _resolve(base: Path | None, value: str) -> Path:
-    p = Path(value)
-    if not p.is_absolute() and base is not None:
-        p = base / p
-    return p
-
-
-def _load_referenced(load, path: Path, item: _Item, source: str, *args):
-    """``load(path, *args)``, with a file that cannot be opened reported at ``item``."""
-    try:
-        return load(path, *args)
-    except ScenarioError:
-        raise
-    except (OSError, ValueError) as exc:  # ValueError: e.g. a NUL byte in the path
-        raise ScenarioError(
-            f"cannot read file: {exc}", key=item.key, line=item.line, source=source
-        ) from None
-
-
-def _read_sections(path: Path) -> list[_Section]:
-    """The sections of a scenario file, keys checked."""
-    source = str(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario: {exc}", source=source) from None
-    sections = _parse_sections(text, source)
-    for section in sections:
-        _check_keys(section, source)
-    return sections
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and materialize a scenario file, loading referenced CSVs."""
     path = Path(path)
-    source = str(path)
-    base = path.parent
-    sections = _read_sections(path)
+    return _assemble([_check(s) for s in _read_sections(path)], path)
 
-    name = path.stem
-    units: list[ElectrolyzerUnit] = []
-    products: list[BalancingProduct] = []
-    fcr_prices = fcr_prices_path = None
-    afrr_block = None
-    spot = spot_path = None
-    signal = signal_path = None
-    dispatch_settings = None
-    allocate_options = None
-    economics_settings = None
-    output_formats: tuple[str, ...] = ("json",)
 
-    for section in sections:
-        if section.name == "scenario":
-            item = section.get("name")
-            if item is not None:
-                name = item.value
-        elif section.name == "unit":
-            units.extend(_build_units(section, source))
-        elif section.name == "product":
-            products.append(_build_product(section, source))
-        elif section.name == "prices":
-            csv_item = section.get("fcr_capacity_csv")
-            if csv_item is not None:
-                fcr_prices_path = _resolve(base, csv_item.value)
-                fcr_prices = _load_referenced(
-                    load_capacity_prices, fcr_prices_path, csv_item, source
-                )
-            hourly = section.get("afrr_price_eur_per_mw_h")
-            per_block = section.get("afrr_price_eur_per_mw_block")
-            if hourly is not None and per_block is not None:
-                raise ScenarioError(
-                    "give exactly one aFRR price source (hourly or per block)",
-                    key=per_block.key, line=per_block.line, source=source,
-                )
-            if hourly is not None:
-                afrr_block = _float(hourly, source) * 4.0  # 4 h blocks
-            elif per_block is not None:
-                afrr_block = _float(per_block, source)
-            spot_item = section.get("spot_csv")
-            if spot_item is not None:
-                spot_path = _resolve(base, spot_item.value)
-                spot = _load_referenced(load_spot_prices, spot_path, spot_item, source)
-        elif section.name == "dispatch":
-            product_item = section.get("product")
-            dispatch_settings = DispatchSettings(
-                setpoint_mw=_float(_required(section, "setpoint_mw", source), source),
-                bid_mw=_float(_required(section, "bid_mw", source), source),
-                product_name=product_item.value if product_item is not None else None,
-            )
-        elif section.name == "signal":
-            kind_item = _required(section, "kind", source)
-            try:
-                kind = SignalKind(kind_item.value.strip().lower())
-            except ValueError:
-                raise ScenarioError(
-                    f"signal kind must be 'frequency' or 'setpoint', got '{kind_item.value}'",
-                    key=kind_item.key, line=kind_item.line, source=source,
-                ) from None
-            csv_item = _required(section, "csv", source)
-            signal_path = _resolve(base, csv_item.value)
-            signal = _load_referenced(load_signal, signal_path, csv_item, source, kind)
-        elif section.name == "allocate":
-            pre_item = section.get("pre_reserved_fcr_mw")
-            h2_item = section.get("hydrogen_value_eur_per_kg")
-            grid_item = section.get("setpoint_grid_mw")
-            try:
-                allocate_options = AllocationOptions(
-                    hydrogen_value_eur_per_kg=_float(h2_item, source) if h2_item else None,
-                    pre_reserved_fcr_mw=_float(pre_item, source) if pre_item else None,
-                    setpoint_grid_mw=_float(grid_item, source) if grid_item else 1.0,
-                )
-            except ValueError as exc:
-                raise ScenarioError(str(exc), line=section.line, source=source) from None
-        elif section.name == "economics":
-            def opt_float(key: str) -> float | None:
-                item = section.get(key)
-                return _float(item, source) if item is not None else None
+def _assemble(sections: list[_Section], path: Path | None) -> Scenario:
+    """A scenario from checked sections.  Files are loaded relative to
+    ``path``, the scenario file; without it (flags) none are."""
+    given = {s.name: s for s in sections if not _SCHEMA[s.name][0]}
+    # an absent once-only section reads as its defaults
+    once = {name: given.get(name) or _check(_Section(name, None, ""), ())
+            for name, (repeats, _) in _SCHEMA.items() if not repeats}
+    prices = once["prices"]
 
-            fee_pct = opt_float("grid_fee_pct")
-            hours_item = section.get("hours_per_day")
-            hours = _float(hours_item, source) if hours_item is not None else 24.0
-            if not 0 < hours <= 24:
-                raise ScenarioError(
-                    f"hours_per_day must be in (0, 24], got {hours_item.value}",
-                    key=hours_item.key, line=hours_item.line, source=source,
-                )
-            sym_item = section.get("coverage_symmetric")
-            economics_settings = EconomicsSettings(
-                setpoint_mw=opt_float("setpoint_mw"),
-                hours_per_day=hours,
-                electricity_price_eur_per_mwh=opt_float("electricity_price_eur_per_mwh"),
-                spot_threshold_eur_per_mwh=opt_float("spot_threshold_eur_per_mwh"),
-                grid_fee_fraction=(fee_pct / 100.0) if fee_pct is not None else 0.0,
-                fcr_bid_mw=opt_float("fcr_bid_mw"),
-                afrr_quantity_mw=opt_float("afrr_quantity_mw"),
-                required_reserve_mw=opt_float("required_reserve_mw"),
-                fleet_power_mw=opt_float("fleet_power_mw"),
-                coverage_symmetric=_bool(sym_item, source) if sym_item is not None else True,
-                afrr_activation_revenue_eur=opt_float("afrr_activation_revenue_eur"),
-            )
-        elif section.name == "output":
-            item = _required(section, "formats", source)
-            formats = tuple(f.strip().lower() for f in item.value.split(",") if f.strip())
-            for f in formats:
-                if f not in ("json", "csv", "plotdata"):
-                    raise ScenarioError(
-                        f"unknown output format '{f}'", key=item.key, line=item.line,
-                        source=source,
-                    )
-            output_formats = formats
+    def load(section: _Section, key: str, loader, *args):
+        """The file a key names, loaded; None when the key is not given."""
+        if section.values[key] is None or path is None:
+            return None
+        try:
+            return loader(path.parent / section.values[key], *args)
+        except ScenarioError:
+            raise
+        except (OSError, ValueError) as exc:  # ValueError: e.g. a NUL byte in the path
+            raise section.error(f"cannot read file: {exc}", key) from None
 
+    block_price = prices.values["afrr_price_eur_per_mw_block"]
+    if prices.values["afrr_price_eur_per_mw_h"] is not None:
+        if block_price is not None:
+            raise prices.error("give exactly one aFRR price source (hourly or per block)",
+                               "afrr_price_eur_per_mw_block")
+        block_price = prices.values["afrr_price_eur_per_mw_h"]
+    name = once["scenario"].values["name"]
+    dispatch = once["dispatch"].values
+    economics = dict(once["economics"].values)
+    fee = economics.pop("grid_fee_pct")
     return Scenario(
-        name=name,
-        units=tuple(units),
-        products=tuple(products),
-        fcr_prices=fcr_prices,
-        fcr_prices_path=fcr_prices_path,
-        afrr_price_eur_per_mw_block=afrr_block,
-        spot_prices=spot,
-        spot_prices_path=spot_path,
-        signal=signal,
-        signal_path=signal_path,
-        dispatch=dispatch_settings,
-        allocate_options=allocate_options,
-        economics=economics_settings,
-        output_formats=output_formats,
+        name=name if name is not None else (path.stem if path is not None else ""),
+        units=tuple(u for s in sections if s.name == "unit" for u in _build_units(s)),
+        products=tuple(_build_product(s) for s in sections if s.name == "product"),
+        fcr_prices=load(prices, "fcr_capacity_csv", load_capacity_prices),
+        afrr_price_eur_per_mw_block=block_price,
+        spot_prices=load(prices, "spot_csv", load_spot_prices),
+        signal=load(once["signal"], "csv", load_signal, once["signal"].values["kind"]),
+        dispatch=DispatchSettings(dispatch["setpoint_mw"], dispatch["bid_mw"],
+                                  dispatch["product"]) if "dispatch" in given else None,
+        allocate_options=(AllocationOptions(**once["allocate"].values)
+                          if "allocate" in given else None),
+        economics=(EconomicsSettings(grid_fee_fraction=fee, **economics)
+                   if "economics" in given else None),
+        output_formats=once["output"].values["formats"],
         path=path,
     )
 
 
-@dataclass(frozen=True)
-class Fragment:
-    """Scenario sections given outside a scenario file, for command line flags.
-
-    Built by ``read_fragment`` from the sections of one name in a file, or
-    by ``flag_fragment`` from a flag value.  Either way the keys are the
-    scenario keys of that section and go through the scenario parser.
-    """
-
-    source: str  # file or flag, named in errors
-    sections: tuple[_Section, ...]
-
-    def unit(self) -> ElectrolyzerUnit:
-        """The [unit] sections as one unit, aggregated when they hold a fleet."""
-        return _one_unit(tuple(u for s in self.sections for u in _build_units(s, self.source)))
-
-    def product(self) -> BalancingProduct:
-        return _build_product(self.sections[0], self.source)
-
-    def number(self, key: str) -> float:
-        return _float(_required(self.sections[0], key, self.source), self.source)
-
-
-def read_fragment(path: str | Path, name: str) -> Fragment:
-    """The [name] sections of a scenario file or fragment."""
-    path = Path(path)
-    sections = tuple(s for s in _read_sections(path) if s.name == name)
-    if not sections:
+def read_fragment(path: Path, name: str, key: str | None = None) -> Scenario:
+    """The [name] sections of a scenario file, all of whose sections are
+    checked, as a scenario of their own; with ``key``, that is the one key
+    they need."""
+    sections = _read_sections(path)
+    for section in sections:
+        _check(section, ((key,) if key is not None else None) if section.name == name else ())
+    wanted = [s for s in sections if s.name == name]
+    if not wanted:
         raise ScenarioError(f"fragment has no [{name}] section", source=str(path))
-    return Fragment(str(path), sections)
+    return _assemble(wanted, None)
 
 
-def flag_fragment(flag: str, name: str, value: str, key: str | None = None) -> Fragment:
-    """A flag value as one [name] section.
-
-    ``value`` holds comma-separated ``key=value`` pairs, or, when ``key``
-    is given, the bare value of that one key.
-    """
-    if key is not None:
-        items = [_Item(key, value.strip(), None)]
-    else:
-        items = []
-        for part in value.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ScenarioError(f"expected key=value, got '{part}'", source=flag)
-            k, v = part.split("=", 1)
-            items.append(_Item(k.strip().lower(), v.strip(), None))
-    section = _Section(name, None, items)
-    _check_keys(section, flag)
-    return Fragment(flag, (section,))
-
-
-def dump_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario back to the key-value format.
-
-    File references are written as absolute paths so the dump loads from
-    anywhere; units are written in explicit numeric form (the preset they
-    came from is not remembered).
-    """
-    out: list[str] = ["[scenario]", f"name = {scenario.name}", ""]
-    for unit in scenario.units:
-        out.append("[unit]")
-        out.append(f"name = {unit.name}")
-        out.append(f"technology = {unit.technology.value}")
-        out.append(f"rated_power_mw = {unit.rated_power_mw!r}")
-        out.append(f"min_load_pct = {unit.min_load_fraction * 100.0!r}")
-        out.append(f"ramp_up_pct_per_s = {unit.ramp_up * 100.0!r}")
-        out.append(f"ramp_down_pct_per_s = {unit.ramp_down * 100.0!r}")
-        if unit.efficiency_curve is not None:
-            pts = ", ".join(
-                f"{f * 100.0!r}:{e!r}" for f, e in unit.efficiency_curve.breakpoints
-            )
-            out.append(f"efficiency_points = {pts}")
-        out.append("")
-    for product in scenario.products:
-        out.append("[product]")
-        out.append(f"kind = {product.kind.value.lower()}")
-        out.append(f"direction = {product.direction.value.lower()}")
-        out.append("")
-    price_lines = []
-    if scenario.fcr_prices_path is not None:
-        price_lines.append(f"fcr_capacity_csv = {Path(scenario.fcr_prices_path).resolve()}")
-    if scenario.afrr_price_eur_per_mw_block is not None:
-        price_lines.append(
-            f"afrr_price_eur_per_mw_block = {scenario.afrr_price_eur_per_mw_block!r}"
-        )
-    if scenario.spot_prices_path is not None:
-        price_lines.append(f"spot_csv = {Path(scenario.spot_prices_path).resolve()}")
-    if price_lines:
-        out.append("[prices]")
-        out.extend(price_lines)
-        out.append("")
-    if scenario.dispatch is not None:
-        out.append("[dispatch]")
-        out.append(f"setpoint_mw = {scenario.dispatch.setpoint_mw!r}")
-        out.append(f"bid_mw = {scenario.dispatch.bid_mw!r}")
-        if scenario.dispatch.product_name is not None:
-            out.append(f"product = {scenario.dispatch.product_name}")
-        out.append("")
-    if scenario.signal is not None and scenario.signal_path is not None:
-        out.append("[signal]")
-        out.append(f"kind = {scenario.signal.kind.value}")
-        out.append(f"csv = {Path(scenario.signal_path).resolve()}")
-        out.append("")
-    if scenario.allocate_options is not None:
-        opts = scenario.allocate_options
-        out.append("[allocate]")
-        if opts.pre_reserved_fcr_mw is not None:
-            out.append(f"pre_reserved_fcr_mw = {opts.pre_reserved_fcr_mw!r}")
-        if opts.hydrogen_value_eur_per_kg is not None:
-            out.append(f"hydrogen_value_eur_per_kg = {opts.hydrogen_value_eur_per_kg!r}")
-        out.append(f"setpoint_grid_mw = {opts.setpoint_grid_mw!r}")
-        out.append("")
-    if scenario.economics is not None:
-        eco = scenario.economics
-        out.append("[economics]")
-        pairs: list[tuple[str, object]] = [
-            ("setpoint_mw", eco.setpoint_mw),
-            ("hours_per_day", eco.hours_per_day),
-            ("electricity_price_eur_per_mwh", eco.electricity_price_eur_per_mwh),
-            ("spot_threshold_eur_per_mwh", eco.spot_threshold_eur_per_mwh),
-            ("grid_fee_pct", eco.grid_fee_fraction * 100.0),
-            ("fcr_bid_mw", eco.fcr_bid_mw),
-            ("afrr_quantity_mw", eco.afrr_quantity_mw),
-            ("required_reserve_mw", eco.required_reserve_mw),
-            ("fleet_power_mw", eco.fleet_power_mw),
-            ("afrr_activation_revenue_eur", eco.afrr_activation_revenue_eur),
-        ]
-        for key, value in pairs:
-            if value is not None:
-                out.append(f"{key} = {value!r}")
-        out.append(f"coverage_symmetric = {'true' if eco.coverage_symmetric else 'false'}")
-        out.append("")
-    out.append("[output]")
-    out.append(f"formats = {', '.join(scenario.output_formats)}")
-    out.append("")
-    return "\n".join(out)
+def flag_fragment(flag: str, name: str, value: str, key: str | None = None) -> Scenario:
+    """A flag value, ``key=value,...`` or with ``key`` the bare value of that
+    one key (then the only one needed), as a scenario of one [name] section."""
+    section = _Section(name, None, flag)
+    parts = [f"{key}={value}"] if key is not None else value.split(",")
+    for part in filter(None, (p.strip() for p in parts)):
+        if "=" not in part:
+            raise ScenarioError(f"expected key=value, got '{part}'", source=flag)
+        k, v = part.split("=", 1)
+        section.items.append((k.strip().lower(), v.strip(), None))
+    return _assemble([_check(section, (key,) if key is not None else None)], None)
 
 
 # ------------------------------------------------------------ CSV loaders
+
+def _csv_number(cell: str, key: str, line: int, source: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ScenarioError(f"expected a finite number, got '{cell.strip()}'", key=key,
+                            line=line, source=source)
+    return value
+
 
 def _read_csv_rows(path: Path, expected_header: list[str]) -> list[tuple[int, str, float]]:
     """Data rows of a two-column CSV as (line, first cell, second cell as a finite number)."""
@@ -760,16 +520,8 @@ def _read_csv_rows(path: Path, expected_header: list[str]) -> list[tuple[int, st
     for lineno, row in rows[1:]:
         if len(row) != 2:
             raise ScenarioError(f"expected 2 columns, got {len(row)}", line=lineno, source=source)
-        try:
-            value = float(row[1])
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ScenarioError(
-                f"expected a finite number, got '{row[1].strip()}'", key=expected_header[1],
-                line=lineno, source=source,
-            )
-        parsed.append((lineno, row[0].strip(), value))
+        parsed.append((lineno, row[0].strip(),
+                       _csv_number(row[1], expected_header[1], lineno, source)))
     return parsed
 
 
@@ -832,19 +584,9 @@ def load_signal(path: str | Path, kind: SignalKind) -> ActivationSignal:
     path = Path(path)
     source = str(path)
     samples = _loadtxt_signal_rows(path)
-    if samples is None:
-        samples = []
-        for lineno, time_s, value in _read_csv_rows(path, ["time_s", "value"]):
-            try:
-                t = float(time_s)
-            except ValueError:
-                t = math.nan
-            if not math.isfinite(t):
-                raise ScenarioError(
-                    f"expected a finite number, got '{time_s}'", key="time_s", line=lineno,
-                    source=source,
-                )
-            samples.append((t, value))
+    if samples is None:  # the time column is checked once every value is
+        samples = [(_csv_number(time_s, "time_s", lineno, source), value)
+                   for lineno, time_s, value in _read_csv_rows(path, ["time_s", "value"])]
     try:
         return ActivationSignal.from_rows(kind, samples)
     except ValueError as exc:
@@ -854,9 +596,7 @@ def load_signal(path: str | Path, kind: SignalKind) -> ActivationSignal:
 # --------------------------------------------------------------- emitters
 
 def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if hasattr(obj, "to_dict"):
         return _jsonable(obj.to_dict())
@@ -864,15 +604,10 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, Path):
-        return str(obj)
     if isinstance(obj, datetime):
         return obj.isoformat()
     if isinstance(obj, PowerTrajectory):
-        return {
-            "timestep_s": obj.timestep_s,
-            "powers_mw": [float(p) for p in obj.powers_mw],
-        }
+        return {"timestep_s": obj.timestep_s, "powers_mw": obj.powers_mw.tolist()}
     if hasattr(obj, "value"):  # enums
         return obj.value
     if hasattr(obj, "item"):  # numpy scalars
@@ -929,20 +664,15 @@ def emit_report(results, fmt: str, dest: str | Path) -> list[Path]:
     dest = Path(dest)
     fmt = fmt.lower()
 
-    if fmt == "json":
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_text(
-            json.dumps(_jsonable(results), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return [dest]
-
-    if fmt == "csv":
+    if fmt in ("json", "csv"):
         dest.parent.mkdir(parents=True, exist_ok=True)
         payload = _jsonable(results)
-        flat = _flat_rows(payload) if isinstance(payload, dict) else []
-        lines = ["field,value"] + [f"{k},{v}" for k, v in flat]
-        dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if fmt == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        else:
+            flat = _flat_rows(payload) if isinstance(payload, dict) else []
+            text = "\n".join(["field,value"] + [f"{k},{v}" for k, v in flat])
+        dest.write_text(text + "\n", encoding="utf-8")
         return [dest]
 
     if fmt == "plotdata":

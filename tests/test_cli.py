@@ -20,7 +20,13 @@ EU = str(SCENARIOS / "eu_fleet_2030.scenario")
 
 def revenue_copy(tmp_path: Path, filename: str, *replacements: tuple[str, str]) -> str:
     """The 100 MW revenue scenario with absolute CSV paths and the given text replaced."""
-    text = Path(REVENUE).read_text(encoding="utf-8")
+    return scenario_copy(tmp_path, REVENUE, filename, *replacements)
+
+
+def scenario_copy(tmp_path: Path, source: str, filename: str,
+                  *replacements: tuple[str, str]) -> str:
+    """A shipped scenario with absolute CSV paths and the given text replaced."""
+    text = Path(source).read_text(encoding="utf-8")
     text = text.replace("prices/", str(SCENARIOS / "prices") + "/")
     text = text.replace("signals/", str(SCENARIOS / "signals") + "/")
     for old, new in replacements:
@@ -189,6 +195,20 @@ class TestEligibilityCommand:
         assert code == 1
         assert f"{frag}, line 2, key 'bid_mw': expected a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, text, key", [
+        ("--bid", "[dispatch]\nsetpoint_mw = 3\n", "bid_mw"),
+        ("--product", "[product]\ndirection = pos\n", "kind"),
+    ], ids=["bid", "product"])
+    def test_fragment_without_the_flag_key_is_located(self, tmp_path, capsys, flag, text, key):
+        frag = tmp_path / "frag.scenario"
+        frag.write_text(text, encoding="utf-8")
+        args = {"--product": "fcr", "--bid": "1", flag: f"@{frag}"}
+        code = main(["eligibility", "--preset", "demo4grid", *(x for kv in args.items() for x in kv)])
+        assert code == 1
+        section = text.split("\n")[0]
+        assert f"{frag}, line 1, key '{key}': missing required key '{key}' in {section}" in (
+            capsys.readouterr().err)
+
     def test_fleet_flag_aggregates(self, capsys):
         code = main([
             "eligibility", "--fleet", DEMO, "--product", "afrr-pos", "--bid", "1",
@@ -310,7 +330,7 @@ class TestEconomicsCommand:
         assert "fleet share 5%" in out
         assert "band 10%" in out
 
-    def test_jobs_preserve_scenario_order(self, capsys):
+    def test_scenarios_print_in_argument_order(self, capsys):
         code = main(["economics", "--scenario", GERMAN, EU])
         assert code == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
@@ -344,6 +364,79 @@ class TestEconomicsCommand:
         assert payload["assumptions"]["qualifying_hours"] == 1
         assert payload["assumptions"]["electricity_price_eur_per_mwh"] == -5.0
         assert payload["electricity_cost_eur"] == -1200.0
+
+    def test_nothing_to_compute_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "e.scenario"
+        path.write_text("[scenario]\nname = e\n\n[unit]\npreset = demo4grid\n\n"
+                        "[economics]\nsetpoint_mw = 3\n", encoding="utf-8")
+        assert main(["economics", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: [economics] computes nothing" in captured.err
+        for pair in ("fcr_bid_mw with [prices] fcr_capacity_csv",
+                     "afrr_quantity_mw with an aFRR price",
+                     "setpoint_mw with electricity_price_eur_per_mwh",
+                     "[prices] spot_csv with spot_threshold_eur_per_mwh",
+                     "required_reserve_mw with fleet_power_mw"):
+            assert pair in captured.err
+
+    def test_negative_bid_without_prices_is_located(self, tmp_path, capsys):
+        path = tmp_path / "h.scenario"
+        path.write_text("[scenario]\nname = h\n\n[economics]\nfcr_bid_mw = -5\n",
+                        encoding="utf-8")
+        assert main(["economics", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{path}, line 5, key 'fcr_bid_mw': fcr_bid_mw must be in [0, inf), got -5"
+                in captured.err)
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("grid_fee_pct = 30", "grid_fee_pct = -200", 41),
+        ("setpoint_mw = 95\nhours_per_day", "setpoint_mw = -3\nhours_per_day", 38),
+    ], ids=["grid-fee", "setpoint"])
+    def test_out_of_range_economics_input_is_located(self, tmp_path, capsys, old, new, line):
+        path = revenue_copy(tmp_path, "range.scenario", (old, new))
+        assert main(["economics", "--scenario", path]) == 1
+        key, value = new.split("\n")[0].split(" = ")
+        assert (f"line {line}, key '{key}': {key} must be in [0, inf), got {value}"
+                in capsys.readouterr().err)
+
+
+class TestRepeats:
+    def test_repeated_dispatch_section_is_an_input_error(self, tmp_path, capsys):
+        # the appended section would pass where the shipped one fails
+        path = scenario_copy(tmp_path, DEMO, "twice.scenario", (
+            "formats = json",
+            "formats = json\n\n[dispatch]\nsetpoint_mw = 4\nbid_mw = 1\nproduct = afrr-pos",
+        ))
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        first = lines.index("[dispatch]") + 1
+        again = len(lines) - lines[::-1].index("[dispatch]")
+        assert main(["simulate", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{path}, line {again}: section [dispatch] may appear once, first at line "
+                f"{first}" in captured.err)
+
+    def test_repeated_key_is_an_input_error(self, tmp_path, capsys):
+        path = scenario_copy(tmp_path, DEMO, "twice.scenario",
+                             ("setpoint_mw = 3", "setpoint_mw = 3\nsetpoint_mw = 99"))
+        line = Path(path).read_text(encoding="utf-8").splitlines().index("setpoint_mw = 99") + 1
+        assert main(["simulate", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{path}, line {line}, key 'setpoint_mw': key given twice in [dispatch]"
+                in captured.err)
+
+    def test_repeated_flag_key_is_an_input_error(self, capsys):
+        code = main([
+            "eligibility", "--unit", "preset=demo4grid,rated_power_mw=4,rated_power_mw=40",
+            "--product", "afrr-pos", "--bid", "1",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--unit, key 'rated_power_mw': key given twice in [unit]" in captured.err
 
 
 class TestScenarioCommands:

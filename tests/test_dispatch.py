@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +23,15 @@ from elybal.dispatch import (
 )
 from elybal.markets import Direction, afrr, fcr
 from elybal.model import EfficiencyCurve, ElectrolyzerUnit, Technology, specific_energy_at
+from elybal.scenario_io import load_signal
 from oracles import (
     check_compliance_loop,
     hydrogen_output_loop,
     simulate_loop,
     specific_energy_at_scalar,
 )
+
+SIGNALS = Path(__file__).resolve().parents[1] / "scenarios" / "signals"
 
 DEMO_UNIT = ElectrolyzerUnit(
     name="demo", technology=Technology.AEL, rated_power_mw=4.0,
@@ -201,6 +205,18 @@ class TestPowerTrajectory:
         traj = PowerTrajectory(2.0, np.array([3.0, 3.0, 3.0]), DEMO_UNIT)
         assert traj.duration_s == 4.0
 
+    def test_samples_are_a_read_only_float64_copy(self):
+        samples = np.array([3.0, 3.0, 3.0])
+        traj = PowerTrajectory(1.0, samples, DEMO_UNIT)
+        samples[1] = 1e9
+        assert traj.powers_mw.dtype == np.float64
+        assert traj.powers_mw[1] == 3.0
+        with pytest.raises(ValueError, match="read-only"):
+            traj.powers_mw[1] = 1e9
+        simulated = simulate(DEMO_UNIT, 3.0, 1.0, step_signal(-1.0, 10, 20))
+        with pytest.raises(ValueError, match="read-only"):
+            simulated.powers_mw[3] = 1e9
+
     def test_rejects_non_finite_samples(self):
         # every band and slew comparison with NaN is false
         with pytest.raises(ValueError, match="non-finite"):
@@ -269,8 +285,8 @@ class TestCompliance:
             check_compliance(traj, sig, fcr(), 3.0, -1.0)
 
     @pytest.mark.parametrize("setpoint, bid, named", [
-        (math.nan, 1.0, "setpoint must be finite, got nan"),
-        (math.inf, 1.0, "setpoint must be finite, got inf"),
+        (math.nan, 1.0, "setpoint nan MW outside operating band"),
+        (math.inf, 1.0, "setpoint inf MW outside operating band"),
         (3.0, math.nan, "bid must be >= 0 and finite, got nan"),
     ])
     def test_non_finite_setpoint_or_bid_is_not_a_verdict(self, setpoint, bid, named):
@@ -278,6 +294,14 @@ class TestCompliance:
         traj = simulate(DEMO_UNIT, 3.0, 1.0, sig)
         with pytest.raises(ValueError, match=named):
             check_compliance(traj, sig, fcr(), setpoint, bid)
+
+    def test_setpoint_that_cannot_host_the_bid_is_not_a_verdict(self):
+        # simulated as aFRR POS at full load, then graded as symmetric FCR:
+        # 4 MW cannot host the 1 MW upward half of the FCR band
+        sig = load_signal(SIGNALS / "step_down_1mw.csv", SignalKind.SETPOINT_REQUEST)
+        traj = simulate(DEMO_UNIT, 4.0, 1.0, sig, Direction.POS)
+        with pytest.raises(ValueError, match="cannot host a 1.0 MW upward activation"):
+            check_compliance(traj, sig, fcr(), 4.0, 1.0)
 
     def test_mismatched_horizons_rejected(self):
         sig = step_signal(-1.0, 10, 20)

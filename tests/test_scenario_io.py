@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -16,11 +17,10 @@ from elybal.dispatch import PowerTrajectory, SignalKind
 from elybal.markets import CapacityPriceTable, Direction, ProductKind, SpotPriceSeries
 from elybal.model import ElectrolyzerUnit, Technology
 from elybal.scenario_io import (
-    _SECTION_KEYS,
+    _SCHEMA,
     PRESETS,
     Scenario,
     ScenarioError,
-    dump_scenario,
     emit_report,
     load_capacity_prices,
     load_scenario,
@@ -301,8 +301,8 @@ efficiency_points = 50-55
 
     def test_count_must_be_at_least_one(self, tmp_path):
         for count, message in (
-            ("0", "count must be >= 1"),
-            ("2.7", "count must be >= 1 and whole"),
+            ("0", r"count must be in \[1, 100000\], got 0"),
+            ("2.7", "expected a whole number, got '2.7'"),
             ("inf", "expected a finite number"),
         ):
             path = write(tmp_path, "bad.scenario", f"[unit]\npreset = mcphy\ncount = {count}\n")
@@ -310,10 +310,35 @@ efficiency_points = 50-55
                 load_scenario(path)
             assert (exc.value.key, exc.value.line) == ("count", 3)
 
+    @pytest.mark.parametrize("section, first, again", [
+        ("scenario", "name = x", "name = y"),
+        ("prices", "afrr_price_eur_per_mw_h = 20", "afrr_price_eur_per_mw_h = 5"),
+    ])
+    def test_once_only_section_may_not_repeat(self, tmp_path, section, first, again):
+        path = write(tmp_path, "twice.scenario", f"[{section}]\n{first}\n\n[{section}]\n{again}\n")
+        with pytest.raises(ScenarioError, match=rf"section \[{section}\] may appear once, "
+                                                r"first at line 1") as exc:
+            load_scenario(path)
+        assert exc.value.line == 4
+
+    def test_units_and_products_may_repeat(self, tmp_path):
+        path = write(tmp_path, "fleet.scenario", "[unit]\npreset = mcphy\n[unit]\npreset = trina\n"
+                     "[product]\nkind = fcr\n[product]\nkind = afrr\ndirection = pos\n")
+        scenario = load_scenario(path)
+        assert [u.name for u in scenario.units] == ["McPhy", "Trina"]
+        assert len(scenario.products) == 2
+
+    def test_repeated_key_is_located(self, tmp_path):
+        path = write(tmp_path, "twice.scenario",
+                     "[dispatch]\nsetpoint_mw = 3\nbid_mw = 1\nsetpoint_mw = 99\n")
+        with pytest.raises(ScenarioError, match=r"key given twice in \[dispatch\]") as exc:
+            load_scenario(path)
+        assert (exc.value.key, exc.value.line) == ("setpoint_mw", 4)
+
     def test_count_is_capped(self, tmp_path):
         # checked before any unit is built: 1e8 units would exhaust memory
         path = write(tmp_path, "big.scenario", "[unit]\npreset = mcphy\ncount = 100001\n")
-        with pytest.raises(ScenarioError, match="at most 100000") as exc:
+        with pytest.raises(ScenarioError, match=r"count must be in \[1, 100000\]") as exc:
             load_scenario(path)
         assert (exc.value.key, exc.value.line) == ("count", 3)
 
@@ -344,7 +369,7 @@ def _entry(key: str):
 
 
 def _section(name: str):
-    keys = sorted(_SECTION_KEYS[name]) + ["bogus"]
+    keys = sorted(_SCHEMA[name][1]) + ["bogus"]
     return st.lists(st.sampled_from(keys).flatmap(_entry), max_size=len(keys)).map(
         lambda lines: "\n".join([f"[{name}]", *lines])
     )
@@ -353,10 +378,12 @@ def _section(name: str):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=st.tuples(
-    st.lists(st.sampled_from(sorted(_SECTION_KEYS)).flatmap(_section), max_size=5),
+    st.lists(st.sampled_from(sorted(_SCHEMA)).flatmap(_section), max_size=5),
     st.one_of(st.just(""), _TEXT),
 ).map(lambda parts: "\n".join([*parts[0], parts[1]])))
 @example(text="[unit]\npreset = mcphy\ncount = inf\n")
+@example(text="[dispatch]\nsetpoint_mw = 3\nbid_mw = 1\n[dispatch]\nsetpoint_mw = 4\nbid_mw = 1\n")
+@example(text="[unit]\npreset = mcphy\ncount = 2\ncount = 3\n")
 @example(text="[signal]\nkind = frequency\ncsv = a\x00b\n")
 def test_any_scenario_text_loads_or_raises_scenario_error(tmp_path, text):
     write(tmp_path, "prices.csv", PRICES_CSV)
@@ -370,60 +397,6 @@ def test_any_scenario_text_loads_or_raises_scenario_error(tmp_path, text):
 
 
 class TestScenarioRoundTrip:
-    def test_dump_then_load_is_stable(self, tmp_path):
-        write(tmp_path, "prices.csv", PRICES_CSV)
-        write(tmp_path, "signal.csv", SIGNAL_CSV)
-        original = write(tmp_path, "rt.scenario", """
-[scenario]
-name = round-trip
-
-[unit]
-technology = PEM
-rated_power_mw = 17.5
-min_load_pct = 40
-ramp_up_pct_per_s = 10
-ramp_down_pct_per_s = 8
-
-[product]
-kind = afrr
-direction = neg
-
-[prices]
-fcr_capacity_csv = prices.csv
-afrr_price_eur_per_mw_block = 80
-
-[dispatch]
-setpoint_mw = 8
-bid_mw = 2
-
-[signal]
-kind = setpoint
-csv = signal.csv
-
-[economics]
-setpoint_mw = 8
-hours_per_day = 12
-electricity_price_eur_per_mwh = 42.5
-coverage_symmetric = false
-
-[output]
-formats = json, plotdata
-""")
-        first = load_scenario(original)
-        dumped = dump_scenario(first)
-        second = load_scenario(write(tmp_path, "rt2.scenario", dumped))
-        # the numeric payload survives the round trip bit-exactly
-        assert second.units == first.units
-        assert second.products == first.products
-        assert second.dispatch == first.dispatch
-        assert second.economics == first.economics
-        assert second.afrr_price_eur_per_mw_block == first.afrr_price_eur_per_mw_block
-        assert second.fcr_prices.prices == first.fcr_prices.prices
-        assert second.signal == first.signal
-        assert second.output_formats == first.output_formats
-        # and a second dump is byte-identical
-        assert dump_scenario(second) == dumped
-
     def test_shipped_scenarios_all_load(self):
         for path in sorted(REPO_SCENARIOS.glob("*.scenario")):
             scenario = load_scenario(path)
@@ -435,6 +408,16 @@ formats = json, plotdata
         assert len(scenario.products) == 2
         assert scenario.afrr_price_eur_per_mw_block == 80.0
         assert scenario.signal is not None
+
+
+def test_readme_key_table_matches_the_schema():
+    text = (REPO_SCENARIOS / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| (?:`([^`]*)`)? *\|", text, re.M)
+    documented = sorted((section, key, interval or None) for section, key, interval in rows)
+    assert documented == sorted(
+        (section, key, spec.range)
+        for section, (_, keys) in _SCHEMA.items() for key, spec in keys.items()
+    )
 
 
 class TestCsvLoaders:
