@@ -67,9 +67,6 @@ class ScheduleEntry:
 class BidSchedule:
     entries: tuple[ScheduleEntry, ...]
 
-    def for_block(self, block: TimeBlock) -> tuple[ScheduleEntry, ...]:
-        return tuple(e for e in self.entries if e.block == block)
-
 
 @dataclass(frozen=True)
 class AllocationResult:

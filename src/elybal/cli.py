@@ -18,11 +18,14 @@ non-finite number is an input error.
 ``ELYBAL_SCENARIO_DIR`` provides a fallback directory for relative
 scenario paths; ``ELYBAL_DEFAULT_PRESET`` supplies a unit when none is
 given.
+
+In-process ``main`` calls share one parser, built once by ``build_parser``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -80,8 +83,7 @@ def _fragment(value: str, flag: str, section: str, key: str | None = None) -> Sc
 
 def _unit_from_args(args) -> ElectrolyzerUnit:
     if getattr(args, "fleet", None):
-        scenario = load_scenario(_resolve_path(args.fleet))
-        return scenario.primary_unit()
+        return load_scenario(_resolve_path(args.fleet)).primary_unit()
     if getattr(args, "unit", None):
         return _fragment(args.unit, "--unit", "unit").primary_unit()
     preset_name = getattr(args, "preset", None) or os.environ.get(DEFAULT_PRESET_ENV)
@@ -98,15 +100,11 @@ def cmd_eligibility(args) -> int:
     unit = _unit_from_args(args)
     product = _fragment(args.product, "--product", "product", "kind").product()
     bid = _number_flag(args.bid, "--bid", "bid_mw")
-    if args.setpoint is not None:
-        setpoint = _number_flag(args.setpoint, "--setpoint", "setpoint_mw")
-    else:
-        setpoint = default_setpoint(unit, product)
+    setpoint = (default_setpoint(unit, product) if args.setpoint is None
+                else _number_flag(args.setpoint, "--setpoint", "setpoint_mw"))
     report = check_eligibility(unit, product, bid, setpoint)
     max_bid, max_sp = max_offerable(unit, product, setpoint)
-    payload = report.to_dict()
-    payload["max_offerable_mw"] = max_bid
-    payload["max_offerable_setpoint_mw"] = max_sp
+    payload = {**report.to_dict(), "max_offerable_mw": max_bid, "max_offerable_setpoint_mw": max_sp}
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -294,6 +292,7 @@ def cmd_presets(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="elybal", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -334,9 +333,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

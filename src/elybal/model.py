@@ -134,30 +134,33 @@ class ElectrolyzerUnit:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
+def _fleet_sum(name: str) -> property:
+    """A fleet total, ``Σ count·value``: the plain sum when every count is 1."""
+    return property(lambda fleet: sum(n * getattr(u, name)
+                                      for u, n in zip(fleet.units, fleet.counts)))
+
+
 @dataclass(frozen=True)
 class Fleet:
-    """A pool of electrolyzer units marketed together."""
+    """A pool of electrolyzer units marketed together: ``counts[i]``
+    identical copies of ``units[i]``, one of each unless given."""
 
     units: tuple[ElectrolyzerUnit, ...]
+    counts: tuple[int, ...] = ()
+
+    rated_power_mw = _fleet_sum("rated_power_mw")
+    min_power_mw = _fleet_sum("min_power_mw")
+    ramp_up_mw_per_s = _fleet_sum("ramp_up_mw_per_s")
+    ramp_down_mw_per_s = _fleet_sum("ramp_down_mw_per_s")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "units", tuple(self.units))
-
-    @property
-    def rated_power_mw(self) -> float:
-        return sum(u.rated_power_mw for u in self.units)
-
-    @property
-    def min_power_mw(self) -> float:
-        return sum(u.min_power_mw for u in self.units)
-
-    @property
-    def ramp_up_mw_per_s(self) -> float:
-        return sum(u.ramp_up_mw_per_s for u in self.units)
-
-    @property
-    def ramp_down_mw_per_s(self) -> float:
-        return sum(u.ramp_down_mw_per_s for u in self.units)
+        units = tuple(self.units)
+        counts = tuple(self.counts) or (1,) * len(units)
+        if len(counts) != len(units) or not all(isinstance(n, int) and n >= 1 for n in counts):
+            raise ValueError(f"need one whole count >= 1 per unit, got {counts} "
+                             f"for {len(units)} units")
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "counts", counts)
 
 
 def aggregate(fleet: Fleet) -> ElectrolyzerUnit:
@@ -173,12 +176,12 @@ def aggregate(fleet: Fleet) -> ElectrolyzerUnit:
         raise ValueError("cannot aggregate an empty fleet")
     total = fleet.rated_power_mw
     share_by_tech: dict[Technology, float] = {}
-    for u in fleet.units:
-        share_by_tech[u.technology] = share_by_tech.get(u.technology, 0.0) + u.rated_power_mw
+    for u, n in zip(fleet.units, fleet.counts):
+        share_by_tech[u.technology] = share_by_tech.get(u.technology, 0.0) + n * u.rated_power_mw
     # dominant technology by installed capacity; insertion order breaks ties
     tech = max(share_by_tech, key=lambda t: share_by_tech[t])
     return ElectrolyzerUnit(
-        name=f"aggregate({len(fleet.units)} units, {total:g} MW)",
+        name=f"aggregate({sum(fleet.counts)} units, {total:g} MW)",
         technology=tech,
         rated_power_mw=total,
         min_load_fraction=fleet.min_power_mw / total,

@@ -200,7 +200,7 @@ _SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
     "scenario": (False, {"name": _Key(str), "description": _Key(str)}),
     "unit": (True, {
         "preset": _Key(preset),
-        # one object per unit; the largest paper case (40 GW of 2 MW units) needs 20,000
+        # identical units, weighing one object; the paper's 40 GW of 2 MW units is 20,000
         "count": _Key(_whole, "[1, 100000]", default=1),
         "name": _Key(str),
         "technology": _Key(_choice("technology", {t.value: t for t in Technology})),
@@ -314,8 +314,8 @@ def _read_sections(path: Path) -> list[_Section]:
     return sections
 
 
-def _build_units(section: _Section) -> list[ElectrolyzerUnit]:
-    """The ``count`` identical units of a [unit] section, a preset filling in absent keys."""
+def _build_unit(section: _Section) -> ElectrolyzerUnit:
+    """The unit of a [unit] section, a preset filling in absent keys; ``count`` weighs it."""
     v = section.values
     base = v["preset"].to_unit() if v["preset"] is not None else None
     fields = {}
@@ -327,17 +327,11 @@ def _build_units(section: _Section) -> list[ElectrolyzerUnit]:
             raise section.error(f"missing required key '{key}' in [unit] without preset", key)
         fields[field_name] = v[key] if v[key] is not None else getattr(base, field_name)
     name = v["name"] if v["name"] is not None else (base.name if base else "unit")
-
-    def make(unit_name: str) -> ElectrolyzerUnit:
-        try:
-            return ElectrolyzerUnit(name=unit_name, ramp_down=v["ramp_down_pct_per_s"],
-                                    efficiency_curve=v["efficiency_points"], **fields)
-        except ValueError as exc:
-            raise section.error(str(exc)) from None
-
-    if v["count"] == 1:
-        return [make(name)]
-    return [make(f"{name} #{i + 1}") for i in range(v["count"])]
+    try:
+        return ElectrolyzerUnit(name=name, ramp_down=v["ramp_down_pct_per_s"],
+                                efficiency_curve=v["efficiency_points"], **fields)
+    except ValueError as exc:
+        raise section.error(str(exc)) from None
 
 
 def _build_product(section: _Section) -> BalancingProduct:
@@ -377,7 +371,7 @@ class Scenario:
     """Everything one analysis run needs, with file references loaded."""
 
     name: str
-    units: tuple[ElectrolyzerUnit, ...]
+    fleet: Fleet  # one member per [unit] section, weighted by its count
     products: tuple[BalancingProduct, ...]
     fcr_prices: CapacityPriceTable | None = None
     afrr_price_eur_per_mw_block: float | None = None
@@ -389,23 +383,29 @@ class Scenario:
     output_formats: tuple[str, ...] = ("json",)
     path: Path | None = None
 
+    def _error(self, message: str) -> ScenarioError:
+        return ScenarioError(message, source=str(self.path) if self.path is not None else None)
+
     def primary_unit(self) -> ElectrolyzerUnit:
         """The single unit, or the aggregate when the scenario holds a fleet."""
-        if not self.units:
-            source = str(self.path) if self.path is not None else None
-            raise ScenarioError("scenario defines no [unit]", source=source)
-        return self.units[0] if len(self.units) == 1 else aggregate(Fleet(self.units))
+        if not self.fleet.units:
+            raise self._error("scenario defines no [unit]")
+        return self.fleet.units[0] if self.fleet.counts == (1,) else aggregate(self.fleet)
 
     def product(self, name: str | None = None) -> BalancingProduct:
+        """The product called ``name``; without a name, the only one."""
         if not self.products:
-            raise ScenarioError("scenario defines no [product]")
+            raise self._error("scenario defines no [product]")
         if name is None:
+            if len(self.products) > 1:
+                raise self._error(f"scenario has {len(self.products)} [product] sections; "
+                                  "--product or [dispatch] product must pick one")
             return self.products[0]
         wanted = product_from_name(name)
         for p in self.products:
             if p.kind is wanted.kind and p.direction is wanted.direction:
                 return p
-        raise ScenarioError(f"scenario has no product '{name}'")
+        raise self._error(f"scenario has no product '{name}'")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -444,9 +444,10 @@ def _assemble(sections: list[_Section], path: Path | None) -> Scenario:
     dispatch = once["dispatch"].values
     economics = dict(once["economics"].values)
     fee = economics.pop("grid_fee_pct")
+    units = [s for s in sections if s.name == "unit"]
     return Scenario(
         name=name if name is not None else (path.stem if path is not None else ""),
-        units=tuple(u for s in sections if s.name == "unit" for u in _build_units(s)),
+        fleet=Fleet(tuple(_build_unit(s) for s in units), tuple(s.values["count"] for s in units)),
         products=tuple(_build_product(s) for s in sections if s.name == "product"),
         fcr_prices=load(prices, "fcr_capacity_csv", load_capacity_prices),
         afrr_price_eur_per_mw_block=block_price,
@@ -465,15 +466,15 @@ def _assemble(sections: list[_Section], path: Path | None) -> Scenario:
 
 def read_fragment(path: Path, name: str, key: str | None = None) -> Scenario:
     """The [name] sections of a scenario file, all of whose sections are
-    checked, as a scenario of their own; with ``key``, that is the one key
-    they need."""
+    checked, as a scenario of their own that errors name ``path`` in; with
+    ``key``, that is the one key they need."""
     sections = _read_sections(path)
     for section in sections:
         _check(section, ((key,) if key is not None else None) if section.name == name else ())
     wanted = [s for s in sections if s.name == name]
     if not wanted:
         raise ScenarioError(f"fragment has no [{name}] section", source=str(path))
-    return _assemble(wanted, None)
+    return _assemble(wanted, path)
 
 
 def flag_fragment(flag: str, name: str, value: str, key: str | None = None) -> Scenario:
@@ -596,6 +597,8 @@ def load_signal(path: str | Path, kind: SignalKind) -> ActivationSignal:
 # --------------------------------------------------------------- emitters
 
 def _jsonable(obj):
+    if isinstance(obj, np.generic):  # numpy scalars; np.float64 is a float, but reprs apart
+        return obj.item()
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if hasattr(obj, "to_dict"):
@@ -610,8 +613,6 @@ def _jsonable(obj):
         return {"timestep_s": obj.timestep_s, "powers_mw": obj.powers_mw.tolist()}
     if hasattr(obj, "value"):  # enums
         return obj.value
-    if hasattr(obj, "item"):  # numpy scalars
-        return obj.item()
     return str(obj)
 
 

@@ -9,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from elybal import __version__
 from elybal.cli import _unit_from_args, build_parser, main
+from elybal.eligibility import default_setpoint
+from elybal.markets import afrr
+from elybal.scenario_io import preset
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DEMO = str(SCENARIOS / "demo4grid.scenario")
@@ -214,6 +218,18 @@ class TestEligibilityCommand:
             "eligibility", "--fleet", DEMO, "--product", "afrr-pos", "--bid", "1",
         ])
         assert code == 0
+
+    def test_large_count_fleet_offers_its_whole_headroom(self, tmp_path, capsys):
+        # min power 5885·1.6 + 4901·1.0 = 14,317 MW exactly, so 122,362 - 14,317 = 108,045 MW
+        # of downward room; 10,786 sequential adds put min power 1e-9 MW high, offering 108,044
+        fleet = tmp_path / "fleet.scenario"
+        fleet.write_text("[unit]\npreset = mcphy\ncount = 5885\n\n"
+                         "[unit]\npreset = questone\ncount = 4901\n", encoding="utf-8")
+        assert main(["eligibility", "--fleet", str(fleet), "--product", "afrr-pos",
+                     "--bid", "1310", "--setpoint", "122362"]) == 0
+        out = capsys.readouterr().out
+        assert "unit: aggregate(10786 units, 143170 MW)" in out
+        assert "max offerable at this setpoint: 108045 MW" in out
 
     def test_no_unit_is_an_input_error(self, capsys, monkeypatch):
         monkeypatch.delenv("ELYBAL_DEFAULT_PRESET", raising=False)
@@ -438,6 +454,27 @@ class TestRepeats:
         assert captured.out == ""
         assert "--unit, key 'rated_power_mw': key given twice in [unit]" in captured.err
 
+    def test_product_fragment_must_hold_one_product(self, tmp_path, capsys):
+        # the first section would fail where the second one passes
+        frag = tmp_path / "two.scenario"
+        frag.write_text("[product]\nkind = afrr\ndirection = pos\n\n[product]\nkind = fcr\n",
+                        encoding="utf-8")
+        code = main(["eligibility", "--preset", "demo4grid", "--product", f"@{frag}",
+                     "--bid", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{frag}: scenario has 2 [product] sections; --product or [dispatch] product "
+                "must pick one" in captured.err)
+
+    def test_dispatch_must_name_one_of_several_products(self, tmp_path, capsys):
+        path = scenario_copy(tmp_path, DEMO, "unnamed.scenario", ("product = fcr\n", ""))
+        assert main(["simulate", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{path}: scenario has 2 [product] sections; --product or [dispatch] product "
+                "must pick one" in captured.err)
+
 
 class TestScenarioCommands:
     @pytest.mark.parametrize("command, kinds", [
@@ -481,6 +518,31 @@ class TestArgumentHandling:
     def test_version_exits_0(self, capsys):
         assert main(["--version"]) == 0
         assert "elybal" in capsys.readouterr().out
+
+
+class TestSharedParser:
+    """``main`` reuses one parser per process; no call may see another's arguments."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_an_omitted_setpoint_is_the_default_again(self, capsys):
+        argv = ["eligibility", "--preset", "demo4grid", "--product", "afrr-pos", "--bid", "1",
+                "--format", "json"]
+        unit = preset("demo4grid").to_unit()
+        assert main([*argv, "--setpoint", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["setpoint_mw"] == 2.0
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["setpoint_mw"] == default_setpoint(unit, afrr())
+
+    def test_error_version_and_command_each_give_their_own_result(self, capsys):
+        assert main(["eligibility", "--bid", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--product" in captured.err
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"elybal {__version__}\n"
+        assert main(["presets", "show", "mcphy"]) == 0
+        assert capsys.readouterr().out.startswith("name: McPhy\n")
 
 
 def test_console_entry_point_runs():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elybal.model import (
@@ -16,6 +16,7 @@ from elybal.model import (
     aggregate,
     specific_energy_at,
 )
+from elybal.scenario_io import PRESETS
 
 # AEL-flavored curve: specific energy rises toward full load
 CURVE = EfficiencyCurve(((0.25, 49.0), (0.5, 50.5), (1.0, 54.0)))
@@ -168,3 +169,56 @@ def test_homogeneous_fleet_aggregates_to_scaled_unit(n, power, u, ramp):
     assert agg.rated_power_mw == pytest.approx(n * power, rel=1e-12)
     assert agg.min_load_fraction == pytest.approx(u, rel=1e-9)
     assert agg.ramp_up == pytest.approx(ramp, rel=1e-9)
+
+
+def test_fleet_counts_are_whole_and_one_per_unit():
+    a, b = make_unit(name="a"), make_unit(name="b")
+    assert Fleet((a, b)).counts == (1, 1)
+    for counts in ((1,), (1, 0), (2, 1.5), (1, 2, 3)):
+        with pytest.raises(ValueError, match="one whole count >= 1 per unit"):
+            Fleet((a, b), counts)
+
+
+_MEMBER = st.tuples(
+    st.builds(
+        make_unit,
+        technology=st.sampled_from(Technology),
+        rated_power_mw=st.floats(min_value=0.5, max_value=50.0),
+        min_load_fraction=st.floats(min_value=0.01, max_value=0.9),
+        ramp_up=st.floats(min_value=1e-4, max_value=0.2),
+        ramp_down=st.floats(min_value=1e-4, max_value=0.2),
+    ),
+    st.integers(min_value=1, max_value=2000),
+)
+
+
+@settings(deadline=None)  # the 100,000-copy example sums 100,000 terms per field
+@given(members=st.lists(_MEMBER, min_size=1, max_size=3))
+@example(members=[(make_unit(), 1)])
+@example(members=[(make_unit(rated_power_mw=2.0, ramp_up=0.1), 100_000)])
+@example(members=[(PRESETS["sunfire-ael"].to_unit(), 550), (PRESETS["questone"].to_unit(), 450)])
+@example(members=[(PRESETS[k].to_unit(), 1) for k in ("enapter", "elyzer", "sunfire-soec")])
+def test_count_weighted_fleet_matches_the_expanded_fleet(members):
+    """A member of count n aggregates like n copies of its unit.
+
+    Rated power, min power and both ramp rates agree within 1e-12 relative
+    with the copies summed exactly (``math.fsum``), and are bit-identical
+    to the expanded fleet's aggregate when every count is 1.  The expanded
+    fleet's own sequential sums are no reference at large n: they drift
+    by up to n·2⁻⁵³ relative (2e-12 at 100,000 copies of 0.2 MW/s).
+    Name and technology are those of the expanded fleet; the technology
+    up to capacities tied within that tolerance.
+    """
+    units, counts = zip(*members)
+    weighted = aggregate(Fleet(units, counts))
+    copies = tuple(u for u, n in members for _ in range(n))
+    expanded = aggregate(Fleet(copies))
+    if set(counts) == {1}:
+        assert weighted == expanded
+    for name in ("rated_power_mw", "min_power_mw", "ramp_up_mw_per_s", "ramp_down_mw_per_s"):
+        exact = math.fsum(getattr(u, name) for u in copies)
+        assert getattr(weighted, name) == pytest.approx(exact, rel=1e-12)
+    assert weighted.name == expanded.name
+    share = {t: math.fsum(u.rated_power_mw for u in copies if u.technology is t)
+             for t in (weighted.technology, expanded.technology)}
+    assert math.isclose(share[weighted.technology], share[expanded.technology], rel_tol=1e-12)

@@ -167,16 +167,24 @@ formats = json, csv
         assert scenario.economics.grid_fee_fraction == pytest.approx(0.30)
         assert scenario.output_formats == ("json", "csv")
 
-    def test_unit_count_expands_the_fleet(self, tmp_path):
+    def test_unit_count_weighs_one_unit(self, tmp_path):
         path = write(tmp_path, "fleet.scenario", """
 [unit]
 preset = sunfire-ael
 count = 3
 """)
         scenario = load_scenario(path)
-        assert len(scenario.units) == 3
-        assert scenario.units[0].name == "Sunfire AEL #1"
+        assert scenario.fleet.counts == (3,)
+        assert [u.name for u in scenario.fleet.units] == ["Sunfire AEL"]
         assert scenario.primary_unit().rated_power_mw == 30.0
+        assert scenario.primary_unit().name == "aggregate(3 units, 30 MW)"
+
+    def test_largest_count_holds_one_unit_object(self, tmp_path):
+        path = write(tmp_path, "fleet.scenario", "[unit]\npreset = neptun-itm\ncount = 100000\n")
+        scenario = load_scenario(path)
+        assert len(scenario.fleet.units) == 1
+        assert scenario.fleet.counts == (100000,)
+        assert scenario.primary_unit().rated_power_mw == 200000.0
 
     def test_preset_fields_can_be_overridden(self, tmp_path):
         path = write(tmp_path, "override.scenario", """
@@ -325,7 +333,8 @@ efficiency_points = 50-55
         path = write(tmp_path, "fleet.scenario", "[unit]\npreset = mcphy\n[unit]\npreset = trina\n"
                      "[product]\nkind = fcr\n[product]\nkind = afrr\ndirection = pos\n")
         scenario = load_scenario(path)
-        assert [u.name for u in scenario.units] == ["McPhy", "Trina"]
+        assert [u.name for u in scenario.fleet.units] == ["McPhy", "Trina"]
+        assert scenario.fleet.counts == (1, 1)
         assert len(scenario.products) == 2
 
     def test_repeated_key_is_located(self, tmp_path):
@@ -609,6 +618,13 @@ class TestEmitters:
         assert "compliance.compliant,true" in lines
         assert "compliance.delay_s,41.0" in lines
         assert "runs[0],1" in lines
+
+    def test_csv_report_writes_numpy_scalars_as_json_does(self, tmp_path):
+        payload = {"x": np.float64(0.1), "n": np.int64(3), "b": np.bool_(True)}
+        path = emit_report(payload, "csv", tmp_path / "r.csv")[0]
+        assert path.read_text().splitlines()[1:] == ["x,0.1", "n,3", "b,true"]
+        doc = json.loads(emit_report(payload, "json", tmp_path / "r.json")[0].read_text())
+        assert doc == {"x": 0.1, "n": 3, "b": True}
 
     def test_plotdata_writes_one_csv_per_component(self, tmp_path):
         traj = PowerTrajectory(1.0, np.array([3.0, 3.0, 3.0]), UNIT)
