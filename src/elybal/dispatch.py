@@ -12,9 +12,11 @@ filtering.  Anything slower in reality only adds to the delays computed
 here.
 
 Signals and trajectories are held as read-only float64 arrays and handled
-as whole arrays; only the rate limiter steps through the samples.  Array
-sums add in another order than a sequential loop, so energies and
-hydrogen masses may differ from one at the 1e-15 relative level.
+as whole arrays: requests, the grading of every activation onset and the
+hydrogen output are each one array pass.  Only the rate limiter steps
+through the samples, each depending on the one before.  Array sums add in
+another order than a sequential loop, so energies and hydrogen masses may
+differ from one at the 1e-15 relative level; verdicts and delays do not.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ _TOL_MW = 1e-9
 class SignalKind(str, Enum):
     FREQUENCY_DEVIATION = "frequency"  # Hz offset from 50 Hz
     SETPOINT_REQUEST = "setpoint"  # requested power offset in MW
+
+
+class TimeColumnError(ValueError):
+    """A time column fault of ``ActivationSignal.from_rows`` at ``row`` (from
+    0); ``reason`` says what is wrong without naming the row."""
+
+    def __init__(self, reason: str, row: int, message: str | None = None):
+        super().__init__(message or reason)
+        self.reason = reason
+        self.row = row
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +96,15 @@ class ActivationSignal:
             raise ValueError("signal file needs at least two rows to fix the timestep")
         times = rows[:, 0]
         if abs(times[0]) > 1e-9:
-            raise ValueError(f"signal must start at t = 0 s, got {times[0]}")
+            raise TimeColumnError(f"signal must start at t = 0 s, got {times[0]}", 0)
         dt = float(times[1] - times[0])
         if dt <= 0:
-            raise ValueError("signal times must be strictly increasing")
+            raise TimeColumnError("signal times must be strictly increasing", 1)
         off_grid = ~(np.abs(np.diff(times) - dt) <= 1e-9 * max(1.0, dt))  # NaN is off too
         if off_grid.any():
             i = int(np.argmax(off_grid))
-            raise ValueError(f"non-uniform timestep between rows {i} and {i + 1}")
+            raise TimeColumnError("non-uniform timestep", i + 1,
+                                  f"non-uniform timestep between rows {i} and {i + 1}")
         return cls(kind, rows[:, 1], dt)
 
     @property
@@ -252,9 +265,10 @@ def check_compliance(
     request that ends before both delivery and deadline is not graded.
     The delivered energy integrates the offset from the setpoint over the
     whole horizon (trapezoidal, in MWh).  Onsets start runs of full
-    activation of one sign; only the loop over onsets is in Python.  A
-    setpoint that cannot host the bid in the product's direction, as
-    ``simulate`` requires, is an input error, not a failed verdict.
+    activation of one sign; all onsets are graded in one pass over the
+    full-activation samples, with no loop in Python.  A setpoint that
+    cannot host the bid in the product's direction, as ``simulate``
+    requires, is an input error, not a failed verdict.
     """
     offsets = _requested_offsets(signal.kind, signal.values, bid_mw, product.direction)
     _check_band(trajectory.unit, setpoint_mw, bid_mw, product.direction)
@@ -276,28 +290,29 @@ def check_compliance(
     same = np.zeros(n, dtype=bool)  # continues the run of the sample before
     same[1:] = full[1:] & full[:-1] & (offsets[:-1] * offsets[1:] > 0)
     onsets = np.flatnonzero(full & ~same)
-    breaks = np.append(np.flatnonzero(~same), n)
-    ends = breaks[np.searchsorted(breaks, onsets, side="right")]
     tol = DELIVERY_TOLERANCE * bid_mw
 
-    delays: list[float] = []
-    violations: list[float] = []
-    for i, end in zip(onsets.tolist(), ends.tolist()):
-        required = setpoint_mw + offsets[i]
-        hits = np.flatnonzero(np.abs(powers[i:end] - required) <= tol)
-        # undelivered, the delay is the time observed; it counts once the
-        # deadline passed while the request was still standing
-        delay = int(hits[0]) * dt if hits.size else (end - 1 - i) * dt
-        late = delay > product.availability_s + 1e-9
-        if hits.size or late:
-            delays.append(delay)
-        if late:
-            violations.append(i * dt + product.availability_s)
+    # the graded samples are the full ones, each in the run of the last
+    # onset at or before it: run k is graded[start[k]:stop[k]]
+    graded = np.flatnonzero(full)
+    start = np.searchsorted(graded, onsets)
+    stop = np.append(start[1:], graded.size)
+    required = np.repeat(setpoint_mw + offsets[onsets], stop - start)
+    hits = np.flatnonzero(np.abs(powers[graded] - required) <= tol)
+    # the first hit at or after each run's start; graded.size when none is left
+    first_hit = np.append(hits, graded.size)[np.searchsorted(hits, start)]
+    delivered = first_hit < stop
+    # undelivered, the delay is the time observed; it counts once the
+    # deadline passed while the request was still standing
+    delays = (graded[np.where(delivered, first_hit, stop - 1)] - onsets) * dt
+    late = delays > product.availability_s + 1e-9
+    graded_delays = delays[delivered | late]
+    violations = onsets[late] * dt + product.availability_s
 
     return ComplianceResult(
-        compliant=not violations,
-        first_violation_time_s=min(violations) if violations else None,
-        max_delivery_delay_s=max(delays, default=0.0),
+        compliant=not violations.size,
+        first_violation_time_s=float(violations.min()) if violations.size else None,
+        max_delivery_delay_s=float(graded_delays.max()) if graded_delays.size else 0.0,
         delivered_energy_mwh=energy,
     )
 

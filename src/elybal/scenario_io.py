@@ -14,6 +14,7 @@ references resolve against the scenario file's directory.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocate import AllocationOptions
-from .dispatch import ActivationSignal, PowerTrajectory, SignalKind
+from .dispatch import ActivationSignal, PowerTrajectory, SignalKind, TimeColumnError
 from .markets import (
     BalancingProduct,
     CapacityPriceTable,
@@ -283,11 +284,21 @@ def _check(section: _Section, required: Iterable[str] | None = None) -> _Section
     return section
 
 
+def _read_text(path: Path) -> str:
+    """A file's text; bytes that are not UTF-8 are an input error naming the file."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                            source=str(path)) from None
+
+
 def _read_sections(path: Path) -> list[_Section]:
     """The sections of a scenario file; an unknown or repeated once-only section is an error."""
     source = str(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = _read_text(path)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}", source=source) from None
     sections: list[_Section] = []
@@ -506,9 +517,8 @@ def _csv_number(cell: str, key: str, line: int, source: str) -> float:
 def _read_csv_rows(path: Path, expected_header: list[str]) -> list[tuple[int, str, float]]:
     """Data rows of a two-column CSV as (line, first cell, second cell as a finite number)."""
     source = str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
     if not rows:
         raise ScenarioError("file is empty", source=source)
     header_line, header = rows[0]
@@ -555,20 +565,32 @@ def load_spot_prices(path: str | Path) -> SpotPriceSeries:
         raise ScenarioError(str(exc), source=source) from None
 
 
+# numpy opens a path whose name ends in one of these as compressed data
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _loadtxt_signal_rows(path: Path) -> np.ndarray | None:
     """The (time_s, value) data rows as an (n, 2) array when numpy alone
-    reads the file: the header on line 1 and two finite plain numbers per
-    line.  None sends the file to the row walk."""
+    reads the file: a regular file not named as compressed, the header on
+    line 1 and two finite plain numbers per line.  The file is opened twice
+    (header, then numpy), so a pipe goes to the row walk, as does anything
+    else this returns None for."""
+    if not path.is_file() or path.suffix.lower() in _COMPRESSED_SUFFIXES:
+        return None
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             header = fh.readline()
-            if [h.strip().lower() for h in header.split(",")] != ["time_s", "value"]:
-                return None
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # e.g. "input contained no data"
-                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except (ValueError, Warning):
+        except ValueError:
             return None
+    if [h.strip().lower() for h in header.split(",")] != ["time_s", "value"]:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                              skiprows=1, encoding="utf-8")
+    except (ValueError, Warning):
+        return None
     if rows.shape[1] != 2 or not np.isfinite(rows).all():
         return None
     return rows
@@ -577,19 +599,27 @@ def _loadtxt_signal_rows(path: Path) -> np.ndarray | None:
 def load_signal(path: str | Path, kind: SignalKind) -> ActivationSignal:
     """Read a time_s,value CSV into an activation signal.
 
-    One ``np.loadtxt`` call reads a plain file.  Whatever it rejects
-    (quoted cells, ``1_000``, a bad, missing or non-finite cell, a header
-    off line 1) is read again by the row walk, which alone decides what
-    is accepted and where an error is reported; both give the same floats.
+    One ``np.loadtxt`` call reads a plain file, given its path so that numpy
+    reads in chunks rather than line by line.  numpy decompresses a path by
+    its suffix, so a file named ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma``
+    goes to the row walk, which reads every file as plain text.  So does
+    whatever numpy rejects (quoted cells, ``1_000``, a bad, missing or
+    non-finite cell, a header off line 1).  The row walk alone decides
+    what is accepted and where an error is reported, time faults at their
+    file line; both give the same floats.
     """
     path = Path(path)
     source = str(path)
+    header = ["time_s", "value"]
     samples = _loadtxt_signal_rows(path)
     if samples is None:  # the time column is checked once every value is
         samples = [(_csv_number(time_s, "time_s", lineno, source), value)
-                   for lineno, time_s, value in _read_csv_rows(path, ["time_s", "value"])]
+                   for lineno, time_s, value in _read_csv_rows(path, header)]
     try:
         return ActivationSignal.from_rows(kind, samples)
+    except TimeColumnError as exc:  # numpy keeps no line numbers; the row walk has them
+        line = _read_csv_rows(path, header)[exc.row][0]
+        raise ScenarioError(exc.reason, key="time_s", line=line, source=source) from None
     except ValueError as exc:
         raise ScenarioError(str(exc), source=source) from None
 

@@ -37,6 +37,7 @@ from elybal.dispatch import (
     ComplianceResult,
     PowerTrajectory,
     SignalKind,
+    TimeColumnError,
     _check_band,
 )
 from elybal.eligibility import (
@@ -511,7 +512,9 @@ def load_signal_rows(path: str | Path, kind: SignalKind) -> ActivationSignal:
     path = Path(path)
     source = str(path)
     samples: list[tuple[float, float]] = []
+    lines: list[int] = []
     for lineno, time_s, value in _read_csv_rows(path, ["time_s", "value"]):
+        lines.append(lineno)
         try:
             t = float(time_s)
         except ValueError:
@@ -524,5 +527,8 @@ def load_signal_rows(path: str | Path, kind: SignalKind) -> ActivationSignal:
         samples.append((t, value))
     try:
         return ActivationSignal.from_rows(kind, samples)
+    except TimeColumnError as exc:
+        raise ScenarioError(exc.reason, key="time_s", line=lines[exc.row],
+                            source=source) from None
     except ValueError as exc:
         raise ScenarioError(str(exc), source=source) from None

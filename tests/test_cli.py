@@ -274,6 +274,35 @@ class TestSimulateCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestInputFiles:
+    def test_non_utf8_inputs_name_their_file(self, tmp_path, capsys):
+        scenario = tmp_path / "latin1.scenario"
+        scenario.write_bytes(b"[unit]\npreset = demo4grid\nname = R\xe9seau\n")
+        prices = tmp_path / "latin1.csv"
+        prices.write_bytes(b"block,price_eur_per_mw\nNEGPOS_00_04,\xff\n")
+        for argv, path in ((["simulate", "--scenario", str(scenario)], scenario),
+                           (["allocate", "--scenario", REVENUE, "--prices", str(prices)], prices)):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: not UTF-8 text"), err
+
+    @pytest.mark.parametrize("name", ["s.csv.gz", "s.csv.bz2", "s.csv.xz", "s.lzma"])
+    def test_plain_signal_with_a_compressed_suffix(self, tmp_path, capsys, name):
+        results = []
+        for signal_name in ("s.csv", name):
+            folder = tmp_path / signal_name
+            folder.mkdir()
+            signal = folder / signal_name
+            signal.write_bytes((SCENARIOS / "signals" / "step_down_1mw.csv").read_bytes())
+            shipped = str(SCENARIOS / "signals" / "step_down_1mw.csv")
+            scenario = scenario_copy(folder, DEMO, "demo4grid.scenario", (shipped, str(signal)))
+            code = main(["simulate", "--scenario", scenario, "--out", str(folder / "out")])
+            results.append((code, capsys.readouterr(),
+                            (folder / "out" / "demo4grid.compliance.json").read_bytes()))
+        assert results[1] == results[0]
+        assert results[0][0] == 2 and results[0][1].err == ""
+
+
 class TestAllocateCommand:
     def test_reference_day_revenue(self, capsys):
         code = main(["allocate", "--scenario", REVENUE])

@@ -358,8 +358,10 @@ def dispatch_cases(draw):
     """A unit, operating point, signal and product the dispatch code accepts.
 
     Signals are piecewise constant (held levels around the full-activation
-    threshold) or noisy (a random walk plus noise), of either kind; bids
-    run from 0 to the widest the direction allows and setpoints across the
+    threshold), noisy (a random walk plus noise) or flipping (full
+    activation from the first sample to the last, changing sign every 1-3
+    samples, so nearly every sample is an onset), of either kind; bids run
+    from 0 to the widest the direction allows and setpoints across the
     band that hosts the bid.
     """
     min_load = draw(st.floats(0.05, 0.6))
@@ -379,17 +381,23 @@ def dispatch_cases(draw):
 
     kind = draw(st.sampled_from(list(SignalKind)))
     full = 0.2 if kind is SignalKind.FREQUENCY_DEVIATION else (bid or 1.0)
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["piecewise constant", "noisy", "flipping"]))
+    event(shape)
+    if shape == "piecewise constant":
         levels = [full * f for f in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)]
         holds = draw(st.lists(st.tuples(st.sampled_from(levels), st.integers(1, 120)),
                               min_size=1, max_size=10))
         values = [level for level, hold in holds for _ in range(hold)]
-        event("piecewise constant")
+    elif shape == "flipping":
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        holds = draw(st.lists(st.tuples(st.sampled_from([1.0, 1.5]), st.integers(1, 3)),
+                              min_size=1, max_size=200))
+        values = [(-1) ** k * sign * full * level
+                  for k, (level, hold) in enumerate(holds) for _ in range(hold)]
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         n = draw(st.integers(1, 600))
         values = (np.cumsum(rng.normal(0.0, 0.2 * full, n)) + rng.normal(0.0, 0.1 * full, n))
-        event("noisy")
     signal = ActivationSignal(kind, tuple(values), draw(st.sampled_from([0.5, 1.0, 4.0])))
     product = fcr() if direction is Direction.SYM else afrr(direction)
     availability = draw(st.sampled_from([1.0, 10.0, product.availability_s]))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -481,8 +483,9 @@ class TestCsvLoaders:
 
     def test_signal_must_start_at_zero(self, tmp_path):
         path = write(tmp_path, "s.csv", "time_s,value\n5,-1\n6,-1\n")
-        with pytest.raises(ScenarioError, match="t = 0"):
+        with pytest.raises(ScenarioError, match="t = 0") as exc:
             load_signal(path, SignalKind.SETPOINT_REQUEST)
+        assert (exc.value.line, exc.value.key) == (2, "time_s")
 
     def test_signal_non_numeric_row(self, tmp_path):
         for row in ("1,x", "1,nan", "nan,-1", "inf,-1"):
@@ -494,6 +497,32 @@ class TestCsvLoaders:
         path = write(tmp_path, "s.csv", "")
         with pytest.raises(ScenarioError, match="empty"):
             load_signal(path, SignalKind.SETPOINT_REQUEST)
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ("0,-1\n1,-1\n2.5,-1\n", 4, "non-uniform timestep"),
+        ("0,-1\n\n1,-1\n\n2.5,-1\n", 6, "non-uniform timestep"),
+        ('"0",-1\n1,-1\n2.5,-1\n', 4, "non-uniform timestep"),  # quotes: row walk only
+        ("0,-1\n\n0,-1\n", 4, "strictly increasing"),
+    ])
+    def test_signal_time_faults_name_the_file_line(self, tmp_path, rows, line, message):
+        path = write(tmp_path, "s.csv", "time_s,value\n" + rows)
+        with pytest.raises(ScenarioError, match=message) as exc:
+            load_signal(path, SignalKind.SETPOINT_REQUEST)
+        assert (exc.value.source, exc.value.line, exc.value.key) == (str(path), line, "time_s")
+        assert str(exc.value).startswith(f"{path}, line {line}, key 'time_s': ")
+
+    @pytest.mark.parametrize("load, header", [
+        (load_capacity_prices, "block,price_eur_per_mw"),
+        (load_spot_prices, "timestamp,price_eur_per_mwh"),
+        (lambda path: load_signal(path, SignalKind.SETPOINT_REQUEST), "time_s,value"),
+    ])
+    def test_non_utf8_csv_names_the_file(self, tmp_path, load, header):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(header.encode() + b"\n0,\xff\n")
+        with pytest.raises(ScenarioError, match="not UTF-8 text") as exc:
+            load(path)
+        at = len(header) + 3
+        assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte at byte {at})"
 
 
 # Cells the two readers must agree on: plain floats in several spellings
@@ -575,6 +604,8 @@ def _load_outcome(load, path: Path):
 @example(data=b"time_s,value\n")
 @example(data=b"")
 @example(data=b"time_s,value\n0,\xff\n1,2\n")
+@example(data=b"time_s,value\n0,1\n\n1,2\n2.5,3\n")
+@example(data=b"time_s,value\n0,1\r\n1,2\r\n1,3\r\n")
 def test_load_signal_matches_the_row_walk(tmp_path, data):
     path = tmp_path / "signal.csv"
     path.write_bytes(data)
@@ -593,6 +624,38 @@ def test_plain_signal_files_skip_the_row_walk(monkeypatch):
     monkeypatch.setattr(scenario_io, "_read_csv_rows", no_walk)
     for path in sorted((REPO_SCENARIOS / "signals").glob("*.csv")):
         assert load_signal(path, SignalKind.SETPOINT_REQUEST).values.size > 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_signal_from_a_pipe_is_opened_once(tmp_path):
+    pipe = tmp_path / "signal.csv"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(
+        load_signal(pipe, SignalKind.SETPOINT_REQUEST)), daemon=True)
+    reader.start()
+    pipe.write_text(SIGNAL_CSV, encoding="utf-8")
+    reader.join(timeout=10)
+    if reader.is_alive():  # blocked opening the pipe a second time: release it
+        pipe.write_text("", encoding="utf-8")
+    assert got and np.array_equal(got[0].values, (-1.0,) * 5)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".GZ", ".csv.xz"])
+@pytest.mark.parametrize("text", [
+    SIGNAL_CSV,
+    "time_s,value\n0,-1\n1,x\n",
+    "time_s,value\n0,-1\n1,-1\n2.5,-1\n",
+    "time,value\n0,-1\n1,-1\n",
+])
+def test_plain_signals_with_a_compressed_suffix_read_as_text(tmp_path, suffix, text):
+    """numpy would decompress these names; they hold plain text, read as such."""
+    path = write(tmp_path, "s" + suffix, text)
+    got = _load_outcome(load_signal, path)
+    assert got == _load_outcome(load_signal_rows, path)
+    if text == SIGNAL_CSV:
+        plain = _load_outcome(load_signal, write(tmp_path, "s.csv", text))
+        assert got == plain and got[0] == "signal"
 
 
 UNIT = ElectrolyzerUnit("io", Technology.AEL, 4.0, 0.25, 0.0061)
