@@ -47,7 +47,6 @@ from .eligibility import (
     eq1_min_ramp,
     max_offerable,
     min_rated_power,
-    time_to_deliver,
     tradable_mw,
 )
 from .markets import (

@@ -205,7 +205,6 @@ def _economics(scenario: Scenario, args) -> tuple[str, bool, dict]:
         required_reserve_mw=eco.required_reserve_mw,
         fleet_power_mw=eco.fleet_power_mw,
         coverage_symmetric=eco.coverage_symmetric,
-        afrr_activation_revenue_eur=eco.afrr_activation_revenue_eur,
         assumptions=assumptions,
     )
     if all(result is None for result in (report.fcr_revenue_eur, report.afrr_capacity_revenue_eur,
@@ -232,17 +231,18 @@ def _economics(scenario: Scenario, args) -> tuple[str, bool, dict]:
 
 
 def _write_reports(scenario: Scenario, reports: dict, out_dir: Path) -> None:
-    """Write ``<out_dir>/<name>.<kind>.<fmt>`` per ``[output] formats``.
+    """Write ``<out_dir>/<name>.<kind>.<fmt>`` for json and csv in ``[output] formats``.
 
-    A trajectory is always written as CSV, and under ``plotdata`` also as
-    ``<name>_plot/``.  The scenario name is used verbatim, dots included.
+    A trajectory is always written as ``<name>.<kind>.csv``, and under
+    ``plotdata`` the same CSV also as ``<name>_plot/<kind>.csv``.  The
+    scenario name is used verbatim, dots included.
     """
     for kind, payload in reports.items():
         base = f"{scenario.name}.{kind}"
         if isinstance(payload, PowerTrajectory):
             write_trajectory_csv(payload, out_dir / f"{base}.csv")
             if "plotdata" in scenario.output_formats:
-                emit_report({kind: payload}, "plotdata", out_dir / f"{scenario.name}_plot")
+                write_trajectory_csv(payload, out_dir / f"{scenario.name}_plot" / f"{kind}.csv")
             continue
         for fmt in ("json", "csv"):
             if fmt in scenario.output_formats:

@@ -88,7 +88,7 @@ class EconomicReport:
     ``savings_ratio`` uses the exact electricity cost; the variant against
     the 2-significant-figure cost is carried alongside because headline
     summaries tend to quote rounded bills.  aFRR activation revenue is not
-    modeled; a user-supplied figure is passed through untouched.
+    modeled.
     """
 
     fcr_revenue_eur: float | None = None
@@ -97,7 +97,6 @@ class EconomicReport:
     electricity_cost_rounded_eur: float | None = None
     savings_ratio: float | None = None
     savings_ratio_vs_rounded_cost: float | None = None
-    afrr_activation_revenue_eur: float | None = None  # pass-through, not modeled
     coverage: CoverageResult | None = None
     assumptions: dict = field(default_factory=dict)
 
@@ -109,7 +108,6 @@ class EconomicReport:
             "electricity_cost_rounded_eur": self.electricity_cost_rounded_eur,
             "savings_ratio": self.savings_ratio,
             "savings_ratio_vs_rounded_cost": self.savings_ratio_vs_rounded_cost,
-            "afrr_activation_revenue_eur": self.afrr_activation_revenue_eur,
             "coverage": self.coverage.to_dict() if self.coverage else None,
             "assumptions": self.assumptions,
         }
@@ -127,7 +125,6 @@ def build_report(
     required_reserve_mw: float | None = None,
     fleet_power_mw: float | None = None,
     coverage_symmetric: bool = True,
-    afrr_activation_revenue_eur: float | None = None,
     assumptions: dict | None = None,
 ) -> EconomicReport:
     """Assemble an EconomicReport from whatever inputs are on hand.
@@ -165,7 +162,6 @@ def build_report(
         electricity_cost_rounded_eur=cost_rounded,
         savings_ratio=ratio,
         savings_ratio_vs_rounded_cost=ratio_rounded,
-        afrr_activation_revenue_eur=afrr_activation_revenue_eur,
         coverage=coverage,
         assumptions=dict(assumptions or {}),
     )

@@ -137,15 +137,6 @@ def min_rated_power(
     return per_direction_capacity_mw / (delta_el * availability_s)
 
 
-def time_to_deliver(unit: ElectrolyzerUnit, delta_p_mw: float, direction: str) -> float:
-    """Seconds to move the unit output by ``delta_p_mw`` in one direction."""
-    if delta_p_mw < 0:
-        raise ValueError(f"delta_p_mw must be >= 0, got {delta_p_mw}")
-    if delta_p_mw == 0:
-        return 0.0
-    return delta_p_mw / unit.ramp_mw_per_s(direction)
-
-
 def _headroom_mw(
     unit: ElectrolyzerUnit, product: BalancingProduct, setpoint_mw: float | np.ndarray
 ) -> float | np.ndarray:

@@ -156,10 +156,6 @@ class CapacityPriceTable:
             raise ValueError(f"no capacity price for block {label}")
         return self.prices[label]
 
-    def __contains__(self, block: TimeBlock | str) -> bool:
-        label = block.label if isinstance(block, TimeBlock) else normalize_block_label(block)
-        return label in self.prices
-
 
 def day_capacity_price_sum(table: CapacityPriceTable) -> float:
     """Sum of the six block prices: euro per MW for a full delivery day."""

@@ -125,14 +125,6 @@ class ElectrolyzerUnit:
     def ramp_down_mw_per_s(self) -> float:
         return self.ramp_down * self.rated_power_mw
 
-    def ramp_mw_per_s(self, direction: str) -> float:
-        """Absolute ramp rate for a power move 'up' or 'down'."""
-        if direction == "up":
-            return self.ramp_up_mw_per_s
-        if direction == "down":
-            return self.ramp_down_mw_per_s
-        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-
 
 def _fleet_sum(name: str) -> property:
     """A fleet total, ``Σ count·value``: the plain sum when every count is 1."""

@@ -215,7 +215,6 @@ _SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
     "prices": (False, {
         "fcr_capacity_csv": _Key(Path),
         "afrr_price_eur_per_mw_h": _Key(scale=0.25),
-        "afrr_price_eur_per_mw_block": _Key(),
         "spot_csv": _Key(Path),
     }),
     "dispatch": (False, {
@@ -245,7 +244,6 @@ _SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
         "coverage_symmetric": _Key(_choice("truth value", {
             "true": True, "false": False, "yes": True, "no": False, "1": True, "0": False,
         }), default=True),
-        "afrr_activation_revenue_eur": _Key(),
     }),
     "output": (False, {"formats": _Key(
         lambda text: tuple(_format(f.strip()) for f in text.split(",") if f.strip()),
@@ -374,7 +372,6 @@ class EconomicsSettings:
     required_reserve_mw: float | None = None
     fleet_power_mw: float | None = None
     coverage_symmetric: bool = True
-    afrr_activation_revenue_eur: float | None = None
 
 
 @dataclass(frozen=True)
@@ -445,12 +442,6 @@ def _assemble(sections: list[_Section], path: Path | None) -> Scenario:
         except (OSError, ValueError) as exc:  # ValueError: e.g. a NUL byte in the path
             raise section.error(f"cannot read file: {exc}", key) from None
 
-    block_price = prices.values["afrr_price_eur_per_mw_block"]
-    if prices.values["afrr_price_eur_per_mw_h"] is not None:
-        if block_price is not None:
-            raise prices.error("give exactly one aFRR price source (hourly or per block)",
-                               "afrr_price_eur_per_mw_block")
-        block_price = prices.values["afrr_price_eur_per_mw_h"]
     name = once["scenario"].values["name"]
     dispatch = once["dispatch"].values
     economics = dict(once["economics"].values)
@@ -461,7 +452,7 @@ def _assemble(sections: list[_Section], path: Path | None) -> Scenario:
         fleet=Fleet(tuple(_build_unit(s) for s in units), tuple(s.values["count"] for s in units)),
         products=tuple(_build_product(s) for s in sections if s.name == "product"),
         fcr_prices=load(prices, "fcr_capacity_csv", load_capacity_prices),
-        afrr_price_eur_per_mw_block=block_price,
+        afrr_price_eur_per_mw_block=prices.values["afrr_price_eur_per_mw_h"],
         spot_prices=load(prices, "spot_csv", load_spot_prices),
         signal=load(once["signal"], "csv", load_signal, once["signal"].values["kind"]),
         dispatch=DispatchSettings(dispatch["setpoint_mw"], dispatch["bid_mw"],
@@ -515,10 +506,16 @@ def _csv_number(cell: str, key: str, line: int, source: str) -> float:
 
 
 def _read_csv_rows(path: Path, expected_header: list[str]) -> list[tuple[int, str, float]]:
-    """Data rows of a two-column CSV as (line, first cell, second cell as a finite number)."""
+    """Data rows of a two-column CSV as (line, first cell, second cell as a
+    finite number); a row's line is the file line it starts on, so a quoted
+    cell spanning lines does not shift the rows after it."""
     source = str(path)
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+    rows, start = [], 1
+    for row in reader:
+        if row:
+            rows.append((start, row))
+        start = reader.line_num + 1
     if not rows:
         raise ScenarioError("file is empty", source=source)
     header_line, header = rows[0]
@@ -637,12 +634,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, datetime):
-        return obj.isoformat()
-    if isinstance(obj, PowerTrajectory):
-        return {"timestep_s": obj.timestep_s, "powers_mw": obj.powers_mw.tolist()}
-    if hasattr(obj, "value"):  # enums
-        return obj.value
     return str(obj)
 
 
@@ -685,46 +676,20 @@ def _csv_scalar(value) -> str:
 
 
 def emit_report(results, fmt: str, dest: str | Path) -> list[Path]:
-    """Write an analysis result to disk; returns the files written.
-
-    ``fmt`` is one of json, csv or plotdata.  json and csv treat ``dest``
-    as the output file; plotdata treats it as a directory and writes one
-    two-column CSV per plottable component (trajectories and price
-    series).  An empty result still produces a valid skeleton document.
+    """Write an analysis result to the file ``dest`` as json or csv; returns
+    the files written.  An empty result still produces a valid skeleton
+    document.  A trajectory goes to ``write_trajectory_csv`` instead.
     """
     dest = Path(dest)
     fmt = fmt.lower()
-
-    if fmt in ("json", "csv"):
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        payload = _jsonable(results)
-        if fmt == "json":
-            text = json.dumps(payload, indent=2, sort_keys=True)
-        else:
-            flat = _flat_rows(payload) if isinstance(payload, dict) else []
-            text = "\n".join(["field,value"] + [f"{k},{v}" for k, v in flat])
-        dest.write_text(text + "\n", encoding="utf-8")
-        return [dest]
-
-    if fmt == "plotdata":
-        dest.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
-        items = results.items() if isinstance(results, dict) else []
-        for key, value in items:
-            if isinstance(value, PowerTrajectory):
-                written.append(write_trajectory_csv(value, dest / f"{key}.csv"))
-            elif isinstance(value, CapacityPriceTable):
-                target = dest / f"{key}.csv"
-                lines = ["block,price_eur_per_mw"]
-                lines += [f"{label},{price!r}" for label, price in value.prices.items()]
-                target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-                written.append(target)
-            elif isinstance(value, SpotPriceSeries):
-                target = dest / f"{key}.csv"
-                lines = ["timestamp,price_eur_per_mwh"]
-                lines += [f"{ts.isoformat()},{price!r}" for ts, price in value.samples]
-                target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-                written.append(target)
-        return written
-
-    raise ValueError(f"unknown report format '{fmt}', expected json, csv or plotdata")
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown report format '{fmt}', expected json or csv")
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    payload = _jsonable(results)
+    if fmt == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        flat = _flat_rows(payload) if isinstance(payload, dict) else []
+        text = "\n".join(["field,value"] + [f"{k},{v}" for k, v in flat])
+    dest.write_text(text + "\n", encoding="utf-8")
+    return [dest]

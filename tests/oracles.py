@@ -508,7 +508,9 @@ def hydrogen_output_loop(trajectory: PowerTrajectory, curve: EfficiencyCurve) ->
 
 
 def load_signal_rows(path: str | Path, kind: SignalKind) -> ActivationSignal:
-    """Reference for ``scenario_io.load_signal``: the row walk alone."""
+    """Reference for ``scenario_io.load_signal``: the row walk alone.  Rows
+    come from ``scenario_io._read_csv_rows``, numbered by the file line
+    each starts on."""
     path = Path(path)
     source = str(path)
     samples: list[tuple[float, float]] = []

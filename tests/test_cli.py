@@ -261,6 +261,16 @@ class TestSimulateCommand:
         assert trajectory[0] == "time_s,power_mw"
         assert trajectory[1] == "0,3.0"
 
+    def test_plotdata_copies_the_trajectory_csv(self, tmp_path, capsys):
+        path = scenario_copy(tmp_path, DEMO, "demo4grid.scenario",
+                             ("formats = json", "formats = json, plotdata"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
+        capsys.readouterr()
+        assert sorted(p.name for p in (out / "demo4grid_plot").iterdir()) == ["trajectory.csv"]
+        plot = (out / "demo4grid_plot" / "trajectory.csv").read_bytes()
+        assert plot == (out / "demo4grid.trajectory.csv").read_bytes()
+
     def test_scenario_dir_env_fallback(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("ELYBAL_SCENARIO_DIR", str(SCENARIOS))
@@ -368,6 +378,17 @@ class TestEconomicsCommand:
         assert payload["electricity_cost_rounded_eur"] == 150000.0
         assert payload["assumptions"]["electricity_price_with_fees_eur_per_mwh"] == 65.0
 
+    def test_economics_json_report_carries_no_activation_revenue(self, tmp_path, capsys):
+        # aFRR activation revenue is not modeled, so the report has no field for it
+        main(["economics", "--scenario", REVENUE, "--out", str(tmp_path)])
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "revenue_100mw.economics.json").read_text())
+        assert sorted(payload) == [
+            "afrr_capacity_revenue_eur", "assumptions", "coverage", "electricity_cost_eur",
+            "electricity_cost_rounded_eur", "fcr_revenue_eur", "savings_ratio",
+            "savings_ratio_vs_rounded_cost",
+        ]
+
     def test_fleet_coverage_report(self, capsys):
         code = main(["economics", "--scenario", GERMAN])
         assert code == 0
@@ -445,6 +466,19 @@ class TestEconomicsCommand:
         key, value = new.split("\n")[0].split(" = ")
         assert (f"line {line}, key '{key}': {key} must be in [0, inf), got {value}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("after, key, section, line", [
+        ("afrr_price_eur_per_mw_h = 20", "afrr_price_eur_per_mw_block = 80", "prices", 24),
+        ("afrr_quantity_mw = 40", "afrr_activation_revenue_eur = 100", "economics", 44),
+    ], ids=["block-price", "activation-revenue"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, after, key, section, line):
+        path = revenue_copy(tmp_path, "removed.scenario", (after, f"{after}\n{key}"))
+        assert main(["economics", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = key.split(" = ")[0]
+        assert (f"{path}, line {line}, key '{name}': unknown key in [{section}]"
+                in captured.err)
 
 
 class TestRepeats:

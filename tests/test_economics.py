@@ -152,10 +152,6 @@ class TestBuildReport:
         assert report.savings_ratio is None
         assert report.electricity_cost_eur is None
 
-    def test_activation_revenue_is_passed_through(self):
-        report = build_report(afrr_activation_revenue_eur=123.45)
-        assert report.afrr_activation_revenue_eur == 123.45
-
     def test_coverage_block(self):
         report = build_report(required_reserve_mw=500.0, fleet_power_mw=10000.0)
         assert report.coverage is not None

@@ -23,7 +23,6 @@ from elybal.eligibility import (
     eq1_min_ramp,
     max_offerable,
     min_rated_power,
-    time_to_deliver,
     tradable_mw,
 )
 from elybal.markets import BalancingProduct, Direction, ProductKind, afrr, fcr, mfrr
@@ -84,14 +83,6 @@ class TestDecouplingRelation:
             min_rated_power(0.0, 0.01, 30.0)
         with pytest.raises(ValueError):
             min_rated_power(1.0, -0.01, 30.0)
-
-
-def test_time_to_deliver():
-    assert time_to_deliver(DEMO_UNIT, 0.0, "up") == 0.0
-    # 0.0244 MW/s -> 1 MW takes 40.98... s
-    assert time_to_deliver(DEMO_UNIT, 1.0, "up") == pytest.approx(40.9836, abs=1e-3)
-    with pytest.raises(ValueError):
-        time_to_deliver(DEMO_UNIT, -1.0, "up")
 
 
 class TestCheckEligibility:

@@ -145,7 +145,6 @@ class TestCapacityPriceTable:
     def test_price_lookup_normalizes(self):
         table = CapacityPriceTable(PRICES_2024_07_25)
         assert table.price("12-16") == 78.00
-        assert "16-20" in table
         with pytest.raises(ValueError):
             CapacityPriceTable({"NEGPOS_00_04": 1.0}).price("04-08")
 

@@ -108,12 +108,6 @@ class TestElectrolyzerUnit:
         unit = make_unit(rated_power_mw=4.0, min_load_fraction=0.25, ramp_up=0.0061)
         assert unit.min_power_mw == 1.0
         assert unit.ramp_up_mw_per_s == pytest.approx(0.0244)
-        assert unit.ramp_mw_per_s("up") == unit.ramp_up_mw_per_s
-        assert unit.ramp_mw_per_s("down") == unit.ramp_down_mw_per_s
-
-    def test_ramp_direction_must_be_up_or_down(self):
-        with pytest.raises(ValueError):
-            make_unit().ramp_mw_per_s("sideways")
 
     def test_curve_must_cover_only_the_operating_band(self):
         # breakpoints starting below the minimum load are rejected

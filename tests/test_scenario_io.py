@@ -272,15 +272,6 @@ ramp_up_pct_per_s = 1
         with pytest.raises(ScenarioError, match="unknown product"):
             load_scenario(path)
 
-    def test_two_afrr_price_sources_rejected(self, tmp_path):
-        path = write(tmp_path, "bad.scenario", """
-[prices]
-afrr_price_eur_per_mw_h = 20
-afrr_price_eur_per_mw_block = 80
-""")
-        with pytest.raises(ScenarioError, match="exactly one aFRR price"):
-            load_scenario(path)
-
     def test_bad_efficiency_point(self, tmp_path):
         path = write(tmp_path, "bad.scenario", """
 [unit]
@@ -448,6 +439,13 @@ class TestCsvLoaders:
             with pytest.raises(ScenarioError, match="line 2"):
                 load_capacity_prices(path)
 
+    def test_capacity_prices_bad_row_after_a_two_line_cell_names_its_file_line(self, tmp_path):
+        path = write(tmp_path, "p.csv",
+                     'block,price_eur_per_mw\n"NEGPOS_00_04\n",14\nNEGPOS_04_08,x\n')
+        with pytest.raises(ScenarioError, match="line 4") as exc:
+            load_capacity_prices(path)
+        assert (exc.value.line, exc.value.key) == (4, "price_eur_per_mw")
+
     def test_capacity_prices_column_count(self, tmp_path):
         path = write(tmp_path, "p.csv", "block,price_eur_per_mw\nNEGPOS_00_04,5,6\n")
         with pytest.raises(ScenarioError, match="expected 2 columns"):
@@ -503,6 +501,9 @@ class TestCsvLoaders:
         ("0,-1\n\n1,-1\n\n2.5,-1\n", 6, "non-uniform timestep"),
         ('"0",-1\n1,-1\n2.5,-1\n', 4, "non-uniform timestep"),  # quotes: row walk only
         ("0,-1\n\n0,-1\n", 4, "strictly increasing"),
+        # a quoted cell spanning two lines: later rows keep their file line
+        ('"0\n",-1\n1,-1\n2.5,-1\n', 5, "non-uniform timestep"),
+        ('0,"-1\n"\n\n1,-1\n2.5,-1\n', 6, "non-uniform timestep"),
     ])
     def test_signal_time_faults_name_the_file_line(self, tmp_path, rows, line, message):
         path = write(tmp_path, "s.csv", "time_s,value\n" + rows)
@@ -510,6 +511,9 @@ class TestCsvLoaders:
             load_signal(path, SignalKind.SETPOINT_REQUEST)
         assert (exc.value.source, exc.value.line, exc.value.key) == (str(path), line, "time_s")
         assert str(exc.value).startswith(f"{path}, line {line}, key 'time_s': ")
+        with pytest.raises(ScenarioError, match=message) as ref:
+            load_signal_rows(path, SignalKind.SETPOINT_REQUEST)
+        assert ref.value.line == line
 
     @pytest.mark.parametrize("load, header", [
         (load_capacity_prices, "block,price_eur_per_mw"),
@@ -689,23 +693,15 @@ class TestEmitters:
         doc = json.loads(emit_report(payload, "json", tmp_path / "r.json")[0].read_text())
         assert doc == {"x": 0.1, "n": 3, "b": True}
 
-    def test_plotdata_writes_one_csv_per_component(self, tmp_path):
-        traj = PowerTrajectory(1.0, np.array([3.0, 3.0, 3.0]), UNIT)
-        table = CapacityPriceTable({"NEGPOS_00_04": 14.71})
-        written = emit_report(
-            {"trajectory": traj, "prices": table}, "plotdata", tmp_path / "plots"
-        )
-        names = sorted(p.name for p in written)
-        assert names == ["prices.csv", "trajectory.csv"]
-        traj_lines = (tmp_path / "plots" / "trajectory.csv").read_text().splitlines()
-        assert traj_lines[0] == "time_s,power_mw"
-        assert traj_lines[1] == "0,3.0"
-        price_lines = (tmp_path / "plots" / "prices.csv").read_text().splitlines()
-        assert price_lines[1] == "NEGPOS_00_04,14.71"
-
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown report format"):
             emit_report({}, "xml", tmp_path / "r.xml")
+
+    def test_plotdata_is_not_a_report_format(self, tmp_path):
+        # the CLI copies trajectories for plotdata itself; emit_report writes documents only
+        with pytest.raises(ValueError, match="expected json or csv"):
+            emit_report({}, "plotdata", tmp_path / "plots")
+        assert not (tmp_path / "plots").exists()
 
     def test_trajectory_csv_round_trips_through_the_signal_loader(self, tmp_path):
         traj = PowerTrajectory(1.0, np.array([3.0, 2.9756, 2.9512]), UNIT)
