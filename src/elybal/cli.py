@@ -4,20 +4,11 @@ Exit codes: 0 on success (and on an eligible/compliant verdict), 2 when
 the analysis itself is negative (ineligible bid, failed compliance), 1 on
 input errors of any kind.
 
-Units, products and numbers given as flags go through the scenario
-parser.  ``--unit`` takes exactly the [unit] keys of a scenario file,
-inline as ``key=value,...`` or as an ``@file`` fragment reference
-(``--unit @plant.scenario`` reads that file's [unit] sections).  Unknown,
-repeated and out-of-range keys are rejected as in a scenario file, and
-``count`` aggregates identical units as ``--fleet`` does.  A multi-point
-``efficiency_points`` needs a fragment, because the inline form splits on
-commas.  ``--product``, ``--bid`` and ``--setpoint`` take a bare value or
-an ``@file`` whose [product] or [dispatch] section holds it.  A
-non-finite number is an input error.
-
-``ELYBAL_SCENARIO_DIR`` provides a fallback directory for relative
-scenario paths; ``ELYBAL_DEFAULT_PRESET`` supplies a unit when none is
-given.
+Each flag value is read and checked as the scenario key that holds it in
+a file: ``--unit key=value,...`` as one [unit] section, ``--product`` as
+[product] kind, ``--bid`` and ``--setpoint`` as [dispatch] bid_mw and
+setpoint_mw.  Exactly one of ``--preset``, ``--unit`` and ``--fleet FILE``
+names the unit.  Relative paths resolve against the working directory.
 
 In-process ``main`` calls share one parser, built once by ``build_parser``.
 """
@@ -27,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -43,16 +33,14 @@ from .scenario_io import (
     Scenario,
     ScenarioError,
     emit_report,
-    flag_fragment,
+    flag_product,
+    flag_unit,
+    flag_value,
     load_capacity_prices,
     load_scenario,
     preset,
-    read_fragment,
     write_trajectory_csv,
 )
-
-SCENARIO_DIR_ENV = "ELYBAL_SCENARIO_DIR"
-DEFAULT_PRESET_ENV = "ELYBAL_DEFAULT_PRESET"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,46 +50,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_path(value: str) -> Path:
-    p = Path(value)
-    if p.exists() or p.is_absolute():
-        return p
-    env_dir = os.environ.get(SCENARIO_DIR_ENV)
-    if env_dir:
-        candidate = Path(env_dir) / p
-        if candidate.exists():
-            return candidate
-    return p
-
-
-def _fragment(value: str, flag: str, section: str, key: str | None = None) -> Scenario:
-    """``@file`` reads that file's [section]; any other value is the flag's own."""
-    if value.startswith("@"):
-        return read_fragment(_resolve_path(value[1:]), section, key)
-    return flag_fragment(flag, section, value, key)
-
-
 def _unit_from_args(args) -> ElectrolyzerUnit:
-    if getattr(args, "fleet", None):
-        return load_scenario(_resolve_path(args.fleet)).primary_unit()
-    if getattr(args, "unit", None):
-        return _fragment(args.unit, "--unit", "unit").primary_unit()
-    preset_name = getattr(args, "preset", None) or os.environ.get(DEFAULT_PRESET_ENV)
-    if preset_name:
-        return preset(preset_name).to_unit()
-    raise ScenarioError("no unit given: use --preset, --unit or --fleet")
-
-
-def _number_flag(value: str, flag: str, key: str) -> float:
-    return getattr(_fragment(value, flag, "dispatch", key).dispatch, key)
+    if args.fleet is not None:
+        return load_scenario(args.fleet).primary_unit()
+    if args.unit is not None:
+        return flag_unit(args.unit)
+    return preset(args.preset).to_unit()
 
 
 def cmd_eligibility(args) -> int:
     unit = _unit_from_args(args)
-    product = _fragment(args.product, "--product", "product", "kind").product()
-    bid = _number_flag(args.bid, "--bid", "bid_mw")
+    product = flag_product(args.product)
+    bid = flag_value("--bid", "dispatch", "bid_mw", args.bid)
     setpoint = (default_setpoint(unit, product) if args.setpoint is None
-                else _number_flag(args.setpoint, "--setpoint", "setpoint_mw"))
+                else flag_value("--setpoint", "dispatch", "setpoint_mw", args.setpoint))
     report = check_eligibility(unit, product, bid, setpoint)
     max_bid, max_sp = max_offerable(unit, product, setpoint)
     payload = {**report.to_dict(), "max_offerable_mw": max_bid, "max_offerable_setpoint_mw": max_sp}
@@ -254,12 +216,20 @@ def cmd_scenarios(args) -> int:
     and print the texts in argument order.  The command's runner maps one
     scenario to its text, its verdict and its reports, keyed by report kind.
     Nothing is written or printed until every scenario has run, so a run
-    that fails on a later scenario leaves no files behind."""
+    that fails on a later scenario leaves no files behind.  With ``--out``,
+    two scenarios of one name are an input error."""
     runs = []
     for value in args.scenario:
-        scenario = load_scenario(_resolve_path(value))
+        scenario = load_scenario(value)
         runs.append((scenario, *args.runner(scenario, args)))
     if args.out:
+        paths: dict[str, Path] = {}
+        for scenario, *_ in runs:
+            if scenario.name in paths:
+                raise ScenarioError(
+                    f"{paths[scenario.name]} and {scenario.path} are both named "
+                    f"'{scenario.name}'; their reports would overwrite each other")
+            paths[scenario.name] = scenario.path
         for scenario, _, _, reports in runs:
             _write_reports(scenario, reports, Path(args.out))
     for _, text, _, _ in runs:
@@ -299,11 +269,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_el = sub.add_parser("eligibility", help="check one bid against the market rules")
-    p_el.add_argument("--preset", help="catalog unit (see: elybal presets list)")
-    p_el.add_argument("--unit", help="inline unit spec key=value,... or @fragment")
-    p_el.add_argument("--fleet", help="scenario file whose units are aggregated")
+    unit_flags = p_el.add_mutually_exclusive_group(required=True)
+    unit_flags.add_argument("--preset", help="catalog unit (see: elybal presets list)")
+    unit_flags.add_argument("--unit", help="unit spec key=value,... with the [unit] keys")
+    unit_flags.add_argument("--fleet", help="scenario file whose units are aggregated")
     p_el.add_argument("--product", required=True, help="fcr, afrr-pos, afrr-neg, mfrr-pos, mfrr-neg")
-    p_el.add_argument("--bid", required=True, help="bid size in MW (or @fragment)")
+    p_el.add_argument("--bid", required=True, help="bid size in MW")
     p_el.add_argument("--setpoint", help="operating point in MW; default picks one")
     p_el.add_argument("--format", choices=("text", "json"), default="text")
     p_el.add_argument("--out", help="also write the report as JSON to this file")

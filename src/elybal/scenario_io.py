@@ -3,10 +3,10 @@
 Scenario format: flat key-value text, UTF-8, "." decimal separator, LF
 line endings.  ``#`` starts a comment, ``[section]`` opens a section and
 ``key = value`` lines fill it.  One table, ``_SCHEMA``, holds every
-section and key; ``_check`` holds scenario files and command line flags
-to it alike, so an unknown, repeated, missing or out-of-range key is an
-input error naming file (or flag), line and key.  Ramp rates and load
-bounds are written in percent of rated power, as on manufacturer
+section and key; ``_value`` reads a key of a scenario file and a command
+line flag by it alike, so an unknown, repeated, missing or out-of-range
+key is an input error naming file (or flag), line and key.  Ramp rates
+and load bounds are written in percent of rated power, as on manufacturer
 datasheets, and converted to fractions at the boundary.  Relative file
 references resolve against the scenario file's directory.
 """
@@ -18,7 +18,7 @@ import io
 import json
 import math
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -124,7 +124,7 @@ class _Section:
     line: int | None  # None for values given on the command line
     source: str  # file or flag, named in errors
     items: list[tuple[str, str, int | None]] = field(default_factory=list)  # key, text, line
-    values: dict = field(default_factory=dict)  # by key, filled in by ``_check``
+    values: dict = field(default_factory=dict)  # by key, from ``_check`` or the defaults
 
     def error(self, message: str, key: str | None = None) -> ScenarioError:
         """An input error at the first line of ``key``, else at the section header."""
@@ -160,6 +160,14 @@ def _choice(noun: str, options: dict[str, object]) -> Callable[[str], object]:
 
 
 _format = _choice("output format", {f: f for f in ("json", "csv", "plotdata")})
+
+
+def _file_name(text: str) -> str:
+    """A scenario name, which names its report files inside ``--out`` verbatim."""
+    if text in ("", ".", "..") or any(c in text for c in "/\\\0"):
+        raise ValueError(f"expected a file name without '/', '\\' or NUL, not '.' or '..', "
+                         f"got '{text}'")
+    return text
 
 
 def _efficiency_points(text: str) -> EfficiencyCurve:
@@ -198,7 +206,7 @@ class _Key:
 # the code that uses the value rejects it anyway; checked here, the error
 # names the line that holds the value, whichever command runs.
 _SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
-    "scenario": (False, {"name": _Key(str), "description": _Key(str)}),
+    "scenario": (False, {"name": _Key(_file_name), "description": _Key(str)}),
     "unit": (True, {
         "preset": _Key(preset),
         # identical units, weighing one object; the paper's 40 GW of 2 MW units is 20,000
@@ -252,31 +260,36 @@ _SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
 }
 
 
-def _check(section: _Section, required: Iterable[str] | None = None) -> _Section:
-    """The section with ``values`` filled from its items by ``_SCHEMA``.  An
-    unknown or repeated key, a value its converter or range rejects and a
-    missing required key (the table's, or those in ``required``) are input
-    errors at their line and key; absent keys get their default."""
+def _value(section: _Section, key: str, text: str, line: int | None):
+    """``text`` read as ``key`` of the section by ``_SCHEMA``, in its stored
+    unit.  An unknown key and a value its converter or range rejects are
+    input errors at ``line`` and ``key``."""
+    where = {"key": key, "line": line, "source": section.source}
+    spec = _SCHEMA[section.name][1].get(key)
+    if spec is None:
+        raise ScenarioError(f"unknown key in [{section.name}]", **where)
+    try:
+        value = spec.convert(text)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), **where) from None
+    if spec.range is not None and not _within(value, spec.range):
+        raise ScenarioError(f"{key} must be in {spec.range}, got {text}", **where)
+    return value if spec.scale is None else value / spec.scale
+
+
+def _check(section: _Section) -> _Section:
+    """The section with ``values`` filled from its items by ``_value``.  A
+    repeated key and a missing required key are input errors at their line
+    and key; absent keys get their default."""
     keys = _SCHEMA[section.name][1]
     values: dict = {}
     for key, text, line in section.items:
-        spec = keys.get(key)
-        if spec is None:
-            raise section.error(f"unknown key in [{section.name}]", key)
         if key in values:
             raise ScenarioError(f"key given twice in [{section.name}]", key=key, line=line,
                                 source=section.source)
-        try:
-            value = spec.convert(text)
-        except ValueError as exc:
-            raise section.error(str(exc), key) from None
-        if spec.range is not None and not _within(value, spec.range):
-            raise section.error(f"{key} must be in {spec.range}, got {text}", key)
-        values[key] = value if spec.scale is None else value / spec.scale
-    if required is None:
-        required = [key for key, spec in keys.items() if spec.required]
-    for key in required:
-        if key not in values:
+        values[key] = _value(section, key, text, line)
+    for key, spec in keys.items():
+        if spec.required and key not in values:
             raise section.error(f"missing required key '{key}' in [{section.name}]", key)
     section.values = {key: values.get(key, spec.default) for key, spec in keys.items()}
     return section
@@ -379,6 +392,7 @@ class Scenario:
     """Everything one analysis run needs, with file references loaded."""
 
     name: str
+    path: Path  # the scenario file
     fleet: Fleet  # one member per [unit] section, weighted by its count
     products: tuple[BalancingProduct, ...]
     fcr_prices: CapacityPriceTable | None = None
@@ -389,10 +403,9 @@ class Scenario:
     allocate_options: AllocationOptions | None = None
     economics: EconomicsSettings | None = None
     output_formats: tuple[str, ...] = ("json",)
-    path: Path | None = None
 
     def _error(self, message: str) -> ScenarioError:
-        return ScenarioError(message, source=str(self.path) if self.path is not None else None)
+        return ScenarioError(message, source=str(self.path))
 
     def primary_unit(self) -> ElectrolyzerUnit:
         """The single unit, or the aggregate when the scenario holds a fleet."""
@@ -417,23 +430,19 @@ class Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse and materialize a scenario file, loading referenced CSVs."""
+    """Parse and materialize a scenario file, loading the CSVs it names."""
     path = Path(path)
-    return _assemble([_check(s) for s in _read_sections(path)], path)
-
-
-def _assemble(sections: list[_Section], path: Path | None) -> Scenario:
-    """A scenario from checked sections.  Files are loaded relative to
-    ``path``, the scenario file; without it (flags) none are."""
+    sections = [_check(s) for s in _read_sections(path)]
     given = {s.name: s for s in sections if not _SCHEMA[s.name][0]}
     # an absent once-only section reads as its defaults
-    once = {name: given.get(name) or _check(_Section(name, None, ""), ())
-            for name, (repeats, _) in _SCHEMA.items() if not repeats}
+    once = {name: given.get(name) or _Section(name, None, str(path), values={
+        key: spec.default for key, spec in keys.items()})
+        for name, (repeats, keys) in _SCHEMA.items() if not repeats}
     prices = once["prices"]
 
     def load(section: _Section, key: str, loader, *args):
         """The file a key names, loaded; None when the key is not given."""
-        if section.values[key] is None or path is None:
+        if section.values[key] is None:
             return None
         try:
             return loader(path.parent / section.values[key], *args)
@@ -448,7 +457,8 @@ def _assemble(sections: list[_Section], path: Path | None) -> Scenario:
     fee = economics.pop("grid_fee_pct")
     units = [s for s in sections if s.name == "unit"]
     return Scenario(
-        name=name if name is not None else (path.stem if path is not None else ""),
+        name=name if name is not None else path.stem,
+        path=path,
         fleet=Fleet(tuple(_build_unit(s) for s in units), tuple(s.values["count"] for s in units)),
         products=tuple(_build_product(s) for s in sections if s.name == "product"),
         fcr_prices=load(prices, "fcr_capacity_csv", load_capacity_prices),
@@ -462,34 +472,29 @@ def _assemble(sections: list[_Section], path: Path | None) -> Scenario:
         economics=(EconomicsSettings(grid_fee_fraction=fee, **economics)
                    if "economics" in given else None),
         output_formats=once["output"].values["formats"],
-        path=path,
     )
 
 
-def read_fragment(path: Path, name: str, key: str | None = None) -> Scenario:
-    """The [name] sections of a scenario file, all of whose sections are
-    checked, as a scenario of their own that errors name ``path`` in; with
-    ``key``, that is the one key they need."""
-    sections = _read_sections(path)
-    for section in sections:
-        _check(section, ((key,) if key is not None else None) if section.name == name else ())
-    wanted = [s for s in sections if s.name == name]
-    if not wanted:
-        raise ScenarioError(f"fragment has no [{name}] section", source=str(path))
-    return _assemble(wanted, path)
+def flag_value(flag: str, name: str, key: str, text: str):
+    """A flag's bare value read as ``key`` of [name]; errors name the flag."""
+    return _value(_Section(name, None, flag), key, text, None)
 
 
-def flag_fragment(flag: str, name: str, value: str, key: str | None = None) -> Scenario:
-    """A flag value, ``key=value,...`` or with ``key`` the bare value of that
-    one key (then the only one needed), as a scenario of one [name] section."""
-    section = _Section(name, None, flag)
-    parts = [f"{key}={value}"] if key is not None else value.split(",")
-    for part in filter(None, (p.strip() for p in parts)):
+def flag_product(text: str) -> BalancingProduct:
+    """``--product`` read as [product] kind."""
+    return _build_product(_check(_Section("product", None, "--product", [("kind", text, None)])))
+
+
+def flag_unit(text: str) -> ElectrolyzerUnit:
+    """``--unit key=value,...`` read as one [unit] section; ``count`` aggregates it."""
+    section = _Section("unit", None, "--unit")
+    for part in filter(None, (p.strip() for p in text.split(","))):
         if "=" not in part:
-            raise ScenarioError(f"expected key=value, got '{part}'", source=flag)
-        k, v = part.split("=", 1)
-        section.items.append((k.strip().lower(), v.strip(), None))
-    return _assemble([_check(section, (key,) if key is not None else None)], None)
+            raise ScenarioError(f"expected key=value, got '{part}'", source="--unit")
+        key, value = part.split("=", 1)
+        section.items.append((key.strip().lower(), value.strip(), None))
+    unit, count = _build_unit(_check(section)), section.values["count"]
+    return unit if count == 1 else aggregate(Fleet((unit,), (count,)))
 
 
 # ------------------------------------------------------------ CSV loaders
@@ -687,9 +692,12 @@ def emit_report(results, fmt: str, dest: str | Path) -> list[Path]:
     dest.parent.mkdir(parents=True, exist_ok=True)
     payload = _jsonable(results)
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        flat = _flat_rows(payload) if isinstance(payload, dict) else []
-        text = "\n".join(["field,value"] + [f"{k},{v}" for k, v in flat])
-    dest.write_text(text + "\n", encoding="utf-8")
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(("field", "value"))
+        writer.writerows(_flat_rows(payload) if isinstance(payload, dict) else [])
+        text = buffer.getvalue()
+    dest.write_text(text, encoding="utf-8")
     return [dest]

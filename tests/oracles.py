@@ -8,12 +8,15 @@ setpoint at a time, and ``max_offerable_scan`` walks the bids down from rated po
 ``check_compliance_loop``, ``hydrogen_output_loop`` and
 ``specific_energy_at_scalar``) step through the samples one at a time
 with the scalar request rule ``requested_offset``.  ``load_signal_rows``
-reads a signal CSV row by row through ``csv`` and ``float``.  Keep them
+reads a signal CSV row by row through its own ``csv.reader`` loop and
+``float``, sharing no code with the loader.  Keep them
 plain; their job is to be obviously right, not fast.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from pathlib import Path
 
@@ -54,7 +57,7 @@ from elybal.markets import (
     TimeBlock,
 )
 from elybal.model import EfficiencyCurve, ElectrolyzerUnit
-from elybal.scenario_io import ScenarioError, _read_csv_rows
+from elybal.scenario_io import ScenarioError
 
 _EPS = 1e-9
 
@@ -507,30 +510,60 @@ def hydrogen_output_loop(trajectory: PowerTrajectory, curve: EfficiencyCurve) ->
     return kg
 
 
+def _finite_cell(cell: str, key: str, line: int, source: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ScenarioError(f"expected a finite number, got '{cell.strip()}'", key=key,
+                            line=line, source=source)
+    return value
+
+
 def load_signal_rows(path: str | Path, kind: SignalKind) -> ActivationSignal:
-    """Reference for ``scenario_io.load_signal``: the row walk alone.  Rows
-    come from ``scenario_io._read_csv_rows``, numbered by the file line
-    each starts on."""
+    """Reference for ``scenario_io.load_signal``: the row walk alone, on its
+    own ``csv.reader`` loop.  A row is numbered by the physical file line it
+    starts on, counted here as the lines are handed to the reader.  Every
+    value cell is checked before any time cell, as the loader does."""
     path = Path(path)
     source = str(path)
-    samples: list[tuple[float, float]] = []
-    lines: list[int] = []
-    for lineno, time_s, value in _read_csv_rows(path, ["time_s", "value"]):
-        lines.append(lineno)
-        try:
-            t = float(time_s)
-        except ValueError:
-            t = math.nan
-        if not math.isfinite(t):
-            raise ScenarioError(
-                f"expected a finite number, got '{time_s}'", key="time_s", line=lineno,
-                source=source,
-            )
-        samples.append((t, value))
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                            source=source) from None
+    handed = 0
+
+    def physical_lines():
+        nonlocal handed
+        for line in io.StringIO(text, newline=""):
+            handed += 1
+            yield line
+
+    rows = []
+    first_line = 1
+    for row in csv.reader(physical_lines()):
+        if row:
+            rows.append((first_line, row))
+        first_line = handed + 1
+    if not rows:
+        raise ScenarioError("file is empty", source=source)
+    header_line, header = rows[0]
+    if [cell.strip().lower() for cell in header] != ["time_s", "value"]:
+        raise ScenarioError(f"expected header 'time_s,value', got '{','.join(header)}'",
+                            line=header_line, source=source)
+    values = []
+    for lineno, row in rows[1:]:
+        if len(row) != 2:
+            raise ScenarioError(f"expected 2 columns, got {len(row)}", line=lineno, source=source)
+        values.append(_finite_cell(row[1], "value", lineno, source))
+    samples = [(_finite_cell(row[0].strip(), "time_s", lineno, source), value)
+               for (lineno, row), value in zip(rows[1:], values)]
     try:
         return ActivationSignal.from_rows(kind, samples)
     except TimeColumnError as exc:
-        raise ScenarioError(exc.reason, key="time_s", line=lines[exc.row],
+        raise ScenarioError(exc.reason, key="time_s", line=rows[1 + exc.row][0],
                             source=source) from None
     except ValueError as exc:
         raise ScenarioError(str(exc), source=source) from None

@@ -125,26 +125,17 @@ class TestEligibilityCommand:
         assert code == 0
         assert "eligible" in capsys.readouterr().out
 
-    def test_unit_fragment_reference(self, tmp_path, capsys):
-        frag = tmp_path / "plant.scenario"
-        frag.write_text("[unit]\npreset = mcphy\n", encoding="utf-8")
-        code = main([
-            "eligibility", "--unit", f"@{frag}", "--product", "fcr", "--bid", "2",
-        ])
-        assert code == 0
-        assert "McPhy" in capsys.readouterr().out
-
     @pytest.mark.parametrize("keys, rated_mw", [
         ({"preset": "demo4grid", "count": "10"}, 40.0),
         ({"technology": "PEM", "rated_power_mw": "10", "min_load_pct": "10",
           "ramp_up_pct_per_s": "5", "ramp_down_pct_per_s": "4"}, 10.0),
         ({"preset": "sunfire-ael", "efficiency_points": "25:55, 100:52"}, 10.0),
     ], ids=["count", "explicit", "efficiency-points"])
-    def test_inline_fragment_and_fleet_give_one_unit(self, tmp_path, keys, rated_mw):
-        frag = tmp_path / "plant.scenario"
-        frag.write_text("[unit]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()),
-                        encoding="utf-8")
-        forms = [["--unit", f"@{frag}"], ["--fleet", str(frag)]]
+    def test_inline_unit_and_fleet_give_one_unit(self, tmp_path, keys, rated_mw):
+        fleet = tmp_path / "plant.scenario"
+        fleet.write_text("[unit]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()),
+                         encoding="utf-8")
+        forms = [["--fleet", str(fleet)]]
         if "efficiency_points" not in keys:  # the inline form splits on commas
             forms.append(["--unit", ",".join(f"{k}={v}" for k, v in keys.items())])
         units = [
@@ -179,39 +170,21 @@ class TestEligibilityCommand:
         assert "--unit, key 'ramp_up_pct_per_s'" in captured.err
 
     def test_infinite_rated_power_is_located(self, tmp_path, capsys):
-        frag = tmp_path / "plant.scenario"
-        frag.write_text("[unit]\npreset = demo4grid\nrated_power_mw = inf\n", encoding="utf-8")
-        code = main(["eligibility", "--unit", f"@{frag}", "--product", "fcr", "--bid", "1"])
+        fleet = tmp_path / "plant.scenario"
+        fleet.write_text("[unit]\npreset = demo4grid\nrated_power_mw = inf\n", encoding="utf-8")
+        code = main(["eligibility", "--fleet", str(fleet), "--product", "fcr", "--bid", "1"])
         assert code == 1
-        assert f"{frag}, line 3, key 'rated_power_mw'" in capsys.readouterr().err
+        assert f"{fleet}, line 3, key 'rated_power_mw'" in capsys.readouterr().err
 
     def test_nan_bid_is_located(self, capsys):
         code = main(["eligibility", "--preset", "demo4grid", "--product", "fcr", "--bid", "nan"])
         assert code == 1
         assert "--bid, key 'bid_mw': expected a finite number" in capsys.readouterr().err
 
-    def test_non_numeric_bid_fragment_is_located(self, tmp_path, capsys):
-        frag = tmp_path / "bid.scenario"
-        frag.write_text("[dispatch]\nbid_mw = abc\n", encoding="utf-8")
-        code = main([
-            "eligibility", "--preset", "demo4grid", "--product", "fcr", "--bid", f"@{frag}",
-        ])
+    def test_non_numeric_bid_is_located(self, capsys):
+        code = main(["eligibility", "--preset", "demo4grid", "--product", "fcr", "--bid", "abc"])
         assert code == 1
-        assert f"{frag}, line 2, key 'bid_mw': expected a number" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag, text, key", [
-        ("--bid", "[dispatch]\nsetpoint_mw = 3\n", "bid_mw"),
-        ("--product", "[product]\ndirection = pos\n", "kind"),
-    ], ids=["bid", "product"])
-    def test_fragment_without_the_flag_key_is_located(self, tmp_path, capsys, flag, text, key):
-        frag = tmp_path / "frag.scenario"
-        frag.write_text(text, encoding="utf-8")
-        args = {"--product": "fcr", "--bid": "1", flag: f"@{frag}"}
-        code = main(["eligibility", "--preset", "demo4grid", *(x for kv in args.items() for x in kv)])
-        assert code == 1
-        section = text.split("\n")[0]
-        assert f"{frag}, line 1, key '{key}': missing required key '{key}' in {section}" in (
-            capsys.readouterr().err)
+        assert "--bid, key 'bid_mw': expected a number, got 'abc'" in capsys.readouterr().err
 
     def test_fleet_flag_aggregates(self, capsys):
         code = main([
@@ -231,16 +204,59 @@ class TestEligibilityCommand:
         assert "unit: aggregate(10786 units, 143170 MW)" in out
         assert "max offerable at this setpoint: 108045 MW" in out
 
-    def test_no_unit_is_an_input_error(self, capsys, monkeypatch):
-        monkeypatch.delenv("ELYBAL_DEFAULT_PRESET", raising=False)
+    def test_no_unit_is_an_input_error(self, capsys):
         code = main(["eligibility", "--product", "fcr", "--bid", "1"])
         assert code == 1
-        assert "no unit given" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "one of the arguments --preset --unit --fleet is required" in captured.err
 
-    def test_default_preset_env_var(self, capsys, monkeypatch):
+    def test_default_preset_variable_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("ELYBAL_DEFAULT_PRESET", "demo4grid")
         code = main(["eligibility", "--product", "afrr-pos", "--bid", "1"])
-        assert code == 0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "one of the arguments --preset --unit --fleet is required" in captured.err
+
+    @pytest.mark.parametrize("units, message", [
+        (["--preset", "demo4grid", "--unit", "preset=mcphy"],
+         "argument --unit: not allowed with argument --preset"),
+        (["--unit", "preset=mcphy", "--fleet", DEMO],
+         "argument --fleet: not allowed with argument --unit"),
+        (["--fleet", DEMO, "--preset", "demo4grid"],
+         "argument --preset: not allowed with argument --fleet"),
+    ], ids=["preset-unit", "unit-fleet", "fleet-preset"])
+    def test_two_unit_flags_are_an_input_error(self, capsys, units, message):
+        code = main(["eligibility", *units, "--product", "afrr-pos", "--bid", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--unit", "--unit: expected key=value, got '@plant.scenario'"),
+        ("--product", "--product, key 'kind': unknown product '@plant.scenario', expected one "
+                      "of: afrr-neg, afrr-pos, fcr, mfrr-neg, mfrr-pos"),
+        ("--bid", "--bid, key 'bid_mw': expected a number, got '@plant.scenario'"),
+        ("--setpoint", "--setpoint, key 'setpoint_mw': expected a number, "
+                       "got '@plant.scenario'"),
+    ], ids=["unit", "product", "bid", "setpoint"])
+    def test_a_file_reference_is_not_a_flag_value(self, tmp_path, capsys, monkeypatch,
+                                                  flag, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "plant.scenario").write_text(
+            "[unit]\npreset = mcphy\n\n[product]\nkind = fcr\n\n"
+            "[dispatch]\nsetpoint_mw = 9\nbid_mw = 1\n", encoding="utf-8")
+        args = {"--preset": "demo4grid", "--product": "fcr", "--bid": "1", flag: "@plant.scenario"}
+        if flag == "--unit":
+            del args["--preset"]
+        code = main(["eligibility", *(x for kv in args.items() for x in kv)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestSimulateCommand:
@@ -270,13 +286,6 @@ class TestSimulateCommand:
         assert sorted(p.name for p in (out / "demo4grid_plot").iterdir()) == ["trajectory.csv"]
         plot = (out / "demo4grid_plot" / "trajectory.csv").read_bytes()
         assert plot == (out / "demo4grid.trajectory.csv").read_bytes()
-
-    def test_scenario_dir_env_fallback(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("ELYBAL_SCENARIO_DIR", str(SCENARIOS))
-        code = main(["simulate", "--scenario", "demo4grid.scenario"])
-        assert code == 2
-        assert "demo4grid" in capsys.readouterr().out
 
     def test_missing_scenario_is_an_input_error(self, capsys):
         code = main(["simulate", "--scenario", "drifting.scenario"])
@@ -517,19 +526,6 @@ class TestRepeats:
         assert captured.out == ""
         assert "--unit, key 'rated_power_mw': key given twice in [unit]" in captured.err
 
-    def test_product_fragment_must_hold_one_product(self, tmp_path, capsys):
-        # the first section would fail where the second one passes
-        frag = tmp_path / "two.scenario"
-        frag.write_text("[product]\nkind = afrr\ndirection = pos\n\n[product]\nkind = fcr\n",
-                        encoding="utf-8")
-        code = main(["eligibility", "--preset", "demo4grid", "--product", f"@{frag}",
-                     "--bid", "1"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert (f"{frag}: scenario has 2 [product] sections; --product or [dispatch] product "
-                "must pick one" in captured.err)
-
     def test_dispatch_must_name_one_of_several_products(self, tmp_path, capsys):
         path = scenario_copy(tmp_path, DEMO, "unnamed.scenario", ("product = fcr\n", ""))
         assert main(["simulate", "--scenario", path]) == 1
@@ -557,6 +553,38 @@ class TestScenarioCommands:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             f"{n}.{kind}" for n in names for kind in kinds
         )
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/x", "sub\\x", "..", ".", "", "a\0b"])
+    def test_a_name_that_leaves_the_out_directory_is_located(self, tmp_path, capsys, name):
+        path = scenario_copy(tmp_path, DEMO, "demo.scenario",
+                             ("name = demo4grid", f"name = {name}"))
+        line = Path(path).read_text(encoding="utf-8").splitlines().index(f"name = {name}") + 1
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}, line {line}, key 'name': expected a file name "
+                                f"without '/', '\\' or NUL, not '.' or '..', got '{name}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.scenario"]
+
+    @pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
+    def test_one_name_twice_is_an_input_error_with_out(self, tmp_path, capsys, out):
+        paths = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            paths.append(scenario_copy(tmp_path / folder, GERMAN, f"{folder}.scenario",
+                                       ("name = german_fleet_2030", "name = x")))
+        argv = ["economics", "--scenario", *paths]
+        if not out:
+            assert main(argv) == 0
+            assert capsys.readouterr().out.count("x: fleet share") == 2
+            return
+        assert main([*argv, "--out", str(tmp_path / "dup")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: {paths[0]} and {paths[1]} are both named 'x'; their reports would "
+                "overwrite each other" in captured.err)
+        assert not (tmp_path / "dup").exists()
 
     def test_simulate_mixed_verdicts_exit_2_in_argument_order(self, capsys):
         assert main(["simulate", "--scenario", REVENUE, DEMO]) == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import re
@@ -685,6 +686,14 @@ class TestEmitters:
         assert "compliance.compliant,true" in lines
         assert "compliance.delay_s,41.0" in lines
         assert "runs[0],1" in lines
+
+    def test_csv_report_quotes_cells_that_hold_a_separator(self, tmp_path):
+        payload = {"scenario": "plant, 100 MW", "note": 'a "quoted"\nline', "runs": [1]}
+        path = emit_report(payload, "csv", tmp_path / "r.csv")[0]
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["field", "value"], ["scenario", "plant, 100 MW"],
+                        ["note", 'a "quoted"\nline'], ["runs[0]", "1"]]
 
     def test_csv_report_writes_numpy_scalars_as_json_does(self, tmp_path):
         payload = {"x": np.float64(0.1), "n": np.int64(3), "b": np.bool_(True)}
