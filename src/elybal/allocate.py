@@ -11,11 +11,11 @@ tradable top, and FCR bids 0, a tradable end or a lot at one of those kinks.
 None of those corners depends on the block, only the FCR price does.  So
 ``optimize_day`` builds one candidate table per day with numpy over the
 whole setpoint grid (``_day_table``: setpoint, FCR and aFRR quantity, and
-the hydrogen forgone at the setpoint), and each block is one score vector
-``q_fcr * fcr_price + q_afrr * afrr_price - hydrogen_cost`` and one pick.
-The pick (``_pick``) applies one tie rule: the score within ``_EPS`` of the
-best, then the least reserved capacity, then the least FCR (each within
-``_EPS``), then the highest setpoint, the first candidate on exact ties.
+the hydrogen forgone at the setpoint), and one score matrix per day, blocks
+x candidates, ``fcr_price * q_fcr + q_afrr * afrr_price - hydrogen_cost``,
+with one pick per row (``_pick``) by one tie rule: the score within ``_EPS``
+of the best, then the least reserved capacity, then the least FCR (each
+within ``_EPS``), then the highest setpoint, the first candidate on exact ties.
 """
 
 from __future__ import annotations
@@ -176,13 +176,14 @@ def _day_table(
             q_fcr = np.where(pinned <= fcr_top + _EPS, pinned, np.nan)[:, None]
         else:
             lo = _min_tradable_mw(fcr_prod)
-            reach = _top_mw(unit, afrr_prod, unit.rated_power_mw)
+            origins = np.concatenate([[unit.rated_power_mw], setpoints - lo, setpoints - fcr_top])
+            tops = _top_mw(unit, afrr_prod, origins)
+            reach = tops[0]
             levels = np.column_stack([
                 np.full(n, reach),
                 np.full(n, _min_tradable_mw(afrr_prod) if reach > 0.0 else 0.0),
-                _top_mw(unit, afrr_prod, setpoints - lo),
-                _top_mw(unit, afrr_prod, setpoints - fcr_top)
-                + (afrr_prod.trade_increment_mw if reach > 0.0 else 0.0),
+                tops[1 : n + 1],
+                tops[n + 1 :] + (afrr_prod.trade_increment_mw if reach > 0.0 else 0.0),
             ])
             last = tradable_mw((setpoints - unit.min_power_mw)[:, None] - levels, fcr_prod)
             kinks = np.hstack([last, last + fcr_prod.trade_increment_mw])
@@ -201,21 +202,18 @@ def _day_table(
 
 def _pick(
     score: np.ndarray, reserved: np.ndarray, q_fcr: np.ndarray, setpoint: np.ndarray
-) -> int | None:
-    """Index of the best candidate, or None when there is none.
-
-    The tie rule, applied in turn: the score within ``_EPS`` of the max,
-    then the reserved capacity within ``_EPS`` of the min, then the FCR
-    quantity within ``_EPS`` of the min, then the highest setpoint (more
-    hydrogen), the first candidate on exact ties.
+) -> np.ndarray:
+    """Index of the best candidate in each row (last axis) of ``score``, a
+    blocks x candidates matrix or one row; the other arrays broadcast.
+    Masks apply the tie rule in turn: the score within ``_EPS`` of the row
+    max, the reserved capacity and then the FCR quantity within ``_EPS`` of
+    their min, then the highest setpoint, the first candidate on exact ties.
     """
-    if not score.size:
-        return None
-    idx = np.flatnonzero(score >= score.max() - _EPS)
+    keep = score >= score.max(axis=-1, keepdims=True) - _EPS
     for key in (reserved, q_fcr):
-        values = key[idx]
-        idx = idx[values <= values.min() + _EPS]
-    return int(idx[np.argmax(setpoint[idx])])
+        values = np.where(keep, key, np.inf)
+        keep &= values <= values.min(axis=-1, keepdims=True) + _EPS
+    return np.where(keep, setpoint, -np.inf).argmax(axis=-1)
 
 
 def optimize_day(
@@ -281,7 +279,6 @@ def optimize_day(
     setpoints = _grid_points(lowest_sp, unit.rated_power_mw, options.setpoint_grid_mw)
     rows, q_fcr, q_afrr = _day_table(unit, fcr_prod, afrr_prod, pinned, setpoints)
     setpoint = setpoints[rows]
-    reserved = q_fcr + q_afrr
     h2_kg = np.zeros(rows.size)
     if h2_value is not None:
         h2_kg = _hydrogen_loss_kg(unit, setpoints, duration)[rows]
@@ -291,20 +288,19 @@ def optimize_day(
     revenue = 0.0
     h2_loss = 0.0
     afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
-    for block in blocks:
-        fcr_price = fcr_prices.price(block) if fcr_prod is not None else 0.0
-        best = _pick(q_fcr * fcr_price + q_afrr * afrr_price - h2_cost, reserved, q_fcr, setpoint)
-        if best is None:
-            continue
-        qf, qa, sp = float(q_fcr[best]), float(q_afrr[best]), float(setpoint[best])
+    fcr_price = [fcr_prices.price(b) if fcr_prod is not None else 0.0 for b in blocks]
+    score = np.array(fcr_price, dtype=float)[:, None] * q_fcr + q_afrr * afrr_price - h2_cost
+    best = _pick(score, q_fcr + q_afrr, q_fcr, setpoint) if rows.size else []  # no candidate, no bid
+    picked = (q_fcr[best].tolist(), q_afrr[best].tolist(), setpoint[best].tolist(), h2_kg[best].tolist())
+    for block, price, qf, qa, sp, kg in zip(blocks, fcr_price, *picked):
         if qf > 0:
             entries.append(ScheduleEntry(block, fcr_prod, qf, Direction.SYM, sp))
-            revenue += qf * fcr_price
+            revenue += qf * price
         if qa > 0:
             entries.append(ScheduleEntry(block, afrr_prod, qa, Direction.POS, sp))
             revenue += qa * afrr_price
         if qf > 0 or qa > 0:
-            h2_loss += float(h2_kg[best])
+            h2_loss += kg
 
     schedule = BidSchedule(tuple(entries))
     validate_schedule(unit, schedule)
@@ -319,12 +315,19 @@ def validate_schedule(unit: ElectrolyzerUnit, schedule: BidSchedule) -> None:
 
     Every entry must pass ``check_eligibility``, with aFRR evaluated from
     the lower edge of any FCR band reserved in the same block, and the
-    reserved power ranges per block must not overlap.
+    reserved power ranges per block must not overlap.  A block whose entries
+    (product, quantity, direction, setpoint, in order) equal a checked block's
+    gets the same verdict and is skipped; the error names the first failing block.
     """
     by_block: dict[str, list[ScheduleEntry]] = {}
     for entry in schedule.entries:
         by_block.setdefault(entry.block.label, []).append(entry)
+    checked: list[list[tuple]] = []
     for label, block_entries in by_block.items():
+        key = [(e.product, e.quantity_mw, e.direction, e.setpoint_mw) for e in block_entries]
+        if key in checked:
+            continue
+        checked.append(key)
         fcr_entries = [e for e in block_entries if e.product.kind is ProductKind.FCR]
         afrr_entries = [e for e in block_entries if e.product.kind is ProductKind.AFRR]
         if len(fcr_entries) > 1:
@@ -338,21 +341,18 @@ def validate_schedule(unit: ElectrolyzerUnit, schedule: BidSchedule) -> None:
         q_fcr = fcr_entries[0].quantity_mw if fcr_entries else 0.0
         ranges: list[tuple[float, float]] = []
         for entry in block_entries:
-            sp = entry.setpoint_mw
+            sp, q = entry.setpoint_mw, entry.quantity_mw
             if entry.product.kind is ProductKind.FCR:
-                report = check_eligibility(unit, entry.product, entry.quantity_mw, sp)
-                ranges.append((sp - entry.quantity_mw, sp + entry.quantity_mw))
+                origin, band = sp, (sp - q, sp + q)
             elif entry.direction is Direction.POS:
-                origin = sp - q_fcr
-                report = check_eligibility(unit, entry.product, entry.quantity_mw, origin)
-                ranges.append((origin - entry.quantity_mw, origin))
+                origin, band = sp - q_fcr, (sp - q_fcr - q, sp - q_fcr)
             else:
-                origin = sp + q_fcr
-                report = check_eligibility(unit, entry.product, entry.quantity_mw, origin)
-                ranges.append((origin, origin + entry.quantity_mw))
+                origin, band = sp + q_fcr, (sp + q_fcr, sp + q_fcr + q)
+            report = check_eligibility(unit, entry.product, q, origin)
+            ranges.append(band)
             if not report.eligible:
                 raise ValueError(
-                    f"block {label}: {entry.product.label} {entry.quantity_mw} MW fails "
+                    f"block {label}: {entry.product.label} {q} MW fails "
                     f"{report.limiting_constraint}"
                 )
         ranges.sort()

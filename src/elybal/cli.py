@@ -16,6 +16,7 @@ In-process ``main`` calls share one parser, built once by ``build_parser``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -192,23 +193,28 @@ def _economics(scenario: Scenario, args) -> tuple[str, bool, dict]:
     return " ".join(parts), True, {"economics": report}
 
 
-def _write_reports(scenario: Scenario, reports: dict, out_dir: Path) -> None:
+def _write_reports(scenario: Scenario, reports: dict, out_dir: Path, written: list[Path]) -> None:
     """Write ``<out_dir>/<name>.<kind>.<fmt>`` for json and csv in ``[output] formats``.
 
     A trajectory is always written as ``<name>.<kind>.csv``, and under
     ``plotdata`` the same CSV also as ``<name>_plot/<kind>.csv``.  The
-    scenario name is used verbatim, dots included.
+    scenario name is used verbatim, dots included.  Each path is added to
+    ``written`` before its file is written, so a write that fails part way
+    still names the file it may have left.
     """
     for kind, payload in reports.items():
         base = f"{scenario.name}.{kind}"
         if isinstance(payload, PowerTrajectory):
-            write_trajectory_csv(payload, out_dir / f"{base}.csv")
+            written.append(out_dir / f"{base}.csv")
+            write_trajectory_csv(payload, written[-1])
             if "plotdata" in scenario.output_formats:
-                write_trajectory_csv(payload, out_dir / f"{scenario.name}_plot" / f"{kind}.csv")
+                written.append(out_dir / f"{scenario.name}_plot" / f"{kind}.csv")
+                write_trajectory_csv(payload, written[-1])
             continue
         for fmt in ("json", "csv"):
             if fmt in scenario.output_formats:
-                emit_report(payload, fmt, out_dir / f"{base}.{fmt}")
+                written.append(out_dir / f"{base}.{fmt}")
+                emit_report(payload, fmt, written[-1])
 
 
 def cmd_scenarios(args) -> int:
@@ -216,8 +222,11 @@ def cmd_scenarios(args) -> int:
     and print the texts in argument order.  The command's runner maps one
     scenario to its text, its verdict and its reports, keyed by report kind.
     Nothing is written or printed until every scenario has run, so a run
-    that fails on a later scenario leaves no files behind.  With ``--out``,
-    two scenarios of one name are an input error."""
+    that fails on a later scenario writes no file.  With ``--out``, two
+    scenarios of one name are an input error, and a write that fails (an
+    ``OSError``) deletes every file this call has written, prints nothing
+    and raises a ``ScenarioError`` naming the failing scenario's file; the
+    directories it made stay."""
     runs = []
     for value in args.scenario:
         scenario = load_scenario(value)
@@ -230,8 +239,16 @@ def cmd_scenarios(args) -> int:
                     f"{paths[scenario.name]} and {scenario.path} are both named "
                     f"'{scenario.name}'; their reports would overwrite each other")
             paths[scenario.name] = scenario.path
+        written: list[Path] = []
         for scenario, _, _, reports in runs:
-            _write_reports(scenario, reports, Path(args.out))
+            try:
+                _write_reports(scenario, reports, Path(args.out), written)
+            except OSError as exc:
+                for path in written:
+                    with contextlib.suppress(OSError):  # the failed one may not exist
+                        path.unlink()
+                raise ScenarioError(f"cannot write its reports, so none are kept: {exc}",
+                                    source=scenario.path) from exc
     for _, text, _, _ in runs:
         print(text)
     return 0 if all(ok for _, _, ok, _ in runs) else 2

@@ -3,8 +3,9 @@
 All are deliberately naive: ``brute_force_oracle`` tries every integer
 (FCR, aFRR) pair at every setpoint and states the bid rules on its own,
 ``optimize_day_loop`` scores the allocator's corner candidates one
-setpoint at a time, and ``max_offerable_scan`` walks the bids down from rated power through
-``check_eligibility``.  The dispatch references (``simulate_loop``,
+setpoint at a time, ``pick_row`` applies the allocator's tie rule to one
+row of candidates one stage at a time, and ``max_offerable_scan`` walks
+the bids down from rated power through ``check_eligibility``.  The dispatch references (``simulate_loop``,
 ``check_compliance_loop``, ``hydrogen_output_loop`` and
 ``specific_energy_at_scalar``) step through the samples one at a time
 with the scalar request rule ``requested_offset``.  ``load_signal_rows``
@@ -160,6 +161,26 @@ def brute_force_oracle(
     if h2_value is not None:
         objective -= h2_loss_total * h2_value
     return AllocationResult(BidSchedule(tuple(entries)), revenue, h2_loss_total, objective)
+
+
+def pick_row(
+    score: np.ndarray, reserved: np.ndarray, q_fcr: np.ndarray, setpoint: np.ndarray
+) -> int | None:
+    """Reference for ``_pick`` on one row: index of the best candidate, or
+    None when there is none.
+
+    The tie rule, applied in turn: the score within ``_EPS`` of the max,
+    then the reserved capacity within ``_EPS`` of the min, then the FCR
+    quantity within ``_EPS`` of the min, then the highest setpoint (more
+    hydrogen), the first candidate on exact ties.
+    """
+    if not score.size:
+        return None
+    idx = np.flatnonzero(score >= score.max() - _EPS)
+    for key in (reserved, q_fcr):
+        values = key[idx]
+        idx = idx[values <= values.min() + _EPS]
+    return int(idx[np.argmax(setpoint[idx])])
 
 
 def _better(

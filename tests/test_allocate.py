@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from elybal.allocate import (
     AllocationOptions,
     BidSchedule,
     ScheduleEntry,
+    _EPS,
+    _pick,
     optimize_day,
     validate_schedule,
 )
@@ -27,7 +30,7 @@ from elybal.markets import (
     mfrr,
 )
 from elybal.model import EfficiencyCurve, ElectrolyzerUnit, Technology
-from oracles import brute_force_oracle, optimize_day_loop
+from oracles import brute_force_oracle, optimize_day_loop, pick_row
 
 PRICES = CapacityPriceTable({
     "NEGPOS_00_04": 14.71,
@@ -275,6 +278,30 @@ class TestValidateSchedule:
         with pytest.raises(ValueError, match="ramp_deadline"):
             validate_schedule(BIG_UNIT, schedule)
 
+    def test_identical_failing_blocks_name_the_first(self):
+        schedule = BidSchedule(tuple(
+            ScheduleEntry(block, fcr(), 20.0, Direction.SYM, 75.0) for block in CANONICAL_BLOCKS
+        ))
+        with pytest.raises(ValueError, match="block NEGPOS_00_04: FCR 20.0 MW fails ramp_deadline"):
+            validate_schedule(BIG_UNIT, schedule)
+
+    # a 5 MW FCR band at 95 MW is valid; each variant breaks it in one field
+    SLOW_FCR = BalancingProduct(ProductKind.FCR, 1.0, 1.0, 20.0, True, 4.0, Direction.SYM)
+
+    @pytest.mark.parametrize("product, quantity, setpoint", [
+        (fcr(), 6.0, 95.0),  # quantity: past the ramp deadline and the headroom
+        (fcr(), 5.0, 97.0),  # setpoint: the band reaches above rated power
+        (SLOW_FCR, 5.0, 95.0),  # product: 30 s of ramp against a 20 s deadline
+    ])
+    def test_a_block_differing_from_checked_ones_is_checked(self, product, quantity, setpoint):
+        *same, last = CANONICAL_BLOCKS
+        schedule = BidSchedule(
+            tuple(ScheduleEntry(b, fcr(), 5.0, Direction.SYM, 95.0) for b in same)
+            + (ScheduleEntry(last, product, quantity, Direction.SYM, setpoint),)
+        )
+        with pytest.raises(ValueError, match="block NEGPOS_20_24: FCR"):
+            validate_schedule(BIG_UNIT, schedule)
+
 
 class TestBruteForceOracle:
     def test_matches_optimizer_on_the_pinned_day(self):
@@ -420,6 +447,37 @@ def test_optimizer_matches_the_brute_force_oracle(day):
     slow = brute_force_oracle(*day)
     assert fast.schedule.entries == slow.schedule.entries
     assert fast.objective_eur == pytest.approx(slow.objective_eur, rel=1e-12, abs=1e-9)
+
+
+# jittered by half the tie tolerance, so ties at every stage of the rule are common
+TIE_PRONE = st.builds(lambda v, j: v + j * _EPS / 2, st.sampled_from([0.0, 1.0, 2.0]),
+                      st.sampled_from([-1, 0, 1]))
+
+
+@st.composite
+def pick_matrices(draw):
+    """(score, reserved, q_fcr, setpoint) as blocks x candidates matrices,
+    sometimes with a first row where every candidate ties on every key."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 8)))
+    values = st.lists(TIE_PRONE, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    arrays = [np.reshape(draw(values), shape) for _ in range(4)]
+    if draw(st.booleans()):
+        for a in arrays:
+            a[0] = a[0, 0]
+    return arrays
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays=pick_matrices())
+@example(arrays=[np.zeros((6, 5))] * 4)
+def test_pick_applies_the_row_tie_rule_to_every_row(arrays):
+    score, reserved, q_fcr, setpoint = arrays
+    rows = [pick_row(*(a[r] for a in arrays)) for r in range(len(score))]
+    assert _pick(score, reserved, q_fcr, setpoint).tolist() == rows
+    assert _pick(score[0], reserved[0], q_fcr[0], setpoint[0]) == rows[0]
+    # as optimize_day calls it: per-candidate keys shared by every block
+    shared = [pick_row(s, reserved[0], q_fcr[0], setpoint[0]) for s in score]
+    assert _pick(score, reserved[0], q_fcr[0], setpoint[0]).tolist() == shared
 
 
 @st.composite

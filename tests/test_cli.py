@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import subprocess
 import sys
@@ -9,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from elybal import __version__
+from elybal import __version__, cli
 from elybal.cli import _unit_from_args, build_parser, main
 from elybal.eligibility import default_setpoint
 from elybal.markets import afrr
-from elybal.scenario_io import preset
+from elybal.scenario_io import emit_report, preset
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 DEMO = str(SCENARIOS / "demo4grid.scenario")
@@ -585,6 +586,30 @@ class TestScenarioCommands:
         assert (f"error: {paths[0]} and {paths[1]} are both named 'x'; their reports would "
                 "overwrite each other" in captured.err)
         assert not (tmp_path / "dup").exists()
+
+    def test_a_failed_write_keeps_no_report_and_names_the_scenario(self, tmp_path, capsys):
+        first = revenue_copy(tmp_path, "f.scenario", ("name = revenue_100mw", "name = first"))
+        # a 300-character file name is longer than file systems allow
+        long = revenue_copy(tmp_path, "long.scenario", ("name = revenue_100mw", "name = " + "x" * 300))
+        out = tmp_path / "out"
+        assert main(["economics", "--scenario", first, long, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {long}: cannot write its reports, so none are kept: ")
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_a_half_written_report_is_deleted_too(self, tmp_path, capsys, monkeypatch):
+        def disk_full_on_csv(payload, fmt, dest):
+            if fmt == "csv":
+                Path(dest).write_text("field,val")
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return emit_report(payload, fmt, dest)
+
+        monkeypatch.setattr(cli, "emit_report", disk_full_on_csv)
+        out = tmp_path / "out"
+        assert main(["allocate", "--scenario", REVENUE, "--out", str(out)]) == 1
+        assert f"error: {REVENUE}: cannot write" in capsys.readouterr().err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
     def test_simulate_mixed_verdicts_exit_2_in_argument_order(self, capsys):
         assert main(["simulate", "--scenario", REVENUE, DEMO]) == 2
