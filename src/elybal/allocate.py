@@ -59,7 +59,6 @@ class ScheduleEntry:
     block: TimeBlock
     product: BalancingProduct
     quantity_mw: float
-    direction: Direction
     setpoint_mw: float
 
 
@@ -84,7 +83,7 @@ class AllocationResult:
                 {
                     "block": e.block.label,
                     "product": e.product.kind.value,
-                    "direction": e.direction.value,
+                    "direction": e.product.direction.value,
                     "quantity_mw": e.quantity_mw,
                     "setpoint_mw": e.setpoint_mw,
                 }
@@ -222,7 +221,6 @@ def optimize_day(
     fcr_prices: CapacityPriceTable | None,
     afrr_price_per_block_eur: float | None,
     options: AllocationOptions | None = None,
-    blocks: tuple[TimeBlock, ...] | None = None,
 ) -> AllocationResult:
     """Revenue-maximal bid schedule for one delivery day.
 
@@ -232,13 +230,12 @@ def optimize_day(
     block simply carries no bid; it is never an error.
     """
     options = options or AllocationOptions()
-    blocks = blocks if blocks is not None else CANONICAL_BLOCKS
     fcr_prod, afrr_prod = _split_products(tuple(products))
 
     if fcr_prod is not None:
         if fcr_prices is None:
             raise ValueError("FCR is offered but no capacity price table was given")
-        missing = [b.label for b in blocks if b.label not in fcr_prices.prices]
+        missing = [b.label for b in CANONICAL_BLOCKS if b.label not in fcr_prices.prices]
         if missing:
             raise ValueError(f"capacity price table missing blocks: {', '.join(missing)}")
     if afrr_prod is not None:
@@ -288,16 +285,16 @@ def optimize_day(
     revenue = 0.0
     h2_loss = 0.0
     afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
-    fcr_price = [fcr_prices.price(b) if fcr_prod is not None else 0.0 for b in blocks]
+    fcr_price = [fcr_prices.price(b) if fcr_prod is not None else 0.0 for b in CANONICAL_BLOCKS]
     score = np.array(fcr_price, dtype=float)[:, None] * q_fcr + q_afrr * afrr_price - h2_cost
     best = _pick(score, q_fcr + q_afrr, q_fcr, setpoint) if rows.size else []  # no candidate, no bid
     picked = (q_fcr[best].tolist(), q_afrr[best].tolist(), setpoint[best].tolist(), h2_kg[best].tolist())
-    for block, price, qf, qa, sp, kg in zip(blocks, fcr_price, *picked):
+    for block, price, qf, qa, sp, kg in zip(CANONICAL_BLOCKS, fcr_price, *picked):
         if qf > 0:
-            entries.append(ScheduleEntry(block, fcr_prod, qf, Direction.SYM, sp))
+            entries.append(ScheduleEntry(block, fcr_prod, qf, sp))
             revenue += qf * price
         if qa > 0:
-            entries.append(ScheduleEntry(block, afrr_prod, qa, Direction.POS, sp))
+            entries.append(ScheduleEntry(block, afrr_prod, qa, sp))
             revenue += qa * afrr_price
         if qf > 0 or qa > 0:
             h2_loss += kg
@@ -313,10 +310,11 @@ def optimize_day(
 def validate_schedule(unit: ElectrolyzerUnit, schedule: BidSchedule) -> None:
     """Re-check a schedule from first principles.
 
-    Every entry must pass ``check_eligibility``, with aFRR evaluated from
-    the lower edge of any FCR band reserved in the same block, and the
+    Every entry must pass ``check_eligibility``, a one-sided entry evaluated
+    from the edge of any FCR band reserved in the same block on the side
+    its product moves the load to (below for POS, above for NEG), and the
     reserved power ranges per block must not overlap.  A block whose entries
-    (product, quantity, direction, setpoint, in order) equal a checked block's
+    (product, quantity, setpoint, in order) equal a checked block's
     gets the same verdict and is skipped; the error names the first failing block.
     """
     by_block: dict[str, list[ScheduleEntry]] = {}
@@ -324,7 +322,7 @@ def validate_schedule(unit: ElectrolyzerUnit, schedule: BidSchedule) -> None:
         by_block.setdefault(entry.block.label, []).append(entry)
     checked: list[list[tuple]] = []
     for label, block_entries in by_block.items():
-        key = [(e.product, e.quantity_mw, e.direction, e.setpoint_mw) for e in block_entries]
+        key = [(e.product, e.quantity_mw, e.setpoint_mw) for e in block_entries]
         if key in checked:
             continue
         checked.append(key)
@@ -332,8 +330,8 @@ def validate_schedule(unit: ElectrolyzerUnit, schedule: BidSchedule) -> None:
         afrr_entries = [e for e in block_entries if e.product.kind is ProductKind.AFRR]
         if len(fcr_entries) > 1:
             raise ValueError(f"block {label} carries more than one FCR entry")
-        for direction in (Direction.POS, Direction.NEG):
-            if len([e for e in afrr_entries if e.direction is direction]) > 1:
+        for direction in Direction:
+            if [e.product.direction for e in afrr_entries].count(direction) > 1:
                 raise ValueError(f"block {label} carries duplicate aFRR {direction.value} entries")
         setpoints = {e.setpoint_mw for e in block_entries}
         if len(setpoints) > 1:
@@ -341,13 +339,12 @@ def validate_schedule(unit: ElectrolyzerUnit, schedule: BidSchedule) -> None:
         q_fcr = fcr_entries[0].quantity_mw if fcr_entries else 0.0
         ranges: list[tuple[float, float]] = []
         for entry in block_entries:
-            sp, q = entry.setpoint_mw, entry.quantity_mw
-            if entry.product.kind is ProductKind.FCR:
-                origin, band = sp, (sp - q, sp + q)
-            elif entry.direction is Direction.POS:
-                origin, band = sp - q_fcr, (sp - q_fcr - q, sp - q_fcr)
-            else:
-                origin, band = sp + q_fcr, (sp + q_fcr, sp + q_fcr + q)
+            sp, q, d = entry.setpoint_mw, entry.quantity_mw, entry.product.direction
+            if d is Direction.SYM:  # the FCR band, around the setpoint
+                origin = sp
+            else:  # stacked outside the FCR band, on the side it moves the load to
+                origin = sp - q_fcr if d.lowers_load else sp + q_fcr
+            band = (origin - q if d.lowers_load else origin, origin + q if d.raises_load else origin)
             report = check_eligibility(unit, entry.product, q, origin)
             ranges.append(band)
             if not report.eligible:

@@ -107,10 +107,6 @@ class ActivationSignal:
                                   f"non-uniform timestep between rows {i} and {i + 1}")
         return cls(kind, rows[:, 1], dt)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.values)) * self.timestep_s
-
 
 @dataclass(frozen=True, eq=False)
 class PowerTrajectory:
@@ -148,10 +144,6 @@ class PowerTrajectory:
     def times(self) -> np.ndarray:
         return np.arange(len(self.powers_mw)) * self.timestep_s
 
-    @property
-    def duration_s(self) -> float:
-        return (len(self.powers_mw) - 1) * self.timestep_s
-
 
 @dataclass(frozen=True)
 class ComplianceResult:
@@ -185,9 +177,9 @@ def _requested_offsets(kind: SignalKind, values, bid_mw: float, direction: Direc
     else:
         offsets = np.clip(values, -bid_mw, bid_mw)
     # one-sided products only ever activate into their own band
-    if direction is Direction.POS:
+    if not direction.raises_load:
         offsets = np.minimum(offsets, 0.0)
-    elif direction is Direction.NEG:
+    elif not direction.lowers_load:
         offsets = np.maximum(offsets, 0.0)
     return offsets
 
@@ -200,14 +192,12 @@ def _check_band(
         raise ValueError(
             f"setpoint {setpoint_mw} MW outside operating band [{min_p}, {max_p}] MW"
         )
-    needs_down = direction in (Direction.SYM, Direction.POS)
-    needs_up = direction in (Direction.SYM, Direction.NEG)
-    if needs_down and setpoint_mw - bid_mw < min_p - _TOL_MW:
+    if direction.lowers_load and setpoint_mw - bid_mw < min_p - _TOL_MW:
         raise ValueError(
             f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW downward activation "
             f"above the minimum load {min_p} MW"
         )
-    if needs_up and setpoint_mw + bid_mw > max_p + _TOL_MW:
+    if direction.raises_load and setpoint_mw + bid_mw > max_p + _TOL_MW:
         raise ValueError(
             f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW upward activation "
             f"below the rated power {max_p} MW"

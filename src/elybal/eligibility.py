@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markets import BalancingProduct, Direction
+from .markets import BalancingProduct
 from .model import ElectrolyzerUnit
 
 _TOL = 1e-9
@@ -140,25 +140,25 @@ def min_rated_power(
 def _headroom_mw(
     unit: ElectrolyzerUnit, product: BalancingProduct, setpoint_mw: float | np.ndarray
 ) -> float | np.ndarray:
-    """Room the activation can move into: below the setpoint for POS (a
-    load decrease), above it for NEG, the narrower side for SYM."""
-    room_down = setpoint_mw - unit.min_power_mw
-    room_up = unit.rated_power_mw - setpoint_mw
-    if product.direction is Direction.SYM:
-        return np.minimum(room_down, room_up)
-    if product.direction is Direction.POS:
-        return room_down
-    return room_up
+    """Room the activation can move into, on each side of the setpoint it
+    moves the load to; the narrower side when it moves both ways."""
+    d = product.direction
+    if not d.raises_load:
+        return setpoint_mw - unit.min_power_mw
+    if not d.lowers_load:
+        return unit.rated_power_mw - setpoint_mw
+    return np.minimum(setpoint_mw - unit.min_power_mw, unit.rated_power_mw - setpoint_mw)
 
 
 def _ramp_mw_per_s(unit: ElectrolyzerUnit, product: BalancingProduct) -> float:
-    """Ramp that paces the delivery: down for POS, up for NEG, the slower
-    direction for SYM."""
-    if product.direction is Direction.SYM:
-        return min(unit.ramp_up_mw_per_s, unit.ramp_down_mw_per_s)
-    if product.direction is Direction.POS:
+    """Ramp that paces the delivery: the ramp toward each side the product
+    moves the load to; the slower one when it moves both ways."""
+    d = product.direction
+    if not d.raises_load:
         return unit.ramp_down_mw_per_s
-    return unit.ramp_up_mw_per_s
+    if not d.lowers_load:
+        return unit.ramp_up_mw_per_s
+    return min(unit.ramp_up_mw_per_s, unit.ramp_down_mw_per_s)
 
 
 def _float_or_array(values: np.ndarray) -> float | np.ndarray:
@@ -303,9 +303,9 @@ def default_setpoint(unit: ElectrolyzerUnit, product: BalancingProduct) -> float
     one-sided products park at the band edge that leaves the whole band
     available for the activation.
     """
-    if product.direction is Direction.POS:
+    if not product.direction.raises_load:
         return unit.rated_power_mw
-    if product.direction is Direction.NEG:
+    if not product.direction.lowers_load:
         return unit.min_power_mw
     mid = 0.5 * (unit.min_power_mw + unit.rated_power_mw)
     rounded = _round_half_up(mid, product.trade_increment_mw)
@@ -316,13 +316,9 @@ def _setpoint_for_bid(
     unit: ElectrolyzerUnit, product: BalancingProduct, bid_mw: float
 ) -> float:
     """``default_setpoint`` moved just far enough to leave the bid headroom."""
-    min_p, max_p = unit.min_power_mw, unit.rated_power_mw
-    if product.direction is Direction.SYM:
-        lo, hi = min_p + bid_mw, max_p - bid_mw
-    elif product.direction is Direction.POS:
-        lo, hi = min_p + bid_mw, max_p
-    else:
-        lo, hi = min_p, max_p - bid_mw
+    d = product.direction
+    lo = unit.min_power_mw + bid_mw if d.lowers_load else unit.min_power_mw
+    hi = unit.rated_power_mw - bid_mw if d.raises_load else unit.rated_power_mw
     return min(max(default_setpoint(unit, product), lo), hi)
 
 
@@ -341,11 +337,11 @@ def max_offerable(
     setpoint is an error.
     """
     if setpoint_mw is None:
-        widest = {
-            Direction.SYM: 0.5 * (unit.min_power_mw + unit.rated_power_mw),
-            Direction.POS: unit.rated_power_mw,
-            Direction.NEG: unit.min_power_mw,
-        }[product.direction]
+        d = product.direction
+        if d.lowers_load and d.raises_load:
+            widest = 0.5 * (unit.min_power_mw + unit.rated_power_mw)
+        else:
+            widest = unit.rated_power_mw if d.lowers_load else unit.min_power_mw
         bid = tradable_mw(capacity_limit_mw(unit, product, widest), product)
         sp = _setpoint_for_bid(unit, product, bid)
     else:

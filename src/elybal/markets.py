@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class ProductKind(str, Enum):
@@ -26,6 +26,16 @@ class Direction(str, Enum):
     POS = "POS"  # positive reserve: the grid gains power, a load sheds
     NEG = "NEG"  # negative reserve: the grid loses power, a load absorbs
 
+    # the one direction rule for a load: a POS activation moves it below the
+    # setpoint, on the ramp-down, a NEG one above it, on the ramp-up, SYM both
+    @property
+    def lowers_load(self) -> bool:
+        return self is not Direction.NEG
+
+    @property
+    def raises_load(self) -> bool:
+        return self is not Direction.POS
+
 
 class EmptySelectionError(ValueError):
     """Raised when a price query matches no samples."""
@@ -37,7 +47,6 @@ class BalancingProduct:
     min_bid_mw: float  # smallest tradable offer
     trade_increment_mw: float  # bid granularity (product trading size)
     availability_s: float  # latest full-delivery time after activation
-    symmetric: bool
     duration_h: float  # auction block length
     direction: Direction
 
@@ -49,26 +58,27 @@ class BalancingProduct:
         for field_name in ("min_bid_mw", "trade_increment_mw", "availability_s", "duration_h"):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be > 0")
-        if self.symmetric != (self.direction is Direction.SYM):
-            raise ValueError("direction SYM is required exactly for symmetric products")
+        if (self.kind is ProductKind.FCR) != (self.direction is Direction.SYM):
+            raise ValueError(f"no {self.kind.value} {self.direction.value} product: "
+                             "FCR is SYM, aFRR and mFRR are POS or NEG")
 
     @property
     def label(self) -> str:
-        if self.symmetric:
+        if self.direction is Direction.SYM:
             return self.kind.value
         return f"{self.kind.value} {self.direction.value}"
 
 
 def fcr() -> BalancingProduct:
-    return BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, True, 4.0, Direction.SYM)
+    return BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, 4.0, Direction.SYM)
 
 
 def afrr(direction: Direction | str = Direction.POS) -> BalancingProduct:
-    return BalancingProduct(ProductKind.AFRR, 1.0, 1.0, 300.0, False, 4.0, direction)
+    return BalancingProduct(ProductKind.AFRR, 1.0, 1.0, 300.0, 4.0, direction)
 
 
 def mfrr(direction: Direction | str = Direction.POS) -> BalancingProduct:
-    return BalancingProduct(ProductKind.MFRR, 1.0, 1.0, 750.0, False, 4.0, direction)
+    return BalancingProduct(ProductKind.MFRR, 1.0, 1.0, 750.0, 4.0, direction)
 
 
 _PRODUCT_NAMES = {
@@ -178,10 +188,6 @@ class SpotPriceSeries:
             if not t0 < t1:
                 raise ValueError(f"timestamps must be strictly increasing, got {t0} then {t1}")
 
-    @property
-    def prices(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.samples)
-
 
 def avg_price_below_threshold(
     series: SpotPriceSeries, threshold_eur_per_mwh: float
@@ -203,13 +209,3 @@ def apply_grid_fee(price_eur_per_mwh: float, fee_fraction: float) -> float:
         raise ValueError(f"fee_fraction must be >= 0, got {fee_fraction}")
     return price_eur_per_mwh * (1.0 + fee_fraction)
 
-
-def price_table_from_pairs(pairs: Iterable[tuple[str, float]]) -> CapacityPriceTable:
-    """Build a table from (label, price) pairs, rejecting duplicate blocks."""
-    seen: dict[str, float] = {}
-    for label, price in pairs:
-        canonical = normalize_block_label(label)
-        if canonical in seen:
-            raise ValueError(f"duplicate price for block {canonical}")
-        seen[canonical] = price
-    return CapacityPriceTable(seen)

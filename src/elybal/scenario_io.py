@@ -31,7 +31,7 @@ from .markets import (
     BalancingProduct,
     CapacityPriceTable,
     SpotPriceSeries,
-    price_table_from_pairs,
+    normalize_block_label,
     product_from_name,
 )
 from .model import EfficiencyCurve, ElectrolyzerUnit, Fleet, Technology, aggregate
@@ -75,13 +75,11 @@ class PresetEntry:
     technology: Technology
     estimated: bool = False
 
-    def to_unit(
-        self, rated_power_mw: float | None = None, name: str | None = None
-    ) -> ElectrolyzerUnit:
+    def to_unit(self) -> ElectrolyzerUnit:
         return ElectrolyzerUnit(
-            name=name or self.manufacturer,
+            name=self.manufacturer,
             technology=self.technology,
-            rated_power_mw=rated_power_mw if rated_power_mw is not None else self.power_mw,
+            rated_power_mw=self.power_mw,
             min_load_fraction=self.range_min_pct / 100.0,
             ramp_up=self.ramp_pct_per_s / 100.0,
         )
@@ -539,13 +537,24 @@ def _read_csv_rows(path: Path, expected_header: list[str]) -> list[tuple[int, st
 
 
 def load_capacity_prices(path: str | Path) -> CapacityPriceTable:
-    """Read a block,price_eur_per_mw CSV into a capacity price table."""
+    """Read a block,price_eur_per_mw CSV into a capacity price table; an
+    unknown or repeated block and a negative price are errors at their line."""
     path = Path(path)
-    rows = _read_csv_rows(path, ["block", "price_eur_per_mw"])
-    try:
-        return price_table_from_pairs((label, price) for _, label, price in rows)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), source=str(path)) from None
+    source = str(path)
+    prices: dict[str, float] = {}
+    for lineno, label, price in _read_csv_rows(path, ["block", "price_eur_per_mw"]):
+        try:
+            block = normalize_block_label(label)
+        except ValueError as exc:
+            raise ScenarioError(str(exc), key="block", line=lineno, source=source) from None
+        if block in prices:
+            raise ScenarioError(f"duplicate price for block {block}", key="block",
+                                line=lineno, source=source)
+        if price < 0:
+            raise ScenarioError(f"negative capacity price {price} for block {block}",
+                                key="price_eur_per_mw", line=lineno, source=source)
+        prices[block] = price
+    return CapacityPriceTable(prices)
 
 
 def load_spot_prices(path: str | Path) -> SpotPriceSeries:
@@ -558,13 +567,20 @@ def load_spot_prices(path: str | Path) -> SpotPriceSeries:
             ts = datetime.fromisoformat(ts_s)
         except ValueError:
             raise ScenarioError(
-                f"invalid ISO timestamp '{ts_s}'", line=lineno, source=source
+                f"invalid ISO timestamp '{ts_s}'", key="timestamp", line=lineno, source=source
             ) from None
+        if samples:
+            try:
+                in_order = samples[-1][0] < ts
+            except TypeError:  # a UTC offset on one side only
+                raise ScenarioError("timestamps mix ones with and without a UTC offset",
+                                    key="timestamp", line=lineno, source=source) from None
+            if not in_order:
+                raise ScenarioError(f"timestamps must be strictly increasing, got "
+                                    f"{samples[-1][0]} then {ts}", key="timestamp",
+                                    line=lineno, source=source)
         samples.append((ts, price))
-    try:
-        return SpotPriceSeries(tuple(samples))
-    except ValueError as exc:
-        raise ScenarioError(str(exc), source=source) from None
+    return SpotPriceSeries(tuple(samples))
 
 
 # numpy opens a path whose name ends in one of these as compressed data

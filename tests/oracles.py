@@ -55,7 +55,6 @@ from elybal.markets import (
     BalancingProduct,
     CapacityPriceTable,
     Direction,
-    TimeBlock,
 )
 from elybal.model import EfficiencyCurve, ElectrolyzerUnit
 from elybal.scenario_io import ScenarioError
@@ -69,7 +68,6 @@ def brute_force_oracle(
     fcr_prices: CapacityPriceTable | None,
     afrr_price_per_block_eur: float | None,
     options: AllocationOptions | None = None,
-    blocks: tuple[TimeBlock, ...] | None = None,
     max_combinations: int = 10**6,
 ) -> AllocationResult:
     """Reference optimizer: plain cross product over all integer bids.
@@ -79,7 +77,6 @@ def brute_force_oracle(
     the search space exceeds ``max_combinations``.
     """
     options = options or AllocationOptions()
-    blocks = blocks if blocks is not None else CANONICAL_BLOCKS
     fcr_prod, afrr_prod = _split_products(tuple(products))
 
     min_p, max_p = unit.min_power_mw, unit.rated_power_mw
@@ -90,7 +87,7 @@ def brute_force_oracle(
         lowest_sp = max(min_p, unit.efficiency_curve.domain[0] * max_p)
     setpoints = _grid_points(lowest_sp, max_p, options.setpoint_grid_mw).tolist()
     n_quant = int(math.floor(max_p / 1.0 + _EPS)) + 1
-    space = len(blocks) * len(setpoints) * n_quant * n_quant
+    space = len(CANONICAL_BLOCKS) * len(setpoints) * n_quant * n_quant
     if space > max_combinations:
         raise ValueError(
             f"search space of {space} combinations exceeds the oracle bound {max_combinations}"
@@ -127,7 +124,7 @@ def brute_force_oracle(
     entries: list[ScheduleEntry] = []
     revenue = 0.0
     h2_loss_total = 0.0
-    for block in blocks:
+    for block in CANONICAL_BLOCKS:
         fcr_price = fcr_prices.price(block) if fcr_prod is not None else 0.0
         afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
         candidates = []  # (score, reserved, q_f, sp, q_a)
@@ -149,10 +146,10 @@ def brute_force_oracle(
             best = _pick(score, reserved, fcr_q, setpoint)
             _, _, q_f, sp, q_a = candidates[best]
         if q_f > 0:
-            entries.append(ScheduleEntry(block, fcr_prod, q_f, Direction.SYM, sp))
+            entries.append(ScheduleEntry(block, fcr_prod, q_f, sp))
             revenue += q_f * fcr_price
         if q_a > 0:
-            entries.append(ScheduleEntry(block, afrr_prod, q_a, Direction.POS, sp))
+            entries.append(ScheduleEntry(block, afrr_prod, q_a, sp))
             revenue += q_a * afrr_price
         if h2_value is not None and (q_f > 0 or q_a > 0):
             h2_loss_total += _hydrogen_loss_kg(unit, sp, duration)
@@ -297,13 +294,11 @@ def optimize_day_loop(
     fcr_prices: CapacityPriceTable | None,
     afrr_price_per_block_eur: float | None,
     options: AllocationOptions | None = None,
-    blocks: tuple[TimeBlock, ...] | None = None,
 ) -> AllocationResult:
     """Reference for ``optimize_day`` on days too large for the brute force:
     the same corner candidates, scored one setpoint at a time and kept by
     the sequential comparison ``_better``.  Takes valid inputs only."""
     options = options or AllocationOptions()
-    blocks = blocks if blocks is not None else CANONICAL_BLOCKS
     fcr_prod, afrr_prod = _split_products(tuple(products))
     h2_value = options.hydrogen_value_eur_per_kg
     duration = fcr_prod.duration_h if fcr_prod else afrr_prod.duration_h
@@ -318,7 +313,7 @@ def optimize_day_loop(
     entries: list[ScheduleEntry] = []
     revenue = 0.0
     h2_loss = 0.0
-    for block in blocks:
+    for block in CANONICAL_BLOCKS:
         q_fcr, q_afrr, sp, _ = _best_for_block(
             unit,
             fcr_prod,
@@ -329,10 +324,10 @@ def optimize_day_loop(
             setpoint_costs,
         )
         if q_fcr > 0:
-            entries.append(ScheduleEntry(block, fcr_prod, q_fcr, Direction.SYM, sp))
+            entries.append(ScheduleEntry(block, fcr_prod, q_fcr, sp))
             revenue += q_fcr * fcr_prices.price(block)
         if q_afrr > 0:
-            entries.append(ScheduleEntry(block, afrr_prod, q_afrr, Direction.POS, sp))
+            entries.append(ScheduleEntry(block, afrr_prod, q_afrr, sp))
             revenue += q_afrr * afrr_price_per_block_eur
         if h2_value is not None and (q_fcr > 0 or q_afrr > 0):
             h2_loss += _hydrogen_loss_kg(unit, sp, duration)

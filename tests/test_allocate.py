@@ -168,7 +168,7 @@ class TestPinnedFcr:
 
 
 def test_trading_increments_must_nest():
-    odd = BalancingProduct(ProductKind.AFRR, 1.0, 1.5, 300.0, False, 4.0, Direction.POS)
+    odd = BalancingProduct(ProductKind.AFRR, 1.0, 1.5, 300.0, 4.0, Direction.POS)
     with pytest.raises(ValueError, match="whole multiples"):
         optimize_day(BIG_UNIT, [fcr(), odd], PRICES, 80.0)
 
@@ -230,7 +230,7 @@ class TestHydrogenOpportunityCost:
 
 class TestValidateSchedule:
     def afrr_entry(self, block, quantity, setpoint):
-        return ScheduleEntry(block, afrr(), quantity, Direction.POS, setpoint)
+        return ScheduleEntry(block, afrr(), quantity, setpoint)
 
     def test_accepts_the_optimizer_output(self):
         result = optimize_day(BIG_UNIT, [fcr(), afrr()], PRICES, 80.0)
@@ -239,23 +239,59 @@ class TestValidateSchedule:
     def test_headroom_is_not_double_counted(self):
         block = CANONICAL_BLOCKS[0]
         ok = BidSchedule((
-            ScheduleEntry(block, fcr(), 5.0, Direction.SYM, 95.0),
+            ScheduleEntry(block, fcr(), 5.0, 95.0),
             self.afrr_entry(block, 40.0, 95.0),
         ))
         # aFRR occupies [50, 90], directly below the FCR band [90, 100]
         validate_schedule(BIG_UNIT, ok)
         crowded = BidSchedule((
-            ScheduleEntry(block, fcr(), 5.0, Direction.SYM, 95.0),
+            ScheduleEntry(block, fcr(), 5.0, 95.0),
             self.afrr_entry(block, 41.0, 95.0),
         ))
         with pytest.raises(ValueError, match="headroom"):
             validate_schedule(BIG_UNIT, crowded)
 
+    @pytest.mark.parametrize("direction, setpoint", [
+        (Direction.POS, 95.0),  # FCR band [90, 100]; aFRR POS from 90 down to 50
+        (Direction.NEG, 55.0),  # FCR band [50, 60]; aFRR NEG from 60 up to 100
+    ])
+    def test_one_sided_entries_start_at_the_fcr_band_edge_on_their_side(
+        self, direction, setpoint
+    ):
+        block = CANONICAL_BLOCKS[0]
+        for quantity, fits in ((40.0, True), (41.0, False)):
+            schedule = BidSchedule((
+                ScheduleEntry(block, fcr(), 5.0, setpoint),
+                ScheduleEntry(block, afrr(direction), quantity, setpoint),
+            ))
+            if fits:
+                validate_schedule(BIG_UNIT, schedule)
+            else:
+                with pytest.raises(ValueError, match=f"aFRR {direction.value} 41.0 MW fails headroom"):
+                    validate_schedule(BIG_UNIT, schedule)
+
+    def test_fcr_and_both_afrr_bands_touch_without_overlapping(self):
+        block = CANONICAL_BLOCKS[0]
+        # [50, 70] POS, [70, 80] FCR, [80, 100] NEG
+        validate_schedule(BIG_UNIT, BidSchedule((
+            ScheduleEntry(block, fcr(), 5.0, 75.0),
+            ScheduleEntry(block, afrr(Direction.POS), 20.0, 75.0),
+            ScheduleEntry(block, afrr(Direction.NEG), 20.0, 75.0),
+        )))
+
+    def test_the_product_direction_sets_the_side(self):
+        block = CANONICAL_BLOCKS[0]
+        # 10 MW below 95 MW fits; 10 MW above it would pass rated power
+        validate_schedule(BIG_UNIT, BidSchedule((self.afrr_entry(block, 10.0, 95.0),)))
+        upward = BidSchedule((ScheduleEntry(block, afrr(Direction.NEG), 10.0, 95.0),))
+        with pytest.raises(ValueError, match="aFRR NEG 10.0 MW fails headroom"):
+            validate_schedule(BIG_UNIT, upward)
+
     def test_rejects_duplicate_fcr_entries(self):
         block = CANONICAL_BLOCKS[0]
         schedule = BidSchedule((
-            ScheduleEntry(block, fcr(), 2.0, Direction.SYM, 70.0),
-            ScheduleEntry(block, fcr(), 3.0, Direction.SYM, 70.0),
+            ScheduleEntry(block, fcr(), 2.0, 70.0),
+            ScheduleEntry(block, fcr(), 3.0, 70.0),
         ))
         with pytest.raises(ValueError, match="more than one FCR"):
             validate_schedule(BIG_UNIT, schedule)
@@ -263,7 +299,7 @@ class TestValidateSchedule:
     def test_rejects_mixed_setpoints_in_a_block(self):
         block = CANONICAL_BLOCKS[0]
         schedule = BidSchedule((
-            ScheduleEntry(block, fcr(), 2.0, Direction.SYM, 70.0),
+            ScheduleEntry(block, fcr(), 2.0, 70.0),
             self.afrr_entry(block, 5.0, 80.0),
         ))
         with pytest.raises(ValueError, match="mixes setpoints"):
@@ -273,20 +309,20 @@ class TestValidateSchedule:
         block = CANONICAL_BLOCKS[0]
         schedule = BidSchedule((
             # 20 MW FCR needs 20/0.167 = 120 s, way past the 30 s deadline
-            ScheduleEntry(block, fcr(), 20.0, Direction.SYM, 75.0),
+            ScheduleEntry(block, fcr(), 20.0, 75.0),
         ))
         with pytest.raises(ValueError, match="ramp_deadline"):
             validate_schedule(BIG_UNIT, schedule)
 
     def test_identical_failing_blocks_name_the_first(self):
         schedule = BidSchedule(tuple(
-            ScheduleEntry(block, fcr(), 20.0, Direction.SYM, 75.0) for block in CANONICAL_BLOCKS
+            ScheduleEntry(block, fcr(), 20.0, 75.0) for block in CANONICAL_BLOCKS
         ))
         with pytest.raises(ValueError, match="block NEGPOS_00_04: FCR 20.0 MW fails ramp_deadline"):
             validate_schedule(BIG_UNIT, schedule)
 
     # a 5 MW FCR band at 95 MW is valid; each variant breaks it in one field
-    SLOW_FCR = BalancingProduct(ProductKind.FCR, 1.0, 1.0, 20.0, True, 4.0, Direction.SYM)
+    SLOW_FCR = BalancingProduct(ProductKind.FCR, 1.0, 1.0, 20.0, 4.0, Direction.SYM)
 
     @pytest.mark.parametrize("product, quantity, setpoint", [
         (fcr(), 6.0, 95.0),  # quantity: past the ramp deadline and the headroom
@@ -296,8 +332,8 @@ class TestValidateSchedule:
     def test_a_block_differing_from_checked_ones_is_checked(self, product, quantity, setpoint):
         *same, last = CANONICAL_BLOCKS
         schedule = BidSchedule(
-            tuple(ScheduleEntry(b, fcr(), 5.0, Direction.SYM, 95.0) for b in same)
-            + (ScheduleEntry(last, product, quantity, Direction.SYM, setpoint),)
+            tuple(ScheduleEntry(b, fcr(), 5.0, 95.0) for b in same)
+            + (ScheduleEntry(last, product, quantity, setpoint),)
         )
         with pytest.raises(ValueError, match="block NEGPOS_20_24: FCR"):
             validate_schedule(BIG_UNIT, schedule)
@@ -357,9 +393,9 @@ def allocation_days(draw):
     ramp_up = draw(st.sampled_from([0.002, 0.005, 0.02, 0.05, 0.1]))
     ramp_down = draw(st.sampled_from([None, 0.005, 0.05]))
     fcr_prod = BalancingProduct(ProductKind.FCR, draw(st.integers(1, 3)),
-                                draw(st.integers(1, 2)), 30.0, True, 4.0, Direction.SYM)
+                                draw(st.integers(1, 2)), 30.0, 4.0, Direction.SYM)
     afrr_prod = BalancingProduct(ProductKind.AFRR, draw(st.integers(1, 3)),
-                                 draw(st.integers(1, 2)), 300.0, False, 4.0, Direction.POS)
+                                 draw(st.integers(1, 2)), 300.0, 4.0, Direction.POS)
     block_prices = draw(st.lists(CENTS, min_size=6, max_size=6))
     # an aFRR price equal to an FCR block price makes the products tie
     afrr_price = draw(st.one_of(CENTS, st.sampled_from(block_prices)))
@@ -394,8 +430,8 @@ def _one_setpoint_day(rated, u, ramp_up, ramp_down, fcr_bid_grid, afrr_bid_grid,
     rated power), with (minimum bid, increment) pairs for both products."""
     return _day(
         ElectrolyzerUnit("one", Technology.AEL, rated, u, ramp_up, ramp_down),
-        BalancingProduct(ProductKind.FCR, *fcr_bid_grid, 30.0, True, 4.0, Direction.SYM),
-        BalancingProduct(ProductKind.AFRR, *afrr_bid_grid, 300.0, False, 4.0, Direction.POS),
+        BalancingProduct(ProductKind.FCR, *fcr_bid_grid, 30.0, 4.0, Direction.SYM),
+        BalancingProduct(ProductKind.AFRR, *afrr_bid_grid, 300.0, 4.0, Direction.POS),
         [fcr_price] * 6, afrr_price, AllocationOptions(setpoint_grid_mw=setpoint),
     )
 
@@ -408,8 +444,8 @@ MIN_BID_KINK = _one_setpoint_day(16.0, 0.2, 0.02, None, (1.0, 1.0), (3.0, 2.0),
                                  39.0, 36.0, 11.0)
 
 
-UNIT_GRID = BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, True, 4.0, Direction.SYM)
-UNIT_GRID_AFRR = BalancingProduct(ProductKind.AFRR, 1.0, 1.0, 300.0, False, 4.0, Direction.POS)
+UNIT_GRID = BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, 4.0, Direction.SYM)
+UNIT_GRID_AFRR = BalancingProduct(ProductKind.AFRR, 1.0, 1.0, 300.0, 4.0, Direction.POS)
 FLAT_CURVE = EfficiencyCurve(((0.2, 50.0), (1.0, 50.0)))  # 80 kg per MW and 4 h block
 
 

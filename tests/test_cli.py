@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import errno
 import json
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ DEMO = str(SCENARIOS / "demo4grid.scenario")
 REVENUE = str(SCENARIOS / "revenue_100mw.scenario")
 GERMAN = str(SCENARIOS / "german_fleet_2030.scenario")
 EU = str(SCENARIOS / "eu_fleet_2030.scenario")
+README = SCENARIOS.parent / "README.md"
 
 
 def revenue_copy(tmp_path: Path, filename: str, *replacements: tuple[str, str]) -> str:
@@ -669,3 +672,54 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "sunfire-ael" in proc.stdout
+
+
+def readme_transcripts() -> list[list]:
+    """The README's ``$ elybal ...`` lines inside code fences, each as
+    [arguments, lines shown after it, exit code]: the code a following
+    ``$ echo $?`` shows, else 0."""
+    runs, current, fenced = [], None, False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced, current = not fenced, None
+        elif not fenced:
+            continue
+        elif line.startswith("$ elybal "):
+            current = [line.removeprefix("$ elybal "), [], 0]
+            runs.append(current)
+        elif current is None:
+            continue
+        elif current[2] is None:
+            current[2] = int(line)
+        elif line == "$ echo $?":
+            current[2] = None
+        else:
+            current[1].append(line)
+    for run in runs:
+        while run[1] and not run[1][-1]:
+            run[1].pop()
+    return runs
+
+
+def shown_lines_match(shown: list[str], printed: list[str]) -> bool:
+    """Line by line equality, where a shown ``...`` line matches any lines."""
+    if not shown:
+        return not printed
+    if shown[0] == "...":
+        return any(shown_lines_match(shown[1:], printed[i:]) for i in range(len(printed) + 1))
+    return bool(printed) and shown[0] == printed[0] and shown_lines_match(shown[1:], printed[1:])
+
+
+def test_readme_shows_its_transcripts():
+    assert len(readme_transcripts()) >= 5
+
+
+@pytest.mark.parametrize("arguments, shown, code",
+                         [pytest.param(*run, id=run[0]) for run in readme_transcripts()])
+def test_readme_transcript(arguments, shown, code, tmp_path, monkeypatch, capsys):
+    shutil.copytree(SCENARIOS, tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(arguments)) == code
+    captured = capsys.readouterr()
+    printed = (captured.out + captured.err).splitlines()
+    assert shown_lines_match(shown, printed), "\n".join(printed)

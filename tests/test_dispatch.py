@@ -98,7 +98,6 @@ class TestActivationSignal:
         )
         assert sig.timestep_s == 0.5
         assert np.array_equal(sig.values, (0.0, -0.1, -0.2))
-        assert list(sig.times) == [0.0, 0.5, 1.0]
 
     def test_values_are_a_read_only_float64_copy(self):
         samples = np.array([0.0, -0.1, -0.2])
@@ -201,9 +200,9 @@ class TestPowerTrajectory:
         with pytest.raises(ValueError, match="ramp limits"):
             PowerTrajectory(1.0, np.array([3.0, 2.0]), DEMO_UNIT)
 
-    def test_duration(self):
+    def test_times(self):
         traj = PowerTrajectory(2.0, np.array([3.0, 3.0, 3.0]), DEMO_UNIT)
-        assert traj.duration_s == 4.0
+        assert list(traj.times) == [0.0, 2.0, 4.0]
 
     def test_samples_are_a_read_only_float64_copy(self):
         samples = np.array([3.0, 3.0, 3.0])

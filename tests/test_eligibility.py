@@ -279,7 +279,7 @@ class TestCapacityLimit:
     def test_tradable_bid_is_on_the_grid_and_at_least_the_minimum(self):
         assert tradable_mw(5.01, fcr()) == 5.0
         assert tradable_mw(0.9, fcr()) == 0.0
-        coarse = BalancingProduct(ProductKind.AFRR, 3.0, 2.0, 300.0, False, 4.0, Direction.POS)
+        coarse = BalancingProduct(ProductKind.AFRR, 3.0, 2.0, 300.0, 4.0, Direction.POS)
         assert tradable_mw(5.9, coarse) == 4.0
         assert tradable_mw(3.5, coarse) == 0.0
 

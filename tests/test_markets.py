@@ -24,7 +24,6 @@ from elybal.markets import (
     fcr,
     mfrr,
     normalize_block_label,
-    price_table_from_pairs,
     product_from_name,
     required_gradient,
 )
@@ -44,7 +43,6 @@ class TestProductDefinitions:
     def test_fcr_is_symmetric_30s(self):
         p = fcr()
         assert p.kind is ProductKind.FCR
-        assert p.symmetric
         assert p.direction is Direction.SYM
         assert p.availability_s == 30.0
         assert p.min_bid_mw == 1.0
@@ -53,7 +51,7 @@ class TestProductDefinitions:
 
     def test_afrr_is_directional_300s(self):
         p = afrr(Direction.POS)
-        assert not p.symmetric
+        assert p.direction is Direction.POS
         assert p.availability_s == 300.0
         assert p.label == "aFRR POS"
 
@@ -63,10 +61,18 @@ class TestProductDefinitions:
         assert p.label == "mFRR NEG"
 
     def test_direction_sym_reserved_for_symmetric(self):
-        with pytest.raises(ValueError):
-            BalancingProduct(ProductKind.AFRR, 1.0, 1.0, 300.0, False, 4.0, Direction.SYM)
-        with pytest.raises(ValueError):
-            BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, True, 4.0, Direction.POS)
+        with pytest.raises(ValueError, match="no aFRR SYM product: FCR is SYM"):
+            BalancingProduct(ProductKind.AFRR, 1.0, 1.0, 300.0, 4.0, Direction.SYM)
+        with pytest.raises(ValueError, match="no FCR POS product: FCR is SYM"):
+            BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, 4.0, Direction.POS)
+        with pytest.raises(ValueError, match="no mFRR SYM product"):
+            BalancingProduct(ProductKind.MFRR, 1.0, 1.0, 750.0, 4.0, Direction.SYM)
+
+    def test_which_side_of_the_setpoint_each_direction_moves_the_load(self):
+        # POS sheds load, NEG absorbs power, SYM does both
+        assert (Direction.SYM.lowers_load, Direction.SYM.raises_load) == (True, True)
+        assert (Direction.POS.lowers_load, Direction.POS.raises_load) == (True, False)
+        assert (Direction.NEG.lowers_load, Direction.NEG.raises_load) == (False, True)
 
     def test_plain_strings_coerce_to_enums(self):
         # the enums mix in str, so "POS" == Direction.POS; construction must
@@ -74,7 +80,7 @@ class TestProductDefinitions:
         p = afrr("POS")
         assert p.direction is Direction.POS
         assert p.label == "aFRR POS"
-        q = BalancingProduct("mFRR", 1.0, 1.0, 750.0, False, 4.0, "NEG")
+        q = BalancingProduct("mFRR", 1.0, 1.0, 750.0, 4.0, "NEG")
         assert q.kind is ProductKind.MFRR and q.direction is Direction.NEG
         assert afrr("NEG") == afrr(Direction.NEG)
 
@@ -84,8 +90,8 @@ class TestProductDefinitions:
             afrr(bad)
 
     def test_string_direction_cannot_dodge_symmetry_rule(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, True, 4.0, "POS")
+        with pytest.raises(ValueError, match="FCR is SYM"):
+            BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, 4.0, "POS")
 
     @pytest.mark.parametrize(
         "name,kind,direction",
@@ -150,7 +156,7 @@ class TestCapacityPriceTable:
 
     def test_rejects_duplicates_and_negative(self):
         with pytest.raises(ValueError, match="duplicate"):
-            price_table_from_pairs([("00-04", 1.0), ("NEGPOS_00_04", 2.0)])
+            CapacityPriceTable({"00-04": 1.0, "NEGPOS_00_04": 2.0})
         with pytest.raises(ValueError, match="negative"):
             CapacityPriceTable({"NEGPOS_00_04": -0.01})
 

@@ -89,11 +89,6 @@ class TestPresetCatalog:
         assert unit.ramp_up == pytest.approx(0.0061)
         assert unit.ramp_down == unit.ramp_up
 
-    def test_to_unit_accepts_overrides(self):
-        unit = preset("sunfire-ael").to_unit(rated_power_mw=100.0, name="scaled")
-        assert unit.rated_power_mw == 100.0
-        assert unit.name == "scaled"
-
     def test_unknown_preset(self):
         with pytest.raises(ScenarioError, match="unknown preset"):
             preset("not-a-unit")
@@ -447,6 +442,18 @@ class TestCsvLoaders:
             load_capacity_prices(path)
         assert (exc.value.line, exc.value.key) == (4, "price_eur_per_mw")
 
+    @pytest.mark.parametrize("rows,line,key,message", [
+        ("NEGPOS_00_04,5\nNEGPOS_02_06,5\n", 3, "block", "unrecognized block label"),
+        ("NEGPOS_00_04,5\n00-04,6\n", 3, "block", "duplicate price for block NEGPOS_00_04"),
+        ("NEGPOS_00_04,5\nNEGPOS_04_08,-5\n", 3, "price_eur_per_mw",
+         "negative capacity price -5.0 for block NEGPOS_04_08"),
+    ])
+    def test_capacity_price_faults_name_line_and_key(self, tmp_path, rows, line, key, message):
+        path = write(tmp_path, "p.csv", "block,price_eur_per_mw\n" + rows)
+        with pytest.raises(ScenarioError, match=message) as exc:
+            load_capacity_prices(path)
+        assert (exc.value.source, exc.value.line, exc.value.key) == (str(path), line, key)
+
     def test_capacity_prices_column_count(self, tmp_path):
         path = write(tmp_path, "p.csv", "block,price_eur_per_mw\nNEGPOS_00_04,5,6\n")
         with pytest.raises(ScenarioError, match="expected 2 columns"):
@@ -460,7 +467,7 @@ class TestCsvLoaders:
         ))
         series = load_spot_prices(path)
         assert isinstance(series, SpotPriceSeries)
-        assert series.prices == (43.5, 39.1)
+        assert [p for _, p in series.samples] == [43.5, 39.1]
 
     def test_spot_prices_non_finite_price_is_located(self, tmp_path):
         path = write(tmp_path, "spot.csv",
@@ -469,11 +476,24 @@ class TestCsvLoaders:
             load_spot_prices(path)
         assert exc.value.key == "price_eur_per_mwh"
 
+    @pytest.mark.parametrize("second,message", [
+        ("2024-07-25T00:00:00", "strictly increasing"),
+        ("2024-07-25T01:00:00+02:00", "with and without a UTC offset"),
+    ])
+    def test_spot_price_timestamp_out_of_order_names_line_and_key(self, tmp_path, second,
+                                                                  message):
+        path = write(tmp_path, "spot.csv", "timestamp,price_eur_per_mwh\n"
+                     f"2024-07-25T00:00:00,43.5\n{second},39.1\n")
+        with pytest.raises(ScenarioError, match=message) as exc:
+            load_spot_prices(path)
+        assert (exc.value.source, exc.value.line, exc.value.key) == (str(path), 3, "timestamp")
+
     def test_spot_prices_bad_timestamp(self, tmp_path):
         path = write(tmp_path, "spot.csv",
                      "timestamp,price_eur_per_mwh\nyesterday,43.5\n")
-        with pytest.raises(ScenarioError, match="ISO timestamp"):
+        with pytest.raises(ScenarioError, match="ISO timestamp") as exc:
             load_spot_prices(path)
+        assert (exc.value.line, exc.value.key) == (2, "timestamp")
 
     def test_signal(self, tmp_path):
         sig = load_signal(write(tmp_path, "s.csv", SIGNAL_CSV), SignalKind.SETPOINT_REQUEST)
