@@ -29,6 +29,7 @@ from .dispatch import (
 from .economics import (
     CoverageResult,
     EconomicReport,
+    EconomicsSettings,
     afrr_day_capacity_revenue,
     build_report,
     electricity_cost,

@@ -232,12 +232,8 @@ def optimize_day(
     options = options or AllocationOptions()
     fcr_prod, afrr_prod = _split_products(tuple(products))
 
-    if fcr_prod is not None:
-        if fcr_prices is None:
-            raise ValueError("FCR is offered but no capacity price table was given")
-        missing = [b.label for b in CANONICAL_BLOCKS if b.label not in fcr_prices.prices]
-        if missing:
-            raise ValueError(f"capacity price table missing blocks: {', '.join(missing)}")
+    if fcr_prod is not None and fcr_prices is None:
+        raise ValueError("FCR is offered but no capacity price table was given")
     if afrr_prod is not None:
         if afrr_price_per_block_eur is None:
             raise ValueError("aFRR is offered but no capacity price was given")

@@ -27,7 +27,6 @@ from .allocate import AllocationOptions, optimize_day
 from .dispatch import PowerTrajectory, check_compliance, simulate
 from .economics import build_report
 from .eligibility import check_eligibility, default_setpoint, max_offerable
-from .markets import apply_grid_fee, avg_price_below_threshold
 from .model import ElectrolyzerUnit
 from .scenario_io import (
     PRESETS,
@@ -126,8 +125,9 @@ def _allocate(scenario: Scenario, args) -> tuple[str, bool, dict]:
     _section(scenario, scenario.products, "product")
     fcr_prices = load_capacity_prices(args.prices) if args.prices else scenario.fcr_prices
     options = scenario.allocate_options or AllocationOptions()
-    result = optimize_day(unit, scenario.products, fcr_prices,
-                          scenario.afrr_price_eur_per_mw_block, options)
+    afrr_hourly = scenario.afrr_price_eur_per_mw_h
+    afrr_block = None if afrr_hourly is None else afrr_hourly * 4.0  # held over a 4 h block
+    result = optimize_day(unit, scenario.products, fcr_prices, afrr_block, options)
     reserved = {}
     for e in result.schedule.entries:
         reserved[e.product.label] = reserved.get(e.product.label, 0.0) + e.quantity_mw
@@ -140,45 +140,9 @@ def _allocate(scenario: Scenario, args) -> tuple[str, bool, dict]:
 
 
 def _economics(scenario: Scenario, args) -> tuple[str, bool, dict]:
-    eco = _section(scenario, scenario.economics, "economics")
-    price = eco.electricity_price_eur_per_mwh
-    assumptions: dict = {
-        "hours_per_day": eco.hours_per_day,
-        "grid_fee_pct": eco.grid_fee_fraction * 100.0,
-    }
-    threshold = eco.spot_threshold_eur_per_mwh
-    if price is None and scenario.spot_prices is not None and threshold is not None:
-        price, hours = avg_price_below_threshold(scenario.spot_prices, threshold)
-        assumptions["spot_threshold_eur_per_mwh"] = threshold
-        assumptions["qualifying_hours"] = hours
-    if price is not None:
-        assumptions["electricity_price_eur_per_mwh"] = price
-        price = apply_grid_fee(price, eco.grid_fee_fraction)
-        assumptions["electricity_price_with_fees_eur_per_mwh"] = price
-    block_price = scenario.afrr_price_eur_per_mw_block
-    afrr_hourly = block_price / 4.0 if block_price is not None else None
-    report = build_report(
-        fcr_bid_mw=eco.fcr_bid_mw,
-        fcr_prices=scenario.fcr_prices,
-        afrr_quantity_mw=eco.afrr_quantity_mw,
-        afrr_price_eur_per_mw_h=afrr_hourly,
-        hours_per_day=eco.hours_per_day,
-        setpoint_mw=eco.setpoint_mw,
-        electricity_price_eur_per_mwh=price,
-        required_reserve_mw=eco.required_reserve_mw,
-        fleet_power_mw=eco.fleet_power_mw,
-        coverage_symmetric=eco.coverage_symmetric,
-        assumptions=assumptions,
-    )
-    if all(result is None for result in (report.fcr_revenue_eur, report.afrr_capacity_revenue_eur,
-                                         report.electricity_cost_eur, report.coverage)):
-        raise ScenarioError(
-            "[economics] computes nothing; each result needs a pair of keys: fcr_bid_mw with "
-            "[prices] fcr_capacity_csv, afrr_quantity_mw with an aFRR price, setpoint_mw with "
-            "electricity_price_eur_per_mwh (or [prices] spot_csv with "
-            "spot_threshold_eur_per_mwh), required_reserve_mw with fleet_power_mw",
-            source=str(scenario.path),
-        )
+    settings = _section(scenario, scenario.economics, "economics")
+    report = build_report(settings, scenario.fcr_prices, scenario.afrr_price_eur_per_mw_h,
+                          scenario.spot_prices)
     parts = [f"{scenario.name}:"]
     if report.fcr_revenue_eur is not None:
         parts.append(f"FCR {report.fcr_revenue_eur:.2f} euro/day")
@@ -220,7 +184,8 @@ def _write_reports(scenario: Scenario, reports: dict, out_dir: Path, written: li
 def cmd_scenarios(args) -> int:
     """Run a scenario command on every ``--scenario``, then write the reports
     and print the texts in argument order.  The command's runner maps one
-    scenario to its text, its verdict and its reports, keyed by report kind.
+    scenario to its text, its verdict and its reports, keyed by report kind;
+    a ValueError it raises becomes an input error naming the scenario file.
     Nothing is written or printed until every scenario has run, so a run
     that fails on a later scenario writes no file.  With ``--out``, two
     scenarios of one name are an input error, and a write that fails (an
@@ -230,7 +195,12 @@ def cmd_scenarios(args) -> int:
     runs = []
     for value in args.scenario:
         scenario = load_scenario(value)
-        runs.append((scenario, *args.runner(scenario, args)))
+        try:
+            runs.append((scenario, *args.runner(scenario, args)))
+        except ScenarioError:
+            raise
+        except ValueError as exc:
+            raise ScenarioError(str(exc), source=scenario.path) from None
     if args.out:
         paths: dict[str, Path] = {}
         for scenario, *_ in runs:

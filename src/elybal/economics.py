@@ -1,11 +1,17 @@
-"""Revenue, cost and fleet coverage arithmetic."""
+"""Revenue, cost and fleet coverage arithmetic, and the [economics] report."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .markets import CapacityPriceTable, day_capacity_price_sum
+from .markets import (
+    CapacityPriceTable,
+    SpotPriceSeries,
+    apply_grid_fee,
+    avg_price_below_threshold,
+    day_capacity_price_sum,
+)
 
 
 def fcr_day_revenue(bid_mw: float, prices: CapacityPriceTable) -> float:
@@ -113,48 +119,79 @@ class EconomicReport:
         }
 
 
-def build_report(
-    *,
-    fcr_bid_mw: float | None = None,
-    fcr_prices: CapacityPriceTable | None = None,
-    afrr_quantity_mw: float | None = None,
-    afrr_price_eur_per_mw_h: float | None = None,
-    hours_per_day: float = 24.0,
-    setpoint_mw: float | None = None,
-    electricity_price_eur_per_mwh: float | None = None,
-    required_reserve_mw: float | None = None,
-    fleet_power_mw: float | None = None,
-    coverage_symmetric: bool = True,
-    assumptions: dict | None = None,
-) -> EconomicReport:
-    """Assemble an EconomicReport from whatever inputs are on hand.
+@dataclass(frozen=True)
+class EconomicsSettings:
+    """The [economics] keys of a scenario, in their stored units."""
 
-    The electricity price is taken as final (grid fees already applied).
-    Components with missing inputs stay None; the savings ratios require
-    a positive cost and at least one revenue term.
+    setpoint_mw: float | None = None
+    hours_per_day: float = 24.0
+    electricity_price_eur_per_mwh: float | None = None
+    spot_threshold_eur_per_mwh: float | None = None
+    grid_fee_fraction: float = 0.0
+    fcr_bid_mw: float | None = None
+    afrr_quantity_mw: float | None = None
+    required_reserve_mw: float | None = None
+    fleet_power_mw: float | None = None
+    coverage_symmetric: bool = True
+
+
+def build_report(
+    settings: EconomicsSettings,
+    fcr_prices: CapacityPriceTable | None = None,
+    afrr_price_eur_per_mw_h: float | None = None,
+    spot_prices: SpotPriceSeries | None = None,
+) -> EconomicReport:
+    """The daily economics ``settings`` ask for, from the prices on hand.
+
+    The electricity price is ``electricity_price_eur_per_mwh``, else the
+    mean of the spot prices below ``spot_threshold_eur_per_mwh``; the grid
+    fee is added to it.  ``assumptions`` records both prices and what chose
+    them.  Each result needs a pair of inputs and stays None without it;
+    the savings ratios need a positive cost and at least one revenue.
+    Settings that complete no pair are a ValueError.
     """
+    s = settings
+    assumptions: dict = {"hours_per_day": s.hours_per_day,
+                         "grid_fee_pct": s.grid_fee_fraction * 100.0}
+    price = s.electricity_price_eur_per_mwh
+    threshold = s.spot_threshold_eur_per_mwh
+    if price is None and spot_prices is not None and threshold is not None:
+        price, hours = avg_price_below_threshold(spot_prices, threshold)
+        assumptions["spot_threshold_eur_per_mwh"] = threshold
+        assumptions["qualifying_hours"] = hours
+    if price is not None:
+        assumptions["electricity_price_eur_per_mwh"] = price
+        price = apply_grid_fee(price, s.grid_fee_fraction)
+        assumptions["electricity_price_with_fees_eur_per_mwh"] = price
     fcr_rev = None
-    if fcr_bid_mw is not None and fcr_prices is not None:
-        fcr_rev = fcr_day_revenue(fcr_bid_mw, fcr_prices)
+    if s.fcr_bid_mw is not None and fcr_prices is not None:
+        fcr_rev = fcr_day_revenue(s.fcr_bid_mw, fcr_prices)
     afrr_rev = None
-    if afrr_quantity_mw is not None and afrr_price_eur_per_mw_h is not None:
+    if s.afrr_quantity_mw is not None and afrr_price_eur_per_mw_h is not None:
         afrr_rev = afrr_day_capacity_revenue(
-            afrr_quantity_mw, hours_per_day, afrr_price_eur_per_mw_h
+            s.afrr_quantity_mw, s.hours_per_day, afrr_price_eur_per_mw_h
         )
     cost = None
     cost_rounded = None
-    if setpoint_mw is not None and electricity_price_eur_per_mwh is not None:
-        cost = electricity_cost(setpoint_mw, hours_per_day, electricity_price_eur_per_mwh)
+    if s.setpoint_mw is not None and price is not None:
+        cost = electricity_cost(s.setpoint_mw, s.hours_per_day, price)
         cost_rounded = round_to_sig_figs(cost, 2)
+    coverage = None
+    if s.required_reserve_mw is not None and s.fleet_power_mw is not None:
+        coverage = fleet_coverage(s.required_reserve_mw, s.fleet_power_mw, s.coverage_symmetric)
+    if fcr_rev is None and afrr_rev is None and cost is None and coverage is None:
+        raise ValueError(
+            "[economics] computes nothing; each result needs a pair of keys: fcr_bid_mw with "
+            "[prices] fcr_capacity_csv, afrr_quantity_mw with an aFRR price, setpoint_mw with "
+            "electricity_price_eur_per_mwh (or [prices] spot_csv with "
+            "spot_threshold_eur_per_mwh), required_reserve_mw with fleet_power_mw"
+        )
     ratio = None
     ratio_rounded = None
     if cost is not None and cost > 0 and (fcr_rev is not None or afrr_rev is not None):
         ratio = savings_ratio(fcr_rev or 0.0, afrr_rev or 0.0, cost)
         if cost_rounded and cost_rounded > 0:
             ratio_rounded = savings_ratio(fcr_rev or 0.0, afrr_rev or 0.0, cost_rounded)
-    coverage = None
-    if required_reserve_mw is not None and fleet_power_mw is not None:
-        coverage = fleet_coverage(required_reserve_mw, fleet_power_mw, coverage_symmetric)
     return EconomicReport(
         fcr_revenue_eur=fcr_rev,
         afrr_capacity_revenue_eur=afrr_rev,
@@ -163,5 +200,5 @@ def build_report(
         savings_ratio=ratio,
         savings_ratio_vs_rounded_cost=ratio_rounded,
         coverage=coverage,
-        assumptions=dict(assumptions or {}),
+        assumptions=assumptions,
     )

@@ -144,7 +144,8 @@ def normalize_block_label(label: str) -> str:
 
 @dataclass(frozen=True)
 class CapacityPriceTable:
-    """Capacity prices in euro per MW per 4 h block, keyed by block label."""
+    """Capacity prices in euro per MW per 4 h block, one for each of the
+    six blocks of the day, keyed by block label in block order."""
 
     prices: Mapping[str, float]
 
@@ -157,22 +158,19 @@ class CapacityPriceTable:
             if not 0 <= price < float("inf"):
                 raise ValueError(f"negative or non-finite capacity price {price} for block {canonical}")
             normalized[canonical] = float(price)
-        ordered = {b.label: normalized[b.label] for b in CANONICAL_BLOCKS if b.label in normalized}
-        object.__setattr__(self, "prices", ordered)
+        missing = [b.label for b in CANONICAL_BLOCKS if b.label not in normalized]
+        if missing:
+            raise ValueError(f"capacity price table missing blocks: {', '.join(missing)}")
+        object.__setattr__(self, "prices", {b.label: normalized[b.label] for b in CANONICAL_BLOCKS})
 
     def price(self, block: TimeBlock | str) -> float:
         label = block.label if isinstance(block, TimeBlock) else normalize_block_label(block)
-        if label not in self.prices:
-            raise ValueError(f"no capacity price for block {label}")
         return self.prices[label]
 
 
 def day_capacity_price_sum(table: CapacityPriceTable) -> float:
     """Sum of the six block prices: euro per MW for a full delivery day."""
-    missing = [b.label for b in CANONICAL_BLOCKS if b.label not in table.prices]
-    if missing:
-        raise ValueError(f"price table incomplete, missing blocks: {', '.join(missing)}")
-    return sum(table.prices[b.label] for b in CANONICAL_BLOCKS)
+    return sum(table.prices.values())
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,12 @@ class SpotPriceSeries:
         samples = tuple((t, float(p)) for t, p in self.samples)
         object.__setattr__(self, "samples", samples)
         for (t0, _), (t1, _) in zip(samples, samples[1:]):
-            if not t0 < t1:
+            try:
+                in_order = t0 < t1
+            except TypeError:  # a UTC offset on one side only
+                raise ValueError(f"timestamps mix ones with and without a UTC offset: "
+                                 f"{t0} then {t1}") from None
+            if not in_order:
                 raise ValueError(f"timestamps must be strictly increasing, got {t0} then {t1}")
 
 

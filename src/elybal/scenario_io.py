@@ -27,6 +27,7 @@ import numpy as np
 
 from .allocate import AllocationOptions
 from .dispatch import ActivationSignal, PowerTrajectory, SignalKind, TimeColumnError
+from .economics import EconomicsSettings
 from .markets import (
     BalancingProduct,
     CapacityPriceTable,
@@ -189,8 +190,8 @@ def _within(value: float, interval: str) -> bool:
 class _Key:
     """How one scenario key is read: ``convert`` turns the text into a value
     (raising ValueError), ``range`` bounds it as written, dividing by
-    ``scale`` gives the stored unit (100 for percent, 0.25 for a price per
-    hour held over a 4 h block), ``default`` stands in when it is absent."""
+    ``scale`` gives the stored unit (100 for percent), ``default`` stands
+    in when it is absent."""
 
     convert: Callable[[str], object] = _number
     range: str | None = None
@@ -220,7 +221,7 @@ _SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
     "product": (True, {"kind": _Key(str, required=True), "direction": _Key(str)}),
     "prices": (False, {
         "fcr_capacity_csv": _Key(Path),
-        "afrr_price_eur_per_mw_h": _Key(scale=0.25),
+        "afrr_price_eur_per_mw_h": _Key(range="[0, inf)"),
         "spot_csv": _Key(Path),
     }),
     "dispatch": (False, {
@@ -372,20 +373,6 @@ class DispatchSettings:
 
 
 @dataclass(frozen=True)
-class EconomicsSettings:
-    setpoint_mw: float | None = None
-    hours_per_day: float = 24.0
-    electricity_price_eur_per_mwh: float | None = None
-    spot_threshold_eur_per_mwh: float | None = None
-    grid_fee_fraction: float = 0.0
-    fcr_bid_mw: float | None = None
-    afrr_quantity_mw: float | None = None
-    required_reserve_mw: float | None = None
-    fleet_power_mw: float | None = None
-    coverage_symmetric: bool = True
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Everything one analysis run needs, with file references loaded."""
 
@@ -394,7 +381,7 @@ class Scenario:
     fleet: Fleet  # one member per [unit] section, weighted by its count
     products: tuple[BalancingProduct, ...]
     fcr_prices: CapacityPriceTable | None = None
-    afrr_price_eur_per_mw_block: float | None = None
+    afrr_price_eur_per_mw_h: float | None = None
     spot_prices: SpotPriceSeries | None = None
     signal: ActivationSignal | None = None
     dispatch: DispatchSettings | None = None
@@ -460,7 +447,7 @@ def load_scenario(path: str | Path) -> Scenario:
         fleet=Fleet(tuple(_build_unit(s) for s in units), tuple(s.values["count"] for s in units)),
         products=tuple(_build_product(s) for s in sections if s.name == "product"),
         fcr_prices=load(prices, "fcr_capacity_csv", load_capacity_prices),
-        afrr_price_eur_per_mw_block=prices.values["afrr_price_eur_per_mw_h"],
+        afrr_price_eur_per_mw_h=prices.values["afrr_price_eur_per_mw_h"],
         spot_prices=load(prices, "spot_csv", load_spot_prices),
         signal=load(once["signal"], "csv", load_signal, once["signal"].values["kind"]),
         dispatch=DispatchSettings(dispatch["setpoint_mw"], dispatch["bid_mw"],
@@ -538,7 +525,8 @@ def _read_csv_rows(path: Path, expected_header: list[str]) -> list[tuple[int, st
 
 def load_capacity_prices(path: str | Path) -> CapacityPriceTable:
     """Read a block,price_eur_per_mw CSV into a capacity price table; an
-    unknown or repeated block and a negative price are errors at their line."""
+    unknown or repeated block and a negative price are errors at their line,
+    a block without a price is an error at key ``block``."""
     path = Path(path)
     source = str(path)
     prices: dict[str, float] = {}
@@ -554,7 +542,10 @@ def load_capacity_prices(path: str | Path) -> CapacityPriceTable:
             raise ScenarioError(f"negative capacity price {price} for block {block}",
                                 key="price_eur_per_mw", line=lineno, source=source)
         prices[block] = price
-    return CapacityPriceTable(prices)
+    try:
+        return CapacityPriceTable(prices)
+    except ValueError as exc:  # the rows are checked, so a block is missing
+        raise ScenarioError(str(exc), key="block", source=source) from None
 
 
 def load_spot_prices(path: str | Path) -> SpotPriceSeries:

@@ -42,7 +42,6 @@ from elybal.dispatch import (
     PowerTrajectory,
     SignalKind,
     TimeColumnError,
-    _check_band,
 )
 from elybal.eligibility import (
     capacity_limit_mw,
@@ -393,6 +392,19 @@ def requested_offset(
     return offset
 
 
+def check_band_loop(
+    unit: ElectrolyzerUnit, setpoint_mw: float, bid_mw: float, direction: Direction
+) -> None:
+    """Reference for ``dispatch``'s band check: the setpoint and each power a
+    full activation reaches lie in [min load, rated power], 1e-9 MW slack."""
+    reach = {Direction.SYM: (-bid_mw, bid_mw), Direction.POS: (-bid_mw, 0.0),
+             Direction.NEG: (0.0, bid_mw)}[direction]
+    for power in (setpoint_mw, setpoint_mw + reach[0], setpoint_mw + reach[1]):
+        if not unit.min_power_mw - 1e-9 <= power <= unit.rated_power_mw + 1e-9:
+            raise ValueError(f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW "
+                             f"{direction.value} bid within the operating band")
+
+
 def simulate_loop(
     unit: ElectrolyzerUnit,
     setpoint_mw: float,
@@ -403,7 +415,7 @@ def simulate_loop(
     """Reference for ``dispatch.simulate``: one clamp per sample."""
     if bid_mw < 0:
         raise ValueError(f"bid must be >= 0, got {bid_mw}")
-    _check_band(unit, setpoint_mw, bid_mw, direction)
+    check_band_loop(unit, setpoint_mw, bid_mw, direction)
     dt = signal.timestep_s
     up_step = unit.ramp_up_mw_per_s * dt
     down_step = unit.ramp_down_mw_per_s * dt

@@ -101,9 +101,9 @@ class TestOptimizeDay:
             optimize_day(BIG_UNIT, [fcr()], None, None)
 
     def test_incomplete_price_table_is_named(self):
-        partial = CapacityPriceTable({"NEGPOS_00_04": 10.0})
+        # a table holds all six blocks, so no partial one reaches optimize_day
         with pytest.raises(ValueError, match="NEGPOS_04_08"):
-            optimize_day(BIG_UNIT, [fcr()], partial, None)
+            optimize_day(BIG_UNIT, [fcr()], CapacityPriceTable({"NEGPOS_00_04": 10.0}), None)
 
     def test_afrr_needs_a_price(self):
         with pytest.raises(ValueError, match="aFRR"):

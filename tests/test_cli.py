@@ -472,7 +472,8 @@ class TestEconomicsCommand:
     @pytest.mark.parametrize("old, new, line", [
         ("grid_fee_pct = 30", "grid_fee_pct = -200", 41),
         ("setpoint_mw = 95\nhours_per_day", "setpoint_mw = -3\nhours_per_day", 38),
-    ], ids=["grid-fee", "setpoint"])
+        ("afrr_price_eur_per_mw_h = 20", "afrr_price_eur_per_mw_h = -5", 23),
+    ], ids=["grid-fee", "setpoint", "afrr-price"])
     def test_out_of_range_economics_input_is_located(self, tmp_path, capsys, old, new, line):
         path = revenue_copy(tmp_path, "range.scenario", (old, new))
         assert main(["economics", "--scenario", path]) == 1
@@ -613,6 +614,22 @@ class TestScenarioCommands:
         assert main(["allocate", "--scenario", REVENUE, "--out", str(out)]) == 1
         assert f"error: {REVENUE}: cannot write" in capsys.readouterr().err
         assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    @pytest.mark.parametrize("command, replacements", [
+        ("allocate", (("[signal]", "[allocate]\npre_reserved_fcr_mw = 1.5\n\n[signal]"),)),
+        ("simulate", (("setpoint_mw = 3", "setpoint_mw = 3.9"),)),
+        ("economics", (("afrr_price_eur_per_mw_h = 20", "spot_csv = spot.csv"),
+                       ("[output]", "[economics]\nsetpoint_mw = 3\n"
+                                    "spot_threshold_eur_per_mwh = -100\n\n[output]"))),
+    ], ids=["untradable-pin", "band", "no-spot-hour"])
+    def test_a_runner_error_names_the_scenario(self, tmp_path, capsys, command, replacements):
+        (tmp_path / "spot.csv").write_text(
+            "timestamp,price_eur_per_mwh\n2024-07-25T00:00:00,40\n", encoding="utf-8")
+        path = scenario_copy(tmp_path, DEMO, "demo.scenario", *replacements)
+        assert main([command, "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: "), captured.err
 
     def test_simulate_mixed_verdicts_exit_2_in_argument_order(self, capsys):
         assert main(["simulate", "--scenario", REVENUE, DEMO]) == 2

@@ -412,6 +412,29 @@ class TestAgainstSampleLoops:
     1e-9 relative or 1e-12 absolute (array sums add in another order).
     """
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=dispatch_cases(), at_top=st.booleans(), miss_mw=st.sampled_from(
+        [sign * size for sign in (-1.0, 1.0) for size in (1.0, 0.3, 1e-3, 1e-6, 1e-9, 1e-12)]))
+    def test_band_faults_match_the_sample_loop(self, case, at_top, miss_mw):
+        """Setpoints at the lowest or highest that hosts the bid, moved either
+        way by 1 MW down to 1e-12 MW, across the 1e-9 MW slack: both paths
+        reject the same ones."""
+        unit, _, bid, signal, product = case
+        down = 0.0 if product.direction is Direction.NEG else bid
+        up = 0.0 if product.direction is Direction.POS else bid
+        edge = unit.rated_power_mw - up if at_top else unit.min_power_mw + down
+        setpoint = edge + miss_mw
+        rejected = []
+        for run in (simulate, simulate_loop):
+            try:
+                run(unit, setpoint, bid, signal, product.direction)
+            except ValueError:
+                rejected.append(True)
+            else:
+                rejected.append(False)
+        event("rejected" if rejected[1] else "accepted")
+        assert rejected[0] == rejected[1]
+
     @settings(max_examples=300, deadline=None)
     @given(case=dispatch_cases())
     def test_dispatch_matches_the_sample_loops(self, case):

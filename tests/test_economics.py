@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from elybal.economics import (
+    EconomicsSettings,
     afrr_day_capacity_revenue,
     build_report,
     electricity_cost,
@@ -119,13 +121,10 @@ class TestFleetCoverage:
 class TestBuildReport:
     def test_full_assembly(self):
         report = build_report(
-            fcr_bid_mw=5.0,
+            EconomicsSettings(fcr_bid_mw=5.0, afrr_quantity_mw=40.0, setpoint_mw=95.0,
+                              electricity_price_eur_per_mwh=50.0, grid_fee_fraction=0.30),
             fcr_prices=TABLE,
-            afrr_quantity_mw=40.0,
             afrr_price_eur_per_mw_h=20.0,
-            setpoint_mw=95.0,
-            electricity_price_eur_per_mwh=65.0,
-            assumptions={"note": "reference day"},
         )
         assert report.fcr_revenue_eur == 1318.15
         assert report.afrr_capacity_revenue_eur == 19200.0
@@ -133,32 +132,40 @@ class TestBuildReport:
         assert report.electricity_cost_rounded_eur == 150000.0
         assert report.savings_ratio == pytest.approx(20518.15 / 148200.0)
         assert report.savings_ratio_vs_rounded_cost == pytest.approx(20518.15 / 150000.0)
-        assert report.assumptions == {"note": "reference day"}
+        assert list(report.assumptions.items()) == [
+            ("hours_per_day", 24.0), ("grid_fee_pct", 30.0),
+            ("electricity_price_eur_per_mwh", 50.0),
+            ("electricity_price_with_fees_eur_per_mwh", 65.0),
+        ]
 
     def test_afrr_only_report(self):
         report = build_report(
-            afrr_quantity_mw=40.0,
+            EconomicsSettings(afrr_quantity_mw=40.0, setpoint_mw=95.0,
+                              electricity_price_eur_per_mwh=65.0),
             afrr_price_eur_per_mw_h=20.0,
-            setpoint_mw=95.0,
-            electricity_price_eur_per_mwh=65.0,
         )
         assert report.fcr_revenue_eur is None
         # the headline combination: aFRR revenue over the rounded bill
         assert report.savings_ratio_vs_rounded_cost == pytest.approx(0.128)
 
     def test_missing_inputs_stay_none(self):
-        report = build_report(fcr_bid_mw=5.0)  # no price table
+        fcr_without_prices = EconomicsSettings(fcr_bid_mw=5.0)
+        report = build_report(dataclasses.replace(
+            fcr_without_prices, required_reserve_mw=500.0, fleet_power_mw=10000.0))
         assert report.fcr_revenue_eur is None
         assert report.savings_ratio is None
         assert report.electricity_cost_eur is None
+        # with nothing else to compute, the settings are an error
+        with pytest.raises(ValueError, match=r"\[economics\] computes nothing"):
+            build_report(fcr_without_prices)
 
     def test_coverage_block(self):
-        report = build_report(required_reserve_mw=500.0, fleet_power_mw=10000.0)
+        report = build_report(EconomicsSettings(required_reserve_mw=500.0, fleet_power_mw=10000.0))
         assert report.coverage is not None
         assert report.coverage.share == 0.05
 
     def test_to_dict_round_trip_keys(self):
-        d = build_report(fcr_bid_mw=5.0, fcr_prices=TABLE).to_dict()
+        d = build_report(EconomicsSettings(fcr_bid_mw=5.0), fcr_prices=TABLE).to_dict()
         assert d["fcr_revenue_eur"] == 1318.15
         assert d["coverage"] is None
         assert "assumptions" in d

@@ -194,6 +194,11 @@ class TestSpotPrices:
         with pytest.raises(ValueError):
             SpotPriceSeries(((t0, 10.0), (t0, 12.0)))
 
+    def test_timestamps_with_and_without_offset_are_a_value_error(self):
+        offset = datetime.fromisoformat("2024-07-25T01:00+01:00")
+        with pytest.raises(ValueError, match="with and without a UTC offset"):
+            SpotPriceSeries(((datetime(2024, 7, 25), 10.0), (offset, 12.0)))
+
     def test_avg_below_threshold_is_strict(self):
         series = hourly_series([10.0, 50.0, 50.0, 90.0])
         avg, n = avg_price_below_threshold(series, 50.0)

@@ -155,8 +155,8 @@ formats = json, csv
         assert unit.efficiency_curve.breakpoints == ((0.5, 50.5), (1.0, 54.0))
         assert [p.kind for p in scenario.products] == [ProductKind.FCR, ProductKind.AFRR]
         assert scenario.products[1].direction is Direction.POS
-        # the hourly aFRR price is folded into the 4 h block price
-        assert scenario.afrr_price_eur_per_mw_block == 80.0
+        # the aFRR price stays per MW and hour, as written (80 euro per 4 h block)
+        assert scenario.afrr_price_eur_per_mw_h == 20.0
         assert scenario.fcr_prices.price("00-04") == 14.71
         assert scenario.dispatch.setpoint_mw == 95.0
         assert scenario.dispatch.product_name == "fcr"
@@ -404,7 +404,7 @@ class TestScenarioRoundTrip:
         scenario = load_scenario(REPO_SCENARIOS / "demo4grid.scenario")
         assert scenario.primary_unit().rated_power_mw == 4.0
         assert len(scenario.products) == 2
-        assert scenario.afrr_price_eur_per_mw_block == 80.0
+        assert scenario.afrr_price_eur_per_mw_h == 20.0
         assert scenario.signal is not None
 
 
@@ -447,6 +447,8 @@ class TestCsvLoaders:
         ("NEGPOS_00_04,5\n00-04,6\n", 3, "block", "duplicate price for block NEGPOS_00_04"),
         ("NEGPOS_00_04,5\nNEGPOS_04_08,-5\n", 3, "price_eur_per_mw",
          "negative capacity price -5.0 for block NEGPOS_04_08"),
+        ("NEGPOS_00_04,5\n08-12,5\n12-16,5\n16-20,5\n20-24,5\n", None, "block",
+         "missing blocks: NEGPOS_04_08$"),
     ])
     def test_capacity_price_faults_name_line_and_key(self, tmp_path, rows, line, key, message):
         path = write(tmp_path, "p.csv", "block,price_eur_per_mw\n" + rows)
