@@ -9,13 +9,11 @@ its minimum bid, so the optimum sits at a corner: aFRR bids nothing or its
 tradable top, and FCR bids 0, a tradable end or a lot at one of those kinks.
 
 None of those corners depends on the block, only the FCR price does.  So
-``optimize_day`` builds one candidate table per day with numpy over the
-whole setpoint grid (``_day_table``: setpoint, FCR and aFRR quantity, and
-the hydrogen forgone at the setpoint), and one score matrix per day, blocks
-x candidates, ``fcr_price * q_fcr + q_afrr * afrr_price - hydrogen_cost``,
-with one pick per row (``_pick``) by one tie rule: the score within ``_EPS``
-of the best, then the least reserved capacity, then the least FCR (each
-within ``_EPS``), then the highest setpoint, the first candidate on exact ties.
+``optimize_day`` builds one candidate table per day in a fixed number of
+array passes (``_day_table``), scores it as one blocks x candidates matrix
+and picks per row (``_pick``) the score within ``_EPS`` of the best, then
+the least reserved capacity, then the least FCR (each within ``_EPS``), then
+the highest setpoint, then the first candidate in table order.
 """
 
 from __future__ import annotations
@@ -46,12 +44,12 @@ class AllocationOptions:
     setpoint_grid_mw: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.setpoint_grid_mw > 0:
-            raise ValueError("setpoint_grid_mw must be > 0")
-        if self.hydrogen_value_eur_per_kg is not None and not self.hydrogen_value_eur_per_kg >= 0:
-            raise ValueError("hydrogen_value_eur_per_kg must be >= 0")
-        if self.pre_reserved_fcr_mw is not None and not self.pre_reserved_fcr_mw >= 0:
-            raise ValueError("pre_reserved_fcr_mw must be >= 0")
+        if not 0 < self.setpoint_grid_mw < math.inf:
+            raise ValueError(f"setpoint_grid_mw must be in (0, inf), got {self.setpoint_grid_mw}")
+        for name in ("hydrogen_value_eur_per_kg", "pre_reserved_fcr_mw"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be in [0, inf), got {value}")
 
 
 @dataclass(frozen=True)
@@ -164,39 +162,43 @@ def _day_table(
     aFRR top is one of four levels: the ramp reach, the smallest bid, the
     top at the lowest FCR lot and the step above the top at the highest.
     That holds when one trading increment is a multiple of the other.  A
-    pin is the single FCR candidate where it fits.  NaN marks an empty slot.
+    pin is the single FCR candidate where it fits.  Free choices fill one
+    11 x setpoints array in place; NaN marks an empty or repeated choice.
     """
     n = len(setpoints)
     if fcr_prod is None:
-        q_fcr = np.zeros((n, 1))
+        q = np.zeros((n, 1))
     else:
         fcr_top = _top_mw(unit, fcr_prod, setpoints)
         if pinned is not None:
-            q_fcr = np.where(pinned <= fcr_top + _EPS, pinned, np.nan)[:, None]
+            q = np.where(pinned <= fcr_top + _EPS, pinned, np.nan)[:, None]
         else:
             lo = _min_tradable_mw(fcr_prod)
-            origins = np.concatenate([[unit.rated_power_mw], setpoints - lo, setpoints - fcr_top])
-            tops = _top_mw(unit, afrr_prod, origins)
-            reach = tops[0]
-            levels = np.column_stack([
-                np.full(n, reach),
-                np.full(n, _min_tradable_mw(afrr_prod) if reach > 0.0 else 0.0),
-                tops[1 : n + 1],
-                tops[n + 1 :] + (afrr_prod.trade_increment_mw if reach > 0.0 else 0.0),
-            ])
-            last = tradable_mw((setpoints - unit.min_power_mw)[:, None] - levels, fcr_prod)
-            kinks = np.hstack([last, last + fcr_prod.trade_increment_mw])
-            kinks = np.minimum(np.maximum(kinks, lo), fcr_top[:, None])
-            kinks[np.hstack([levels, levels]) <= 0.0] = np.nan
-            q_fcr = np.column_stack([np.zeros(n), np.full(n, lo), fcr_top, kinks])
-            q_fcr[fcr_top < lo - _EPS, 1:] = np.nan
-            q_fcr.sort(axis=1)
-            q_fcr[:, 1:][q_fcr[:, 1:] == q_fcr[:, :-1]] = np.nan
-    top = _top_mw(unit, afrr_prod, setpoints[:, None] - q_fcr)
-    q_afrr = np.stack([np.zeros_like(top), top], axis=-1)
-    keep = ~np.isnan(q_fcr)[..., None] & np.stack([np.ones_like(top, bool), top > 0.0], axis=-1)
-    rows = np.broadcast_to(np.arange(n)[:, None, None], keep.shape)
-    return rows[keep], np.broadcast_to(q_fcr[..., None], keep.shape)[keep], q_afrr[keep]
+            c = np.empty((11, n))  # the FCR choices, one row each
+            c[0], c[2], c[3:5] = 0.0, fcr_top, unit.rated_power_mw
+            c[1] = np.where(fcr_top < lo - _EPS, np.nan, lo)
+            levels = c[3:7]  # the aFRR origins of the four levels, then the levels
+            np.subtract(setpoints, c[1:3], out=c[5:7])
+            levels[...] = _top_mw(unit, afrr_prod, levels)
+            if n and c[3, 0] > 0.0:  # the aFRR ramp reach
+                c[4] = _min_tradable_mw(afrr_prod)
+                c[6] += afrr_prod.trade_increment_mw
+            empty = levels <= 0.0
+            levels[...] = tradable_mw(setpoints - unit.min_power_mw - levels, fcr_prod)
+            np.copyto(levels, np.nan, where=empty)
+            np.add(levels, fcr_prod.trade_increment_mw, out=c[7:])
+            np.maximum(c[3:], c[1], out=c[3:])
+            np.minimum(c[3:], c[2], out=c[3:])
+            q = c.T.copy()
+            q.sort(axis=1)
+            np.copyto(q[:, 1:], np.nan, where=q[:, 1:] == q[:, :-1])
+    live = q == q
+    rows, q_fcr = np.nonzero(live)[0], q[live]
+    top = _top_mw(unit, afrr_prod, setpoints[rows] - q_fcr)
+    count = 1 + (top > 0.0)
+    q_afrr = np.zeros(count.sum())
+    q_afrr[count.cumsum() - 1] = top
+    return rows.repeat(count), q_fcr.repeat(count), q_afrr
 
 
 def _pick(
@@ -205,14 +207,16 @@ def _pick(
     """Index of the best candidate in each row (last axis) of ``score``, a
     blocks x candidates matrix or one row; the other arrays broadcast.
     Masks apply the tie rule in turn: the score within ``_EPS`` of the row
-    max, the reserved capacity and then the FCR quantity within ``_EPS`` of
-    their min, then the highest setpoint, the first candidate on exact ties.
+    max, then on columns near some row's max the reserved capacity and FCR
+    within ``_EPS`` of their min, the highest setpoint, the first on ties.
     """
     keep = score >= score.max(axis=-1, keepdims=True) - _EPS
+    near = np.flatnonzero(keep.reshape(-1, keep.shape[-1]).any(axis=0))
+    keep = keep[..., near]
     for key in (reserved, q_fcr):
-        values = np.where(keep, key, np.inf)
+        values = np.where(keep, key[..., near], np.inf)
         keep &= values <= values.min(axis=-1, keepdims=True) + _EPS
-    return np.where(keep, setpoint, -np.inf).argmax(axis=-1)
+    return near[np.where(keep, setpoint[..., near], -np.inf).argmax(axis=-1)]
 
 
 def optimize_day(
@@ -237,8 +241,8 @@ def optimize_day(
     if afrr_prod is not None:
         if afrr_price_per_block_eur is None:
             raise ValueError("aFRR is offered but no capacity price was given")
-        if not afrr_price_per_block_eur >= 0:
-            raise ValueError("afrr_price_per_block_eur must be >= 0")
+        if not 0 <= afrr_price_per_block_eur < math.inf:
+            raise ValueError("afrr_price_per_block_eur must be in [0, inf)")
     if fcr_prod is not None and afrr_prod is not None:
         small, big = sorted((fcr_prod.trade_increment_mw, afrr_prod.trade_increment_mw))
         if abs(big / small - round(big / small)) > _EPS:
@@ -272,17 +276,15 @@ def optimize_day(
     setpoints = _grid_points(lowest_sp, unit.rated_power_mw, options.setpoint_grid_mw)
     rows, q_fcr, q_afrr = _day_table(unit, fcr_prod, afrr_prod, pinned, setpoints)
     setpoint = setpoints[rows]
+    afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
+    fcr_price = [fcr_prices.price(b) if fcr_prod is not None else 0.0 for b in CANONICAL_BLOCKS]
+    score = np.multiply.outer(fcr_price, q_fcr) + q_afrr * afrr_price
     h2_kg = np.zeros(rows.size)
     if h2_value is not None:
         h2_kg = _hydrogen_loss_kg(unit, setpoints, duration)[rows]
-    h2_cost = h2_kg * (h2_value or 0.0)
-
+        score -= h2_kg * h2_value
     entries: list[ScheduleEntry] = []
-    revenue = 0.0
-    h2_loss = 0.0
-    afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
-    fcr_price = [fcr_prices.price(b) if fcr_prod is not None else 0.0 for b in CANONICAL_BLOCKS]
-    score = np.array(fcr_price, dtype=float)[:, None] * q_fcr + q_afrr * afrr_price - h2_cost
+    revenue = h2_loss = 0.0
     best = _pick(score, q_fcr + q_afrr, q_fcr, setpoint) if rows.size else []  # no candidate, no bid
     picked = (q_fcr[best].tolist(), q_afrr[best].tolist(), setpoint[best].tolist(), h2_kg[best].tolist())
     for block, price, qf, qa, sp, kg in zip(CANONICAL_BLOCKS, fcr_price, *picked):
@@ -297,9 +299,7 @@ def optimize_day(
 
     schedule = BidSchedule(tuple(entries))
     validate_schedule(unit, schedule)
-    objective = revenue
-    if h2_value is not None:
-        objective -= h2_loss * h2_value
+    objective = revenue - h2_loss * h2_value if h2_value is not None else revenue
     return AllocationResult(schedule, revenue, h2_loss, objective)
 
 

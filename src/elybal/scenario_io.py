@@ -123,7 +123,7 @@ class _Section:
     line: int | None  # None for values given on the command line
     source: str  # file or flag, named in errors
     items: list[tuple[str, str, int | None]] = field(default_factory=list)  # key, text, line
-    values: dict = field(default_factory=dict)  # by key, from ``_check`` or the defaults
+    values: dict = field(default_factory=dict)  # by stored name, from ``_check`` or the defaults
 
     def error(self, message: str, key: str | None = None) -> ScenarioError:
         """An input error at the first line of ``key``, else at the section header."""
@@ -189,13 +189,13 @@ def _within(value: float, interval: str) -> bool:
 @dataclass(frozen=True)
 class _Key:
     """How one scenario key is read: ``convert`` turns the text into a value
-    (raising ValueError), ``range`` bounds it as written, dividing by
-    ``scale`` gives the stored unit (100 for percent), ``default`` stands
+    (raising ValueError), ``range`` bounds it as written, ``percent`` names
+    the field a percentage is stored in as a fraction, ``default`` stands
     in when it is absent."""
 
     convert: Callable[[str], object] = _number
     range: str | None = None
-    scale: float | None = None
+    percent: str | None = None
     default: object = None
     required: bool = False
 
@@ -213,9 +213,9 @@ _SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
         "name": _Key(str),
         "technology": _Key(_choice("technology", {t.value: t for t in Technology})),
         "rated_power_mw": _Key(range="(0, inf)"),
-        "min_load_pct": _Key(range="(0, 100)", scale=100.0),
-        "ramp_up_pct_per_s": _Key(range="(0, inf)", scale=100.0),
-        "ramp_down_pct_per_s": _Key(range="(0, inf)", scale=100.0),
+        "min_load_pct": _Key(range="(0, 100)", percent="min_load_fraction"),
+        "ramp_up_pct_per_s": _Key(range="(0, inf)", percent="ramp_up"),
+        "ramp_down_pct_per_s": _Key(range="(0, inf)", percent="ramp_down"),
         "efficiency_points": _Key(_efficiency_points),
     }),
     "product": (True, {"kind": _Key(str, required=True), "direction": _Key(str)}),
@@ -243,7 +243,7 @@ _SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
         "hours_per_day": _Key(range="(0, 24]", default=24.0),
         "electricity_price_eur_per_mwh": _Key(),
         "spot_threshold_eur_per_mwh": _Key(),
-        "grid_fee_pct": _Key(range="[0, inf)", scale=100.0, default=0.0),
+        "grid_fee_pct": _Key(range="[0, inf)", percent="grid_fee_fraction", default=0.0),
         "fcr_bid_mw": _Key(range="[0, inf)"),
         "afrr_quantity_mw": _Key(range="[0, inf)"),
         "required_reserve_mw": _Key(range="[0, inf)"),
@@ -273,13 +273,14 @@ def _value(section: _Section, key: str, text: str, line: int | None):
         raise ScenarioError(str(exc), **where) from None
     if spec.range is not None and not _within(value, spec.range):
         raise ScenarioError(f"{key} must be in {spec.range}, got {text}", **where)
-    return value if spec.scale is None else value / spec.scale
+    return value if spec.percent is None else value / 100.0
 
 
 def _check(section: _Section) -> _Section:
-    """The section with ``values`` filled from its items by ``_value``.  A
-    repeated key and a missing required key are input errors at their line
-    and key; absent keys get their default."""
+    """The section with ``values`` filled from its items by ``_value``, a
+    percent key under its ``percent`` field.  A repeated key and a missing
+    required key are input errors at their line and key; absent keys get
+    their default."""
     keys = _SCHEMA[section.name][1]
     values: dict = {}
     for key, text, line in section.items:
@@ -290,7 +291,8 @@ def _check(section: _Section) -> _Section:
     for key, spec in keys.items():
         if spec.required and key not in values:
             raise section.error(f"missing required key '{key}' in [{section.name}]", key)
-    section.values = {key: values.get(key, spec.default) for key, spec in keys.items()}
+    section.values = {spec.percent or key: values.get(key, spec.default)
+                      for key, spec in keys.items()}
     return section
 
 
@@ -344,12 +346,13 @@ def _build_unit(section: _Section) -> ElectrolyzerUnit:
         ("technology", "technology"), ("rated_power_mw", "rated_power_mw"),
         ("min_load_pct", "min_load_fraction"), ("ramp_up_pct_per_s", "ramp_up"),
     ):
-        if v[key] is None and base is None:
+        value = v[field_name]
+        if value is None and base is None:
             raise section.error(f"missing required key '{key}' in [unit] without preset", key)
-        fields[field_name] = v[key] if v[key] is not None else getattr(base, field_name)
+        fields[field_name] = value if value is not None else getattr(base, field_name)
     name = v["name"] if v["name"] is not None else (base.name if base else "unit")
     try:
-        return ElectrolyzerUnit(name=name, ramp_down=v["ramp_down_pct_per_s"],
+        return ElectrolyzerUnit(name=name, ramp_down=v["ramp_down"],
                                 efficiency_curve=v["efficiency_points"], **fields)
     except ValueError as exc:
         raise section.error(str(exc)) from None
@@ -421,7 +424,7 @@ def load_scenario(path: str | Path) -> Scenario:
     given = {s.name: s for s in sections if not _SCHEMA[s.name][0]}
     # an absent once-only section reads as its defaults
     once = {name: given.get(name) or _Section(name, None, str(path), values={
-        key: spec.default for key, spec in keys.items()})
+        spec.percent or key: spec.default for key, spec in keys.items()})
         for name, (repeats, keys) in _SCHEMA.items() if not repeats}
     prices = once["prices"]
 
@@ -438,8 +441,6 @@ def load_scenario(path: str | Path) -> Scenario:
 
     name = once["scenario"].values["name"]
     dispatch = once["dispatch"].values
-    economics = dict(once["economics"].values)
-    fee = economics.pop("grid_fee_pct")
     units = [s for s in sections if s.name == "unit"]
     return Scenario(
         name=name if name is not None else path.stem,
@@ -454,7 +455,7 @@ def load_scenario(path: str | Path) -> Scenario:
                                   dispatch["product"]) if "dispatch" in given else None,
         allocate_options=(AllocationOptions(**once["allocate"].values)
                           if "allocate" in given else None),
-        economics=(EconomicsSettings(grid_fee_fraction=fee, **economics)
+        economics=(EconomicsSettings(**once["economics"].values)
                    if "economics" in given else None),
         output_formats=once["output"].values["formats"],
     )

@@ -2,10 +2,11 @@
 
 All are deliberately naive: ``brute_force_oracle`` tries every integer
 (FCR, aFRR) pair at every setpoint and states the bid rules on its own,
-``optimize_day_loop`` scores the allocator's corner candidates one
-setpoint at a time, ``pick_row`` applies the allocator's tie rule to one
-row of candidates one stage at a time, and ``max_offerable_scan`` walks
-the bids down from rated power through ``check_eligibility``.  The dispatch references (``simulate_loop``,
+``optimize_day_loop`` scores the allocator's corner candidates
+(``corner_candidates``) one setpoint at a time, ``pick_row`` applies the
+allocator's tie rule to one row of candidates one stage at a time, and
+``max_offerable_scan`` walks the bids down from rated power through
+``check_eligibility``.  The dispatch references (``simulate_loop``,
 ``check_compliance_loop``, ``hydrogen_output_loop`` and
 ``specific_energy_at_scalar``) step through the samples one at a time
 with the scalar request rule ``requested_offset``.  ``load_signal_rows``
@@ -232,6 +233,49 @@ def _fcr_choices(
     return sorted(candidates)
 
 
+def _afrr_top(
+    unit: ElectrolyzerUnit, afrr_prod: BalancingProduct | None, origin_mw: float
+) -> float:
+    if afrr_prod is None:
+        return 0.0
+    return tradable_mw(capacity_limit_mw(unit, afrr_prod, origin_mw), afrr_prod)
+
+
+def corner_candidates(
+    unit: ElectrolyzerUnit,
+    fcr_prod: BalancingProduct | None,
+    afrr_prod: BalancingProduct | None,
+    pinned: float | None,
+    sp: float,
+) -> list[tuple[float, float]]:
+    """The (q_fcr, q_afrr) corners of one setpoint: FCR ascending, then
+    aFRR 0 before its top.  ``pinned`` fixes the FCR quantity."""
+    if fcr_prod is None:
+        fcr_choices = [0.0]
+    else:
+        fcr_top = tradable_mw(capacity_limit_mw(unit, fcr_prod, sp), fcr_prod)
+        if pinned is not None:
+            fcr_choices = [pinned] if pinned <= fcr_top + _EPS else []
+        else:
+            # aFRR tops that end a linear stretch of the score in q_fcr: the
+            # ramp reach, the smallest bid, the top at the lowest FCR lot and
+            # the step above the top at the highest
+            reach = _afrr_top(unit, afrr_prod, unit.rated_power_mw)
+            levels = (
+                reach,
+                _min_tradable_mw(afrr_prod) if reach > 0.0 else 0.0,
+                _afrr_top(unit, afrr_prod, sp - _min_tradable_mw(fcr_prod)),
+                _afrr_top(unit, afrr_prod, sp - fcr_top)
+                + (afrr_prod.trade_increment_mw if reach > 0.0 else 0.0),
+            )
+            fcr_choices = _fcr_choices(fcr_prod, fcr_top, sp - unit.min_power_mw, levels)
+    corners = []
+    for q_fcr in fcr_choices:
+        top = _afrr_top(unit, afrr_prod, sp - q_fcr)
+        corners += [(q_fcr, 0.0), (q_fcr, top)] if top > 0.0 else [(q_fcr, 0.0)]
+    return corners
+
+
 def _best_for_block(
     unit: ElectrolyzerUnit,
     fcr_prod: BalancingProduct | None,
@@ -246,44 +290,14 @@ def _best_for_block(
     ``pinned`` fixes the FCR quantity; ``setpoint_costs`` pairs each
     candidate setpoint with its hydrogen cost.
     """
-
-    def afrr_top(origin_mw: float) -> float:
-        if afrr_prod is None:
-            return 0.0
-        return tradable_mw(capacity_limit_mw(unit, afrr_prod, origin_mw), afrr_prod)
-
-    # aFRR tops that end a linear stretch of the score in q_fcr: the ramp
-    # reach, the smallest bid, the top at the lowest FCR lot and the step
-    # above the top at the highest
-    afrr_reach = afrr_top(unit.rated_power_mw)
-    afrr_min = _min_tradable_mw(afrr_prod) if afrr_reach > 0.0 else 0.0
-    afrr_step = afrr_prod.trade_increment_mw if afrr_reach > 0.0 else 0.0
-    fcr_lowest = _min_tradable_mw(fcr_prod) if fcr_prod is not None else 0.0
-
     best_key = None
     best_choice = (0.0, 0.0, unit.rated_power_mw, 0.0)
     for sp, h2_cost in setpoint_costs:
-        if fcr_prod is None:
-            fcr_choices = [0.0]
-        else:
-            fcr_top = tradable_mw(capacity_limit_mw(unit, fcr_prod, sp), fcr_prod)
-            if pinned is not None:
-                fcr_choices = [pinned] if pinned <= fcr_top + _EPS else []
-            else:
-                levels = (
-                    afrr_reach,
-                    afrr_min,
-                    afrr_top(sp - fcr_lowest),
-                    afrr_top(sp - fcr_top) + afrr_step,
-                )
-                fcr_choices = _fcr_choices(fcr_prod, fcr_top, sp - unit.min_power_mw, levels)
-        for q_fcr in fcr_choices:
-            top = afrr_top(sp - q_fcr)
-            for q_afrr in (0.0, top) if top > 0.0 else (0.0,):
-                score = q_fcr * fcr_price + q_afrr * afrr_price_block - h2_cost
-                if _better(score, q_fcr + q_afrr, q_fcr, sp, best_key):
-                    best_key = (score, q_fcr + q_afrr, q_fcr, sp)
-                    best_choice = (q_fcr, q_afrr, sp, score)
+        for q_fcr, q_afrr in corner_candidates(unit, fcr_prod, afrr_prod, pinned, sp):
+            score = q_fcr * fcr_price + q_afrr * afrr_price_block - h2_cost
+            if _better(score, q_fcr + q_afrr, q_fcr, sp, best_key):
+                best_key = (score, q_fcr + q_afrr, q_fcr, sp)
+                best_choice = (q_fcr, q_afrr, sp, score)
     return best_choice
 
 

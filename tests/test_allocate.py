@@ -15,7 +15,10 @@ from elybal.allocate import (
     BidSchedule,
     ScheduleEntry,
     _EPS,
+    _day_table,
+    _grid_points,
     _pick,
+    _split_products,
     optimize_day,
     validate_schedule,
 )
@@ -30,7 +33,7 @@ from elybal.markets import (
     mfrr,
 )
 from elybal.model import EfficiencyCurve, ElectrolyzerUnit, Technology
-from oracles import brute_force_oracle, optimize_day_loop, pick_row
+from oracles import brute_force_oracle, corner_candidates, optimize_day_loop, pick_row
 
 PRICES = CapacityPriceTable({
     "NEGPOS_00_04": 14.71,
@@ -135,9 +138,22 @@ class TestOptimizeDay:
         with pytest.raises(ValueError, match=field):
             AllocationOptions(**{field: math.nan})
 
+    @pytest.mark.parametrize(
+        "field", ["hydrogen_value_eur_per_kg", "pre_reserved_fcr_mw", "setpoint_grid_mw"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_options_reject_infinity(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AllocationOptions(**{field: value})
+
     def test_nan_afrr_price_rejected(self):
         with pytest.raises(ValueError, match="afrr_price_per_block_eur"):
             optimize_day(BIG_UNIT, [afrr()], None, afrr_price_per_block_eur=math.nan)
+
+    def test_infinite_afrr_price_rejected(self):
+        # an infinite price would score the aFRR-free candidates 0 * inf = NaN
+        with pytest.raises(ValueError, match=r"afrr_price_per_block_eur must be in \[0, inf\)"):
+            optimize_day(BIG_UNIT, [afrr()], None, afrr_price_per_block_eur=math.inf)
 
     def test_result_to_dict_is_flat_data(self):
         result = optimize_day(BIG_UNIT, [fcr()], PRICES, None)
@@ -148,10 +164,10 @@ class TestOptimizeDay:
 
 
 class TestPinnedFcr:
-    @pytest.mark.parametrize("pin", [2.5, 0.5, math.inf])
+    @pytest.mark.parametrize("pin", [2.5, 0.5])
     def test_untradable_pin_is_an_input_error(self, pin):
-        # 2.5 MW is off the 1 MW grid, 0.5 MW below the 1 MW minimum bid,
-        # and an infinite pin is on no grid
+        # 2.5 MW is off the 1 MW grid, 0.5 MW below the 1 MW minimum bid
+        # (an infinite pin is refused by AllocationOptions)
         with pytest.raises(ValueError, match=r"pre_reserved_fcr_mw.*1 MW trading grid"):
             optimize_day(
                 BIG_UNIT, [fcr(), afrr()], PRICES, 80.0,
@@ -442,6 +458,15 @@ def _one_setpoint_day(rated, u, ramp_up, ramp_down, fcr_bid_grid, afrr_bid_grid,
 # 6 MW aFRR (255) and 5 MW FCR alone (195).
 MIN_BID_KINK = _one_setpoint_day(16.0, 0.2, 0.02, None, (1.0, 1.0), (3.0, 2.0),
                                  39.0, 36.0, 11.0)
+# the last FCR lot of the aFRR step reached from the lowest FCR lot
+LOWEST_LOT_KINK = _one_setpoint_day(28.0, 0.2, 0.1, 0.01, (2.0, 1.0), (2.0, 2.0),
+                                    59.0, 73.0, 21.25)
+# the last FCR lot of the aFRR step above the one at the highest FCR lot
+STEP_ABOVE_KINK = _one_setpoint_day(27.0, 0.2, 0.02, 0.01, (1.0, 1.0), (1.0, 2.0),
+                                    47.0, 37.0, 22.5)
+# the FCR lot just past the aFRR ramp reach, on a coarser FCR grid
+RAMP_REACH_KINK = _one_setpoint_day(110.0, 0.1, 0.0025, None, (2.0, 2.0), (1.0, 1.0),
+                                    70.0, 100.0, 96.5)
 
 
 UNIT_GRID = BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, 4.0, Direction.SYM)
@@ -469,20 +494,63 @@ FLAT_CURVE = EfficiencyCurve(((0.2, 50.0), (1.0, 50.0)))  # 80 kg per MW and 4 h
                                    efficiency_curve=FLAT_CURVE),
                   UNIT_GRID, UNIT_GRID_AFRR, [8.0 + 1e-12] * 6, 30.0,
                   AllocationOptions(hydrogen_value_eur_per_kg=0.1)))
-# the last FCR lot of the aFRR step reached from the lowest FCR lot
-@example(day=_one_setpoint_day(28.0, 0.2, 0.1, 0.01, (2.0, 1.0), (2.0, 2.0),
-                               59.0, 73.0, 21.25))
-# the last FCR lot of the aFRR step above the one at the highest FCR lot
-@example(day=_one_setpoint_day(27.0, 0.2, 0.02, 0.01, (1.0, 1.0), (1.0, 2.0),
-                               47.0, 37.0, 22.5))
-# the FCR lot just past the aFRR ramp reach, on a coarser FCR grid
-@example(day=_one_setpoint_day(110.0, 0.1, 0.0025, None, (2.0, 2.0), (1.0, 1.0),
-                               70.0, 100.0, 96.5))
+@example(day=LOWEST_LOT_KINK)
+@example(day=STEP_ABOVE_KINK)
+@example(day=RAMP_REACH_KINK)
 def test_optimizer_matches_the_brute_force_oracle(day):
     fast = optimize_day(*day)
     slow = brute_force_oracle(*day)
     assert fast.schedule.entries == slow.schedule.entries
     assert fast.objective_eur == pytest.approx(slow.objective_eur, rel=1e-12, abs=1e-9)
+
+
+LOTS = st.sampled_from([0.5, 1.0, 2.0])
+
+
+@st.composite
+def table_days(draw):
+    """Plants of 2-40 MW whose FCR and aFRR POS trade in 0.5, 1 or 2 MW
+    lots: free, pinned, FCR-only and aFRR-only, on 0.25-1 MW setpoint grids."""
+    unit = ElectrolyzerUnit(
+        "table", Technology.AEL, float(draw(st.integers(2, 40))),
+        draw(st.sampled_from([0.1, 0.2, 0.4, 0.5])),
+        draw(st.sampled_from([0.002, 0.005, 0.02, 0.1])),
+        draw(st.sampled_from([None, 0.005, 0.05])),
+    )
+    min_bids = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+    fcr_prod = BalancingProduct(ProductKind.FCR, draw(min_bids), draw(LOTS), 30.0, 4.0,
+                                Direction.SYM)
+    afrr_prod = BalancingProduct(ProductKind.AFRR, draw(min_bids), draw(LOTS), 300.0, 4.0,
+                                 Direction.POS)
+    mode = draw(st.sampled_from(["free", "pinned", "fcr", "afrr"]))
+    pinned = None
+    if mode == "pinned":
+        inc = fcr_prod.trade_increment_mw
+        pinned = draw(st.sampled_from(
+            [0.0] + [k * inc for k in range(1, 9) if k * inc >= fcr_prod.min_bid_mw]))
+    options = AllocationOptions(pre_reserved_fcr_mw=pinned,
+                                setpoint_grid_mw=draw(st.sampled_from([0.25, 0.5, 1.0])))
+    offered = mode if mode in ("fcr", "afrr") else "both"
+    return _day(unit, fcr_prod, afrr_prod, [10.0] * 6, 10.0, options, offered)
+
+
+@settings(max_examples=200, deadline=None)
+@given(day=table_days())
+@example(day=MIN_BID_KINK)
+@example(day=LOWEST_LOT_KINK)
+@example(day=STEP_ABOVE_KINK)
+@example(day=RAMP_REACH_KINK)
+def test_day_table_lists_the_oracle_corners_in_order(day):
+    unit, products, _, _, options = day
+    fcr_prod, afrr_prod = _split_products(products)
+    pinned = options.pre_reserved_fcr_mw
+    setpoints = _grid_points(unit.min_power_mw, unit.rated_power_mw, options.setpoint_grid_mw)
+    expected = [(row, q_fcr, q_afrr) for row, sp in enumerate(setpoints.tolist())
+                for q_fcr, q_afrr in corner_candidates(unit, fcr_prod, afrr_prod, pinned, sp)]
+    rows, q_fcr, q_afrr = _day_table(unit, fcr_prod, afrr_prod, pinned, setpoints)
+    assert rows.dtype.kind == "i"
+    want = np.array(expected, dtype=float).reshape(-1, 3).T
+    np.testing.assert_array_equal(np.array([rows, q_fcr, q_afrr], dtype=float), want)
 
 
 # jittered by half the tie tolerance, so ties at every stage of the rule are common

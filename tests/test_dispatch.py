@@ -239,6 +239,19 @@ class TestCompliance:
         assert result.compliant
         assert result.max_delivery_delay_s == pytest.approx(41.0)
 
+    def test_one_trajectory_graded_as_fcr_and_as_afrr(self):
+        # a sustained 1 MW load cut: delivered after 41 s, past the 30 s FCR
+        # deadline and well within the aFRR one
+        sig = ActivationSignal(SignalKind.SETPOINT_REQUEST, (-1.0,) * 121)
+        traj = simulate(DEMO_UNIT, 3.0, 1.0, sig)
+        as_fcr = check_compliance(traj, sig, fcr(), 3.0, 1.0)
+        as_afrr = check_compliance(traj, sig, afrr(), 3.0, 1.0)
+        assert not as_fcr.compliant
+        assert as_fcr.first_violation_time_s == 30.0
+        assert as_afrr.compliant
+        assert as_fcr.max_delivery_delay_s == as_afrr.max_delivery_delay_s == pytest.approx(41.0)
+        assert as_fcr.delivered_energy_mwh == as_afrr.delivered_energy_mwh
+
     def test_short_request_is_not_graded(self):
         # the request disappears before both delivery and deadline: censored
         sig = step_signal(-1.0, 20, 120)
