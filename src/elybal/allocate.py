@@ -110,7 +110,14 @@ def _split_products(
     return fcr_prod, afrr_prod
 
 
+# most setpoints a day searches: ~1.3 kB of arrays each, 100 times 10 GW at 1 MW
+_MAX_SETPOINTS = 1_000_000
+
+
 def _grid_points(lo: float, hi: float, step: float) -> np.ndarray:
+    if not (count := (hi - lo) / step + 1) <= _MAX_SETPOINTS:
+        raise ValueError(f"setpoint_grid_mw = {step:g} MW gives {count:.3g} setpoints from "
+                         f"{lo:g} to {hi:g} MW, more than the {_MAX_SETPOINTS} a day may search")
     first = math.ceil(lo / step - _EPS)
     last = math.floor(hi / step + _EPS)
     return np.arange(first, last + 1) * step

@@ -161,7 +161,7 @@ def _write_reports(scenario: Scenario, reports: dict, out_dir: Path, written: li
     """Write ``<out_dir>/<name>.<kind>.<fmt>`` for json and csv in ``[output] formats``.
 
     A trajectory is always written as ``<name>.<kind>.csv``, and under
-    ``plotdata`` the same CSV also as ``<name>_plot/<kind>.csv``.  The
+    ``plotdata`` copied byte for byte to ``<name>_plot/<kind>.csv``.  The
     scenario name is used verbatim, dots included.  Each path is added to
     ``written`` before its file is written, so a write that fails part way
     still names the file it may have left.
@@ -173,7 +173,8 @@ def _write_reports(scenario: Scenario, reports: dict, out_dir: Path, written: li
             write_trajectory_csv(payload, written[-1])
             if "plotdata" in scenario.output_formats:
                 written.append(out_dir / f"{scenario.name}_plot" / f"{kind}.csv")
-                write_trajectory_csv(payload, written[-1])
+                written[-1].parent.mkdir(exist_ok=True)
+                written[-1].write_bytes(written[-2].read_bytes())
             continue
         for fmt in ("json", "csv"):
             if fmt in scenario.output_formats:

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .markets import BalancingProduct, Direction
+from .markets import BalancingProduct, Direction, TableError
 from .model import EfficiencyCurve, ElectrolyzerUnit, specific_energy_at
 
 DROOP_FULL_ACTIVATION_HZ = 0.2
@@ -41,16 +41,6 @@ _TOL_MW = 1e-9
 class SignalKind(str, Enum):
     FREQUENCY_DEVIATION = "frequency"  # Hz offset from 50 Hz
     SETPOINT_REQUEST = "setpoint"  # requested power offset in MW
-
-
-class TimeColumnError(ValueError):
-    """A time column fault of ``ActivationSignal.from_rows`` at ``row`` (from
-    0); ``reason`` says what is wrong without naming the row."""
-
-    def __init__(self, reason: str, row: int, message: str | None = None):
-        super().__init__(message or reason)
-        self.reason = reason
-        self.row = row
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,21 +80,21 @@ class ActivationSignal:
         cls, kind: SignalKind, rows: np.ndarray | list[tuple[float, float]]
     ) -> "ActivationSignal":
         """Build from (time_s, value) rows, an (n, 2) array, enforcing t0 = 0
-        and uniform spacing."""
+        and uniform spacing; a time fault is a ``TableError`` in ``time_s``."""
         rows = np.asarray(rows, dtype=float)
         if len(rows) < 2:
             raise ValueError("signal file needs at least two rows to fix the timestep")
         times = rows[:, 0]
         if abs(times[0]) > 1e-9:
-            raise TimeColumnError(f"signal must start at t = 0 s, got {times[0]}", 0)
+            raise TableError(f"signal must start at t = 0 s, got {times[0]}", 0, "time_s")
         dt = float(times[1] - times[0])
         if dt <= 0:
-            raise TimeColumnError("signal times must be strictly increasing", 1)
+            raise TableError("signal times must be strictly increasing", 1, "time_s")
         off_grid = ~(np.abs(np.diff(times) - dt) <= 1e-9 * max(1.0, dt))  # NaN is off too
         if off_grid.any():
             i = int(np.argmax(off_grid))
-            raise TimeColumnError("non-uniform timestep", i + 1,
-                                  f"non-uniform timestep between rows {i} and {i + 1}")
+            raise TableError("non-uniform timestep", i + 1, "time_s",
+                             f"non-uniform timestep between rows {i} and {i + 1}")
         return cls(kind, rows[:, 1], dt)
 
 

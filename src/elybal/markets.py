@@ -4,15 +4,18 @@ Product parameters follow the German/European market design: FCR is a
 symmetric product with a 30 s full-activation deadline, aFRR and mFRR are
 direction-specific with 5 min / 12.5 min deadlines.  All three are traded
 in 1 MW steps over 4 h blocks.
+
+The price containers check their own rows: a ``TableError`` names the row
+and column of a fault, which a CSV reader maps to a file line.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Mapping
 
 
 class ProductKind(str, Enum):
@@ -39,6 +42,15 @@ class Direction(str, Enum):
 
 class EmptySelectionError(ValueError):
     """Raised when a price query matches no samples."""
+
+
+class TableError(ValueError):
+    """A fault at ``row`` (from 0; None: the whole table) in column ``key`` of
+    a table; ``reason`` leaves the row out, ``message`` may add it."""
+
+    def __init__(self, reason: str, row: int | None, key: str, message: str | None = None):
+        super().__init__(message or reason)
+        self.reason, self.row, self.key = reason, row, key
 
 
 @dataclass(frozen=True)
@@ -145,22 +157,31 @@ def normalize_block_label(label: str) -> str:
 @dataclass(frozen=True)
 class CapacityPriceTable:
     """Capacity prices in euro per MW per 4 h block, one for each of the
-    six blocks of the day, keyed by block label in block order."""
+    six blocks of the day, keyed by block label in block order.  Given as
+    (label, price) rows, two rows of one raw label are a repeat, not merged.
+    """
 
-    prices: Mapping[str, float]
+    prices: Mapping[str, float] | Iterable[tuple[str, float]]
 
     def __post_init__(self) -> None:
+        rows = self.prices.items() if isinstance(self.prices, Mapping) else self.prices
         normalized = {}
-        for label, price in dict(self.prices).items():
-            canonical = normalize_block_label(label)
+        for row, (label, price) in enumerate(rows):
+            try:
+                canonical = normalize_block_label(label)
+            except ValueError as exc:
+                raise TableError(str(exc), row, "block") from None
             if canonical in normalized:
-                raise ValueError(f"duplicate price for block {canonical}")
-            if not 0 <= price < float("inf"):
-                raise ValueError(f"negative or non-finite capacity price {price} for block {canonical}")
-            normalized[canonical] = float(price)
+                raise TableError(f"duplicate price for block {canonical}", row, "block")
+            if not 0 <= (price := float(price)) < float("inf"):  # CSV cells are finite
+                fault = "negative" if price < 0 else "non-finite"
+                raise TableError(f"{fault} capacity price {price} for block {canonical}",
+                                 row, "price_eur_per_mw")
+            normalized[canonical] = price
         missing = [b.label for b in CANONICAL_BLOCKS if b.label not in normalized]
         if missing:
-            raise ValueError(f"capacity price table missing blocks: {', '.join(missing)}")
+            raise TableError(f"capacity price table missing blocks: {', '.join(missing)}",
+                             None, "block")
         object.__setattr__(self, "prices", {b.label: normalized[b.label] for b in CANONICAL_BLOCKS})
 
     def price(self, block: TimeBlock | str) -> float:
@@ -175,21 +196,27 @@ def day_capacity_price_sum(table: CapacityPriceTable) -> float:
 
 @dataclass(frozen=True)
 class SpotPriceSeries:
-    """Hourly day-ahead prices as (timestamp, euro/MWh) pairs."""
+    """Hourly day-ahead prices as (timestamp, euro/MWh) pairs; a timestamp
+    may be a datetime or ISO text.  The first faulty row is reported."""
 
     samples: tuple[tuple[datetime, float], ...]
 
     def __post_init__(self) -> None:
-        samples = tuple((t, float(p)) for t, p in self.samples)
-        object.__setattr__(self, "samples", samples)
-        for (t0, _), (t1, _) in zip(samples, samples[1:]):
+        samples: list[tuple[datetime, float]] = []
+        for row, (t, p) in enumerate(self.samples):
             try:
-                in_order = t0 < t1
+                t = datetime.fromisoformat(t) if isinstance(t, str) else t
+                in_order = not samples or samples[-1][0] < t
+            except ValueError:
+                raise TableError(f"invalid ISO timestamp '{t}'", row, "timestamp") from None
             except TypeError:  # a UTC offset on one side only
-                raise ValueError(f"timestamps mix ones with and without a UTC offset: "
-                                 f"{t0} then {t1}") from None
+                raise TableError(f"timestamps mix ones with and without a UTC offset: "
+                                 f"{samples[-1][0]} then {t}", row, "timestamp") from None
             if not in_order:
-                raise ValueError(f"timestamps must be strictly increasing, got {t0} then {t1}")
+                raise TableError(f"timestamps must be strictly increasing, got "
+                                 f"{samples[-1][0]} then {t}", row, "timestamp")
+            samples.append((t, float(p)))
+        object.__setattr__(self, "samples", tuple(samples))
 
 
 def avg_price_below_threshold(

@@ -9,6 +9,9 @@ key is an input error naming file (or flag), line and key.  Ramp rates
 and load bounds are written in percent of rated power, as on manufacturer
 datasheets, and converted to fractions at the boundary.  Relative file
 references resolve against the scenario file's directory.
+
+A CSV loader reads cells (header, two columns, a finite number) and builds
+a type that checks its rows; ``_located`` maps a faulty row to its line.
 """
 
 from __future__ import annotations
@@ -20,19 +23,18 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
 from .allocate import AllocationOptions
-from .dispatch import ActivationSignal, PowerTrajectory, SignalKind, TimeColumnError
+from .dispatch import ActivationSignal, PowerTrajectory, SignalKind
 from .economics import EconomicsSettings
 from .markets import (
     BalancingProduct,
     CapacityPriceTable,
     SpotPriceSeries,
-    normalize_block_label,
+    TableError,
     product_from_name,
 )
 from .model import EfficiencyCurve, ElectrolyzerUnit, Fleet, Technology, aggregate
@@ -524,55 +526,30 @@ def _read_csv_rows(path: Path, expected_header: list[str]) -> list[tuple[int, st
     return parsed
 
 
-def load_capacity_prices(path: str | Path) -> CapacityPriceTable:
-    """Read a block,price_eur_per_mw CSV into a capacity price table; an
-    unknown or repeated block and a negative price are errors at their line,
-    a block without a price is an error at key ``block``."""
-    path = Path(path)
-    source = str(path)
-    prices: dict[str, float] = {}
-    for lineno, label, price in _read_csv_rows(path, ["block", "price_eur_per_mw"]):
-        try:
-            block = normalize_block_label(label)
-        except ValueError as exc:
-            raise ScenarioError(str(exc), key="block", line=lineno, source=source) from None
-        if block in prices:
-            raise ScenarioError(f"duplicate price for block {block}", key="block",
-                                line=lineno, source=source)
-        if price < 0:
-            raise ScenarioError(f"negative capacity price {price} for block {block}",
-                                key="price_eur_per_mw", line=lineno, source=source)
-        prices[block] = price
+def _located(path: Path, rows: Callable[[], list[tuple]], build: Callable, *args):
+    """``build(*args)``, a ValueError made an input error of the file, a
+    ``TableError`` at its key and at the line of its row in ``rows()``."""
     try:
-        return CapacityPriceTable(prices)
-    except ValueError as exc:  # the rows are checked, so a block is missing
-        raise ScenarioError(str(exc), key="block", source=source) from None
+        return build(*args)
+    except TableError as exc:
+        line = None if exc.row is None else rows()[exc.row][0]
+        raise ScenarioError(exc.reason, key=exc.key, line=line, source=str(path)) from None
+    except ValueError as exc:
+        raise ScenarioError(str(exc), source=str(path)) from None
+
+
+def load_capacity_prices(path: str | Path) -> CapacityPriceTable:
+    """Read a block,price_eur_per_mw CSV into a capacity price table."""
+    path = Path(path)
+    rows = _read_csv_rows(path, ["block", "price_eur_per_mw"])
+    return _located(path, lambda: rows, CapacityPriceTable, [row[1:] for row in rows])
 
 
 def load_spot_prices(path: str | Path) -> SpotPriceSeries:
     """Read a timestamp,price_eur_per_mwh CSV into a spot price series."""
     path = Path(path)
-    source = str(path)
-    samples: list[tuple[datetime, float]] = []
-    for lineno, ts_s, price in _read_csv_rows(path, ["timestamp", "price_eur_per_mwh"]):
-        try:
-            ts = datetime.fromisoformat(ts_s)
-        except ValueError:
-            raise ScenarioError(
-                f"invalid ISO timestamp '{ts_s}'", key="timestamp", line=lineno, source=source
-            ) from None
-        if samples:
-            try:
-                in_order = samples[-1][0] < ts
-            except TypeError:  # a UTC offset on one side only
-                raise ScenarioError("timestamps mix ones with and without a UTC offset",
-                                    key="timestamp", line=lineno, source=source) from None
-            if not in_order:
-                raise ScenarioError(f"timestamps must be strictly increasing, got "
-                                    f"{samples[-1][0]} then {ts}", key="timestamp",
-                                    line=lineno, source=source)
-        samples.append((ts, price))
-    return SpotPriceSeries(tuple(samples))
+    rows = _read_csv_rows(path, ["timestamp", "price_eur_per_mwh"])
+    return _located(path, lambda: rows, SpotPriceSeries, [row[1:] for row in rows])
 
 
 # numpy opens a path whose name ends in one of these as compressed data
@@ -615,23 +592,20 @@ def load_signal(path: str | Path, kind: SignalKind) -> ActivationSignal:
     goes to the row walk, which reads every file as plain text.  So does
     whatever numpy rejects (quoted cells, ``1_000``, a bad, missing or
     non-finite cell, a header off line 1).  The row walk alone decides
-    what is accepted and where an error is reported, time faults at their
-    file line; both give the same floats.
+    which cells are accepted and on which line a fault is reported;
+    ``ActivationSignal.from_rows`` checks the time column.  Both give the
+    same floats.
     """
     path = Path(path)
-    source = str(path)
     header = ["time_s", "value"]
-    samples = _loadtxt_signal_rows(path)
+    samples, rows = _loadtxt_signal_rows(path), None
     if samples is None:  # the time column is checked once every value is
-        samples = [(_csv_number(time_s, "time_s", lineno, source), value)
-                   for lineno, time_s, value in _read_csv_rows(path, header)]
-    try:
-        return ActivationSignal.from_rows(kind, samples)
-    except TimeColumnError as exc:  # numpy keeps no line numbers; the row walk has them
-        line = _read_csv_rows(path, header)[exc.row][0]
-        raise ScenarioError(exc.reason, key="time_s", line=line, source=source) from None
-    except ValueError as exc:
-        raise ScenarioError(str(exc), source=source) from None
+        rows = _read_csv_rows(path, header)
+        samples = [(_csv_number(time_s, "time_s", line, str(path)), value)
+                   for line, time_s, value in rows]
+    # numpy keeps no line numbers; the row walk has them
+    return _located(path, lambda: _read_csv_rows(path, header) if rows is None else rows,
+                    ActivationSignal.from_rows, kind, samples)
 
 
 # --------------------------------------------------------------- emitters
@@ -651,13 +625,13 @@ def _jsonable(obj):
 
 
 def write_trajectory_csv(trajectory: PowerTrajectory, path: str | Path) -> Path:
-    """Two-column time_s,power_mw CSV of a simulated trajectory."""
+    """Two-column time_s,power_mw CSV of a simulated trajectory: times to 15
+    significant digits, which keeps every stamp distinct but hides the float
+    noise of ``i * timestep_s``, powers as their ``repr``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["time_s,power_mw"]
-    for t, p in zip(trajectory.times, trajectory.powers_mw):
-        lines.append(f"{float(t):g},{float(p)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = map("{:.15g},{!r}\n".format, trajectory.times.tolist(), trajectory.powers_mw.tolist())
+    path.write_text("time_s,power_mw\n" + "".join(rows), encoding="utf-8")
     return path
 
 

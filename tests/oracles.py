@@ -42,7 +42,6 @@ from elybal.dispatch import (
     ComplianceResult,
     PowerTrajectory,
     SignalKind,
-    TimeColumnError,
 )
 from elybal.eligibility import (
     capacity_limit_mw,
@@ -55,6 +54,7 @@ from elybal.markets import (
     BalancingProduct,
     CapacityPriceTable,
     Direction,
+    TableError,
 )
 from elybal.model import EfficiencyCurve, ElectrolyzerUnit
 from elybal.scenario_io import ScenarioError
@@ -604,7 +604,7 @@ def load_signal_rows(path: str | Path, kind: SignalKind) -> ActivationSignal:
                for (lineno, row), value in zip(rows[1:], values)]
     try:
         return ActivationSignal.from_rows(kind, samples)
-    except TimeColumnError as exc:
+    except TableError as exc:
         raise ScenarioError(exc.reason, key="time_s", line=rows[1 + exc.row][0],
                             source=source) from None
     except ValueError as exc:

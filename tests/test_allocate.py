@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ class TestOptimizeDay:
         # an infinite price would score the aFRR-free candidates 0 * inf = NaN
         with pytest.raises(ValueError, match=r"afrr_price_per_block_eur must be in \[0, inf\)"):
             optimize_day(BIG_UNIT, [afrr()], None, afrr_price_per_block_eur=math.inf)
+
+    def test_too_fine_a_setpoint_grid_is_refused_before_any_array(self):
+        # 5e11 setpoints would take terabytes; the refusal allocates nothing
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"setpoint_grid_mw = 1e-10 MW gives 5e\+11 "
+                                                 r"setpoints"):
+                optimize_day(BIG_UNIT, [fcr()], PRICES, None,
+                             AllocationOptions(setpoint_grid_mw=1e-10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_result_to_dict_is_flat_data(self):
         result = optimize_day(BIG_UNIT, [fcr()], PRICES, None)

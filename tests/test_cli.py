@@ -363,6 +363,15 @@ class TestAllocateCommand:
         assert main(["allocate", "--scenario", str(scenario)]) == 1
         assert "pre_reserved_fcr_mw" in capsys.readouterr().err
 
+    def test_too_fine_a_setpoint_grid_is_an_input_error(self, tmp_path, capsys):
+        fine = scenario_copy(tmp_path, DEMO, "fine.scenario",
+                             ("[output]", "[allocate]\nsetpoint_grid_mw = 1e-12\n\n[output]"))
+        assert main(["allocate", "--scenario", fine]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {fine}: setpoint_grid_mw = 1e-12 MW gives ")
+        assert "Traceback" not in captured.err
+
     def test_a_failing_scenario_leaves_no_output(self, tmp_path, capsys):
         bad = revenue_copy(tmp_path, "bad.scenario",
                            ("pre_reserved_fcr_mw = 5", "pre_reserved_fcr_mw = 2.5"))

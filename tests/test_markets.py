@@ -17,6 +17,7 @@ from elybal.markets import (
     EmptySelectionError,
     ProductKind,
     SpotPriceSeries,
+    TableError,
     afrr,
     apply_grid_fee,
     avg_price_below_threshold,
@@ -160,6 +161,18 @@ class TestCapacityPriceTable:
         with pytest.raises(ValueError, match="negative"):
             CapacityPriceTable({"NEGPOS_00_04": -0.01})
 
+    def test_rows_with_a_repeated_raw_label_are_refused(self):
+        # a dict would merge the two rows; rows in file order keep both
+        rows = [("NEGPOS_00_04", 1.0), ("NEGPOS_00_04", 1.0)]
+        with pytest.raises(TableError, match="duplicate price for block NEGPOS_00_04") as exc:
+            CapacityPriceTable(rows)
+        assert (exc.value.row, exc.value.key) == (1, "block")
+
+    def test_rows_and_mapping_build_the_same_table(self):
+        rows = CapacityPriceTable(list(reversed(PRICES_2024_07_25.items())))
+        assert rows == CapacityPriceTable(PRICES_2024_07_25)
+        assert list(rows.prices.items()) == list(PRICES_2024_07_25.items())
+
     @pytest.mark.parametrize("price", [float("nan"), float("inf")])
     def test_rejects_non_finite_price(self, price):
         # the CSV loader rejects these; a table built in Python must too
@@ -169,6 +182,11 @@ class TestCapacityPriceTable:
     def test_day_sum_requires_all_blocks(self):
         with pytest.raises(ValueError, match="NEGPOS_04_08"):
             day_capacity_price_sum(CapacityPriceTable({"00-04": 5.0}))
+
+    def test_a_missing_block_is_a_fault_of_the_whole_table(self):
+        with pytest.raises(TableError, match="missing blocks") as exc:
+            CapacityPriceTable({"00-04": 5.0})
+        assert (exc.value.row, exc.value.key) == (None, "block")
 
     @given(st.floats(min_value=0.0, max_value=1000.0, allow_nan=False))
     def test_day_sum_scales_linearly(self, scale):
@@ -198,6 +216,15 @@ class TestSpotPrices:
         offset = datetime.fromisoformat("2024-07-25T01:00+01:00")
         with pytest.raises(ValueError, match="with and without a UTC offset"):
             SpotPriceSeries(((datetime(2024, 7, 25), 10.0), (offset, 12.0)))
+
+    def test_iso_text_reads_as_its_datetime(self):
+        text = SpotPriceSeries((("2024-07-25T00:00:00", 10.0), ("2024-07-25T01:00:00", 12.0)))
+        assert text == hourly_series([10.0, 12.0])
+
+    def test_faults_name_row_and_column(self):
+        with pytest.raises(TableError, match="invalid ISO timestamp 'noon'") as exc:
+            SpotPriceSeries(((datetime(2024, 7, 25), 10.0), ("noon", 12.0)))
+        assert (exc.value.row, exc.value.key) == (1, "timestamp")
 
     def test_avg_below_threshold_is_strict(self):
         series = hourly_series([10.0, 50.0, 50.0, 90.0])

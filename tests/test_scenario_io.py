@@ -456,6 +456,18 @@ class TestCsvLoaders:
             load_capacity_prices(path)
         assert (exc.value.source, exc.value.line, exc.value.key) == (str(path), line, key)
 
+    @pytest.mark.parametrize("rows,line,message", [
+        # a repeated raw label before a negative price, then the other way round
+        ("NEGPOS_00_04,5\nNEGPOS_00_04,5\nNEGPOS_04_08,-5\n", 3, "duplicate price"),
+        ("NEGPOS_00_04,-5\nNEGPOS_04_08,5\nNEGPOS_04_08,5\n", 2, "negative capacity price"),
+    ])
+    def test_capacity_prices_with_two_faults_name_the_first(self, tmp_path, rows, line,
+                                                             message):
+        path = write(tmp_path, "p.csv", "block,price_eur_per_mw\n" + rows)
+        with pytest.raises(ScenarioError, match=message) as exc:
+            load_capacity_prices(path)
+        assert exc.value.line == line
+
     def test_capacity_prices_column_count(self, tmp_path):
         path = write(tmp_path, "p.csv", "block,price_eur_per_mw\nNEGPOS_00_04,5,6\n")
         with pytest.raises(ScenarioError, match="expected 2 columns"):
@@ -489,6 +501,13 @@ class TestCsvLoaders:
         with pytest.raises(ScenarioError, match=message) as exc:
             load_spot_prices(path)
         assert (exc.value.source, exc.value.line, exc.value.key) == (str(path), 3, "timestamp")
+
+    def test_spot_prices_with_two_faults_name_the_first(self, tmp_path):
+        path = write(tmp_path, "spot.csv", "timestamp,price_eur_per_mwh\n"
+                     "2024-07-25T01:00:00,43.5\n2024-07-25T00:00:00,39.1\nyesterday,40\n")
+        with pytest.raises(ScenarioError, match="strictly increasing") as exc:
+            load_spot_prices(path)
+        assert (exc.value.line, exc.value.key) == (3, "timestamp")
 
     def test_spot_prices_bad_timestamp(self, tmp_path):
         path = write(tmp_path, "spot.csv",
@@ -668,6 +687,26 @@ def test_signal_from_a_pipe_is_opened_once(tmp_path):
     assert got and np.array_equal(got[0].values, (-1.0,) * 5)
 
 
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_time_fault_in_a_piped_signal_is_located_without_reopening_it(tmp_path):
+    pipe = tmp_path / "signal.csv"
+    os.mkfifo(pipe)
+    got = []
+
+    def read():
+        try:
+            load_signal(pipe, SignalKind.SETPOINT_REQUEST)
+        except ScenarioError as exc:
+            got.append(exc)
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    pipe.write_text("time_s,value\n0,-1\n1,-1\n2.5,-1\n", encoding="utf-8")
+    reader.join(timeout=10)
+    if reader.is_alive():  # blocked opening the pipe a second time: release it
+        pipe.write_text("", encoding="utf-8")
+    assert got and (got[0].line, got[0].key) == (4, "time_s")
+
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".GZ", ".csv.xz"])
 @pytest.mark.parametrize("text", [
     SIGNAL_CSV,
@@ -742,6 +781,14 @@ class TestEmitters:
         # repr() floats: reading the file back loses nothing
         values = [float(line.split(",")[1]) for line in text.splitlines()[1:]]
         assert values == [3.0, 2.9756, 2.9512]
+
+
+    def test_trajectory_csv_keeps_times_past_six_digits(self, tmp_path):
+        dt = 123456.5
+        traj = PowerTrajectory(dt, np.full(12, 3.0), UNIT)
+        path = write_trajectory_csv(traj, tmp_path / "t.csv")
+        times = np.loadtxt(path, delimiter=",", skiprows=1)[:, 0]
+        assert np.array_equal(times, np.arange(12) * dt)
 
 
 def test_scenario_error_carries_location():
