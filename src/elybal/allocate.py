@@ -13,7 +13,8 @@ None of those corners depends on the block, only the FCR price does.  So
 array passes (``_day_table``), scores it as one blocks x candidates matrix
 and picks per row (``_pick``) the score within ``_EPS`` of the best, then
 the least reserved capacity, then the least FCR (each within ``_EPS``), then
-the highest setpoint, then the first candidate in table order.
+the highest setpoint, then the first candidate in table order.  When one
+candidate alone comes within ``_EPS`` of any row's best, it is every row's pick.
 """
 
 from __future__ import annotations
@@ -219,6 +220,8 @@ def _pick(
     """
     keep = score >= score.max(axis=-1, keepdims=True) - _EPS
     near = np.flatnonzero(keep.reshape(-1, keep.shape[-1]).any(axis=0))
+    if near.size == 1:  # the best of every row: no tie to break
+        return near[np.zeros(score.shape[:-1], dtype=np.intp)]
     keep = keep[..., near]
     for key in (reserved, q_fcr):
         values = np.where(keep, key[..., near], np.inf)
@@ -253,30 +256,24 @@ def optimize_day(
     if fcr_prod is not None and afrr_prod is not None:
         small, big = sorted((fcr_prod.trade_increment_mw, afrr_prod.trade_increment_mw))
         if abs(big / small - round(big / small)) > _EPS:
-            raise ValueError(
-                "FCR and aFRR trading increments must be whole multiples of one "
-                f"another, got {fcr_prod.trade_increment_mw:g} and "
-                f"{afrr_prod.trade_increment_mw:g} MW"
-            )
+            raise ValueError("FCR and aFRR trading increments must be whole multiples of one "
+                             f"another, got {fcr_prod.trade_increment_mw:g} and "
+                             f"{afrr_prod.trade_increment_mw:g} MW")
     pinned = options.pre_reserved_fcr_mw
     if pinned is not None:
         if fcr_prod is None:
             raise ValueError("pre_reserved_fcr_mw given but FCR is not among the products")
         if not abs(pinned - tradable_mw(pinned, fcr_prod)) <= _EPS:
-            raise ValueError(
-                f"pre_reserved_fcr_mw = {pinned:g} MW is not a tradable FCR quantity: "
-                f"it must be 0 or on the {fcr_prod.trade_increment_mw:g} MW trading grid "
-                f"at or above the {fcr_prod.min_bid_mw:g} MW minimum bid"
-            )
+            raise ValueError(f"pre_reserved_fcr_mw = {pinned:g} MW is not a tradable FCR quantity: "
+                             f"it must be 0 or on the {fcr_prod.trade_increment_mw:g} MW trading "
+                             f"grid at or above the {fcr_prod.min_bid_mw:g} MW minimum bid")
     h2_value = options.hydrogen_value_eur_per_kg
-    duration = fcr_prod.duration_h if fcr_prod else afrr_prod.duration_h
     curve = unit.efficiency_curve
     if h2_value is not None and (curve is None or curve.domain[1] < 1.0 - _EPS):
         have = "none" if curve is None else "domain [{:g}, {:g}]".format(*curve.domain)
-        raise ValueError(
-            "hydrogen_value_eur_per_kg prices production forgone against full load and "
-            f"needs an efficiency curve that reaches load fraction 1; the unit's curve: {have}"
-        )
+        raise ValueError("hydrogen_value_eur_per_kg prices production forgone against full load "
+                         "and needs an efficiency curve that reaches load fraction 1; the unit's "
+                         f"curve: {have}")
     lowest_sp = unit.min_power_mw
     if h2_value is not None:  # forgone production is only known on the curve
         lowest_sp = max(lowest_sp, curve.domain[0] * unit.rated_power_mw)
@@ -284,16 +281,16 @@ def optimize_day(
     rows, q_fcr, q_afrr = _day_table(unit, fcr_prod, afrr_prod, pinned, setpoints)
     setpoint = setpoints[rows]
     afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
-    fcr_price = [fcr_prices.price(b) if fcr_prod is not None else 0.0 for b in CANONICAL_BLOCKS]
+    fcr_price = list(fcr_prices.prices.values()) if fcr_prod else [0.0] * len(CANONICAL_BLOCKS)
     score = np.multiply.outer(fcr_price, q_fcr) + q_afrr * afrr_price
-    h2_kg = np.zeros(rows.size)
     if h2_value is not None:
-        h2_kg = _hydrogen_loss_kg(unit, setpoints, duration)[rows]
+        h2_kg = _hydrogen_loss_kg(unit, setpoints, (fcr_prod or afrr_prod).duration_h)[rows]
         score -= h2_kg * h2_value
     entries: list[ScheduleEntry] = []
     revenue = h2_loss = 0.0
     best = _pick(score, q_fcr + q_afrr, q_fcr, setpoint) if rows.size else []  # no candidate, no bid
-    picked = (q_fcr[best].tolist(), q_afrr[best].tolist(), setpoint[best].tolist(), h2_kg[best].tolist())
+    picked = (q_fcr[best].tolist(), q_afrr[best].tolist(), setpoint[best].tolist(),
+              h2_kg[best].tolist() if h2_value is not None else [0.0] * len(best))
     for block, price, qf, qa, sp, kg in zip(CANONICAL_BLOCKS, fcr_price, *picked):
         if qf > 0:
             entries.append(ScheduleEntry(block, fcr_prod, qf, sp))
@@ -330,12 +327,12 @@ def validate_schedule(unit: ElectrolyzerUnit, schedule: BidSchedule) -> None:
             continue
         checked.append(key)
         fcr_entries = [e for e in block_entries if e.product.kind is ProductKind.FCR]
-        afrr_entries = [e for e in block_entries if e.product.kind is ProductKind.AFRR]
         if len(fcr_entries) > 1:
             raise ValueError(f"block {label} carries more than one FCR entry")
-        for direction in Direction:
-            if [e.product.direction for e in afrr_entries].count(direction) > 1:
-                raise ValueError(f"block {label} carries duplicate aFRR {direction.value} entries")
+        afrr = [e.product.direction for e in block_entries if e.product.kind is ProductKind.AFRR]
+        if len(set(afrr)) < len(afrr):
+            twice = next(d for d in Direction if afrr.count(d) > 1)
+            raise ValueError(f"block {label} carries duplicate aFRR {twice.value} entries")
         setpoints = {e.setpoint_mw for e in block_entries}
         if len(setpoints) > 1:
             raise ValueError(f"block {label} mixes setpoints {sorted(setpoints)}")

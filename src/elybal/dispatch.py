@@ -83,7 +83,8 @@ class ActivationSignal:
         and uniform spacing; a time fault is a ``TableError`` in ``time_s``."""
         rows = np.asarray(rows, dtype=float)
         if len(rows) < 2:
-            raise ValueError("signal file needs at least two rows to fix the timestep")
+            raise TableError("signal file needs at least two rows to fix the timestep",
+                             None, "time_s")
         times = rows[:, 0]
         if abs(times[0]) > 1e-9:
             raise TableError(f"signal must start at t = 0 s, got {times[0]}", 0, "time_s")

@@ -196,8 +196,8 @@ def day_capacity_price_sum(table: CapacityPriceTable) -> float:
 
 @dataclass(frozen=True)
 class SpotPriceSeries:
-    """Hourly day-ahead prices as (timestamp, euro/MWh) pairs; a timestamp
-    may be a datetime or ISO text.  The first faulty row is reported."""
+    """Hourly day-ahead prices as (timestamp, euro/MWh) pairs, the price finite;
+    a timestamp may be a datetime or ISO text.  The first faulty row is reported."""
 
     samples: tuple[tuple[datetime, float], ...]
 
@@ -215,7 +215,9 @@ class SpotPriceSeries:
             if not in_order:
                 raise TableError(f"timestamps must be strictly increasing, got "
                                  f"{samples[-1][0]} then {t}", row, "timestamp")
-            samples.append((t, float(p)))
+            if not abs(p := float(p)) < float("inf"):  # CSV cells are finite
+                raise TableError(f"non-finite spot price {p} at {t}", row, "price_eur_per_mwh")
+            samples.append((t, p))
         object.__setattr__(self, "samples", tuple(samples))
 
 

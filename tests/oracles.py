@@ -4,12 +4,13 @@ All are deliberately naive: ``brute_force_oracle`` tries every integer
 (FCR, aFRR) pair at every setpoint and states the bid rules on its own,
 ``optimize_day_loop`` scores the allocator's corner candidates
 (``corner_candidates``) one setpoint at a time, ``pick_row`` applies the
-allocator's tie rule to one row of candidates one stage at a time, and
-``max_offerable_scan`` walks the bids down from rated power through
-``check_eligibility``.  The dispatch references (``simulate_loop``,
-``check_compliance_loop``, ``hydrogen_output_loop`` and
-``specific_energy_at_scalar``) step through the samples one at a time
-with the scalar request rule ``requested_offset``.  ``load_signal_rows``
+allocator's tie rule to one row of candidates one stage at a time,
+``capacity_limit_scalar`` and ``tradable_scalar`` state the bid caps in
+Python floats, and ``max_offerable_scan`` walks the bids down from rated
+power through ``check_eligibility``.  The dispatch references
+(``simulate_loop``, ``check_compliance_loop``, ``hydrogen_output_loop``
+and ``specific_energy_at_scalar``) step through the samples one at a
+time with the scalar request rule ``requested_offset``.  ``load_signal_rows``
 reads a signal CSV row by row through its own ``csv.reader`` loop and
 ``float``, sharing no code with the loader.  Keep them
 plain; their job is to be obviously right, not fast.
@@ -351,6 +352,34 @@ def optimize_day_loop(
     return AllocationResult(BidSchedule(tuple(entries)), revenue, h2_loss, objective)
 
 
+def capacity_limit_scalar(
+    unit: ElectrolyzerUnit, product: BalancingProduct, setpoint_mw: float
+) -> float:
+    """Reference for ``capacity_limit_mw`` at one setpoint: the narrowest
+    side the product moves the load to, capped by the slowest ramp's reach
+    by the deadline; 0 outside the band (widened by 1e-9 MW) and at NaN."""
+    if not unit.min_power_mw - _EPS <= setpoint_mw <= unit.rated_power_mw + _EPS:
+        return 0.0
+    rooms, ramps = [], []
+    if product.direction.lowers_load:
+        rooms.append(setpoint_mw - unit.min_power_mw)
+        ramps.append(unit.ramp_down_mw_per_s)
+    if product.direction.raises_load:
+        rooms.append(unit.rated_power_mw - setpoint_mw)
+        ramps.append(unit.ramp_up_mw_per_s)
+    return min(min(rooms), min(ramps) * product.availability_s)
+
+
+def tradable_scalar(limit_mw: float, product: BalancingProduct) -> float:
+    """Reference for ``tradable_mw`` on one limit: whole lots (a lot short
+    by 1e-9 counts), kept from the minimum bid on; +inf stays, NaN is 0."""
+    if limit_mw != limit_mw:
+        return 0.0
+    lots = limit_mw / product.trade_increment_mw + _EPS
+    bid = (math.floor(lots) if math.isfinite(lots) else lots) * product.trade_increment_mw
+    return bid if bid >= product.min_bid_mw - _EPS else 0.0
+
+
 def max_offerable_scan(
     unit: ElectrolyzerUnit,
     product: BalancingProduct,
@@ -605,7 +634,7 @@ def load_signal_rows(path: str | Path, kind: SignalKind) -> ActivationSignal:
     try:
         return ActivationSignal.from_rows(kind, samples)
     except TableError as exc:
-        raise ScenarioError(exc.reason, key="time_s", line=rows[1 + exc.row][0],
-                            source=source) from None
+        line = None if exc.row is None else rows[1 + exc.row][0]
+        raise ScenarioError(exc.reason, key="time_s", line=line, source=source) from None
     except ValueError as exc:
         raise ScenarioError(str(exc), source=source) from None

@@ -585,9 +585,19 @@ def pick_matrices(draw):
     return arrays
 
 
+# one column the best of every row (no tie left to break), the same with a
+# second column within _EPS in one row, and a single row
+ONE_WINNER = np.array([[0.0, 2.0, 1.0], [1.0, 3.0, 0.0]])
+NEAR_WINNER = ONE_WINNER + [[0.0, 0.0, 1.0 - _EPS / 2], [0.0, 0.0, 0.0]]
+FEWER_RESERVED = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(arrays=pick_matrices())
 @example(arrays=[np.zeros((6, 5))] * 4)
+@example(arrays=[ONE_WINNER, FEWER_RESERVED, np.zeros((2, 3)), np.zeros((2, 3))])
+@example(arrays=[NEAR_WINNER, FEWER_RESERVED, np.zeros((2, 3)), np.zeros((2, 3))])
+@example(arrays=[ONE_WINNER[:1], FEWER_RESERVED[:1], np.zeros((1, 3)), np.zeros((1, 3))])
 def test_pick_applies_the_row_tie_rule_to_every_row(arrays):
     score, reserved, q_fcr, setpoint = arrays
     rows = [pick_row(*(a[r] for a in arrays)) for r in range(len(score))]

@@ -309,6 +309,16 @@ class TestInputFiles:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: not UTF-8 text"), err
 
+    def test_a_one_row_signal_names_the_time_column(self, tmp_path, capsys):
+        signal = tmp_path / "one_row.csv"
+        signal.write_text("time_s,value\n0,-1\n", encoding="utf-8")
+        shipped = str(SCENARIOS / "signals" / "step_down_1mw.csv")
+        scenario = scenario_copy(tmp_path, DEMO, "demo4grid.scenario", (shipped, str(signal)))
+        assert main(["simulate", "--scenario", scenario]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {signal}, key 'time_s': "
+                       "signal file needs at least two rows to fix the timestep\n")
+
     @pytest.mark.parametrize("name", ["s.csv.gz", "s.csv.bz2", "s.csv.xz", "s.lzma"])
     def test_plain_signal_with_a_compressed_suffix(self, tmp_path, capsys, name):
         results = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elybal.eligibility import (
+    _TOL,
     DURATION,
     GRANULARITY,
     HEADROOM,
@@ -27,7 +29,7 @@ from elybal.eligibility import (
 )
 from elybal.markets import BalancingProduct, Direction, ProductKind, afrr, fcr, mfrr
 from elybal.model import ElectrolyzerUnit, Technology
-from oracles import max_offerable_scan
+from oracles import capacity_limit_scalar, max_offerable_scan, tradable_scalar
 
 # the 4 MW demonstration-scale alkaline unit used in the worked examples
 DEMO_UNIT = ElectrolyzerUnit(
@@ -316,16 +318,53 @@ def test_max_offerable_matches_the_descending_scan(case):
     assert max_offerable(*case) == max_offerable_scan(*case)
 
 
+def _with_neighbours(values):
+    """Each value with the floats just below and above it."""
+    return [w for v in values
+            for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+
+
+@st.composite
+def cap_cases(draw):
+    """A plant, a lot of 0.5, 1 or 2 MW with a minimum bid, and two 4 x n
+    arrays, as ``_day_table`` passes: setpoints (the band edges +-_TOL and
+    their neighbouring floats, NaN, +-inf, points across and off the band)
+    and raw limits (lot boundaries +-_TOL and their neighbours, NaN, +-inf)."""
+    rated = draw(st.integers(2, 600)) / 2
+    ramp_down = draw(st.one_of(st.none(), st.integers(5, 2000).map(lambda k: k / 10000)))
+    unit = ElectrolyzerUnit("caps", Technology.PEM, rated, draw(st.integers(5, 90)) / 100,
+                            draw(st.integers(5, 2000)) / 10000, ramp_down)
+    lot = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    min_bid = draw(st.sampled_from([lot, 1.0, 2.0, 5.0]))
+    specials = [math.nan, math.inf, -math.inf]
+    edges = _with_neighbours(e + k * _TOL for e in (unit.min_power_mw, rated) for k in (-1, 0, 1))
+    setpoint = st.one_of(st.sampled_from(edges + specials), st.floats(-5.0, rated + 5.0))
+    boundaries = _with_neighbours(k * lot + j * _TOL for k in range(6) for j in (-1, 0, 1))
+    limit = st.one_of(st.sampled_from(boundaries + specials), st.floats(-5.0, 20.0))
+    n = draw(st.integers(1, 6))
+    setpoints, limits = (np.reshape(draw(st.lists(s, min_size=4 * n, max_size=4 * n)), (4, n))
+                         for s in (setpoint, limit))
+    return unit, lot, min_bid, setpoints, limits
+
+
 @pytest.mark.parametrize("product", PRODUCTS, ids=lambda p: p.label)
-def test_capacity_limit_and_tradable_take_arrays(product):
-    unit = ElectrolyzerUnit("arr", Technology.AEL, 100.0, 0.3, 0.004, 0.002)
-    # below, across and above the operating band, off-grid points included
-    setpoints = np.linspace(25.0, 105.0, 321)
+@settings(max_examples=150, deadline=None)
+@given(case=cap_cases())
+def test_capacity_limit_and_tradable_take_arrays(product, case):
+    unit, lot, min_bid, setpoints, raw = case
+    product = dataclasses.replace(product, trade_increment_mw=lot, min_bid_mw=min_bid)
     limits = capacity_limit_mw(unit, product, setpoints)
-    bids = tradable_mw(limits, product)
-    assert limits.shape == bids.shape == setpoints.shape
-    for sp, limit, bid in zip(setpoints.tolist(), limits.tolist(), bids.tolist()):
+    bids, raw_bids = tradable_mw(limits, product), tradable_mw(raw, product)
+    assert limits.shape == bids.shape == raw_bids.shape == setpoints.shape
+    for sp, limit, bid in zip(setpoints.ravel().tolist(), limits.ravel().tolist(),
+                              bids.ravel().tolist()):
         scalar_limit = capacity_limit_mw(unit, product, sp)
         scalar_bid = tradable_mw(scalar_limit, product)
         assert type(scalar_limit) is float and type(scalar_bid) is float
+        assert capacity_limit_mw(unit, product, np.asarray(sp)) == scalar_limit  # 0-d
         assert (limit, bid) == (scalar_limit, scalar_bid)
+        assert scalar_limit == capacity_limit_scalar(unit, product, sp)
+    for value, bid in zip(raw.ravel().tolist(), raw_bids.ravel().tolist()):
+        scalar_bid = tradable_mw(value, product)
+        assert type(scalar_bid) is float
+        assert bid == scalar_bid == tradable_scalar(value, product)

@@ -226,6 +226,17 @@ class TestSpotPrices:
             SpotPriceSeries(((datetime(2024, 7, 25), 10.0), ("noon", 12.0)))
         assert (exc.value.row, exc.value.key) == (1, "timestamp")
 
+    @pytest.mark.parametrize("prices, row", [
+        ([-math.inf, 40.0, math.nan], 0),  # averaged as (-inf, 2) if kept
+        ([40.0, math.nan], 1),
+        ([40.0, 41.0, math.inf], 2),
+    ])
+    def test_rejects_non_finite_price(self, prices, row):
+        # the CSV loader reads finite cells only; a series built in Python must check too
+        with pytest.raises(TableError, match="non-finite spot price") as exc:
+            hourly_series(prices)
+        assert (exc.value.row, exc.value.key) == (row, "price_eur_per_mwh")
+
     def test_avg_below_threshold_is_strict(self):
         series = hourly_series([10.0, 50.0, 50.0, 90.0])
         avg, n = avg_price_below_threshold(series, 50.0)

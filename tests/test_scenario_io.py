@@ -533,6 +533,13 @@ class TestCsvLoaders:
             with pytest.raises(ScenarioError, match="line 3"):
                 load_signal(path, SignalKind.SETPOINT_REQUEST)
 
+    def test_one_row_is_a_fault_of_the_whole_time_column(self, tmp_path):
+        path = write(tmp_path, "s.csv", "time_s,value\n0,-1\n")
+        for load in (load_signal, load_signal_rows):
+            with pytest.raises(ScenarioError, match="at least two rows") as exc:
+                load(path, SignalKind.SETPOINT_REQUEST)
+            assert (exc.value.line, exc.value.key) == (None, "time_s")
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "s.csv", "")
         with pytest.raises(ScenarioError, match="empty"):
