@@ -5,8 +5,8 @@ the analysis itself is negative (ineligible bid, failed compliance), 1 on
 input errors of any kind.
 
 Each flag value is read and checked as the scenario key that holds it in
-a file: ``--unit key=value,...`` as one [unit] section, ``--product`` as
-[product] kind, ``--bid`` and ``--setpoint`` as [dispatch] bid_mw and
+a file: ``--unit key=value,...`` as one [unit] section, ``--product``,
+``--bid`` and ``--setpoint`` as [dispatch] product, bid_mw and
 setpoint_mw.  Exactly one of ``--preset``, ``--unit`` and ``--fleet FILE``
 names the unit.  Relative paths resolve against the working directory.
 
@@ -33,7 +33,6 @@ from .scenario_io import (
     Scenario,
     ScenarioError,
     emit_report,
-    flag_product,
     flag_unit,
     flag_value,
     load_capacity_prices,
@@ -60,7 +59,7 @@ def _unit_from_args(args) -> ElectrolyzerUnit:
 
 def cmd_eligibility(args) -> int:
     unit = _unit_from_args(args)
-    product = flag_product(args.product)
+    product = flag_value("--product", "dispatch", "product", args.product)
     bid = flag_value("--bid", "dispatch", "bid_mw", args.bid)
     setpoint = (default_setpoint(unit, product) if args.setpoint is None
                 else flag_value("--setpoint", "dispatch", "setpoint_mw", args.setpoint))
@@ -105,7 +104,7 @@ def _simulate(scenario: Scenario, args) -> tuple[str, bool, dict]:
     settings = _section(scenario, scenario.dispatch, "dispatch")
     signal = _section(scenario, scenario.signal, "signal")
     unit = scenario.primary_unit()
-    product = scenario.product(settings.product_name)
+    product = _section(scenario, settings.product, "product")
     setpoint, bid = settings.setpoint_mw, settings.bid_mw
     trajectory = simulate(unit, setpoint, bid, signal, product.direction)
     compliance = check_compliance(trajectory, signal, product, setpoint, bid)

@@ -178,11 +178,8 @@ def _requested_offsets(kind: SignalKind, values, bid_mw: float, direction: Direc
 def _check_band(
     unit: ElectrolyzerUnit, setpoint_mw: float, bid_mw: float, direction: Direction
 ) -> None:
+    unit.check_setpoint(setpoint_mw)
     min_p, max_p = unit.min_power_mw, unit.rated_power_mw
-    if not min_p - _TOL_MW <= setpoint_mw <= max_p + _TOL_MW:  # NaN is outside too
-        raise ValueError(
-            f"setpoint {setpoint_mw} MW outside operating band [{min_p}, {max_p}] MW"
-        )
     if direction.lowers_load and setpoint_mw - bid_mw < min_p - _TOL_MW:
         raise ValueError(
             f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW downward activation "

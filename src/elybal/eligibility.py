@@ -208,12 +208,7 @@ def check_eligibility(
     """
     if not 0 < bid_mw < math.inf:
         raise ValueError(f"bid must be > 0 MW and finite, got {bid_mw}")
-    min_p = unit.min_power_mw
-    max_p = unit.rated_power_mw
-    if not min_p - _TOL <= setpoint_mw <= max_p + _TOL:  # NaN is outside too
-        raise ValueError(
-            f"setpoint {setpoint_mw} MW outside operating band [{min_p}, {max_p}] MW"
-        )
+    unit.check_setpoint(setpoint_mw)
 
     checks: list[ConstraintCheck] = []
 

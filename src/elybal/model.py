@@ -117,6 +117,15 @@ class ElectrolyzerUnit:
     def min_power_mw(self) -> float:
         return self.min_load_fraction * self.rated_power_mw
 
+    def check_setpoint(self, setpoint_mw: float) -> None:
+        """Raise ValueError unless ``setpoint_mw`` lies in [min load, rated
+        power], 1e-9 MW slack; NaN lies outside."""
+        min_p, max_p = self.min_power_mw, self.rated_power_mw
+        if not min_p - 1e-9 <= setpoint_mw <= max_p + 1e-9:
+            raise ValueError(
+                f"setpoint {setpoint_mw} MW outside operating band [{min_p}, {max_p}] MW"
+            )
+
     @property
     def ramp_up_mw_per_s(self) -> float:
         return self.ramp_up * self.rated_power_mw

@@ -17,6 +17,7 @@ a type that checks its rows; ``_located`` maps a faulty row to its line.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -33,6 +34,7 @@ from .economics import EconomicsSettings
 from .markets import (
     BalancingProduct,
     CapacityPriceTable,
+    Direction,
     SpotPriceSeries,
     TableError,
     product_from_name,
@@ -220,7 +222,11 @@ _SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
         "ramp_down_pct_per_s": _Key(range="(0, inf)", percent="ramp_down"),
         "efficiency_points": _Key(_efficiency_points),
     }),
-    "product": (True, {"kind": _Key(str, required=True), "direction": _Key(str)}),
+    "product": (True, {  # a kind reads as its own product, aFRR and mFRR POS
+        "kind": _Key(_choice("product kind", {k: product_from_name(k)
+                                              for k in ("fcr", "afrr", "mfrr")}), required=True),
+        "direction": _Key(_choice("direction", {d.value.lower(): d for d in Direction})),
+    }),
     "prices": (False, {
         "fcr_capacity_csv": _Key(Path),
         "afrr_price_eur_per_mw_h": _Key(range="[0, inf)"),
@@ -228,8 +234,8 @@ _SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
     }),
     "dispatch": (False, {
         "setpoint_mw": _Key(range="[0, inf)", required=True),
-        "bid_mw": _Key(range="[0, inf)", required=True),
-        "product": _Key(str),
+        "bid_mw": _Key(range="(0, inf)", required=True),
+        "product": _Key(product_from_name),
     }),
     "signal": (False, {
         "kind": _Key(_choice("signal kind", {k.value: k for k in SignalKind}), required=True),
@@ -361,20 +367,33 @@ def _build_unit(section: _Section) -> ElectrolyzerUnit:
 
 
 def _build_product(section: _Section) -> BalancingProduct:
-    label = section.values["kind"].lower()
-    if section.values["direction"] is not None:
-        label = f"{label}-{section.values['direction'].lower()}".removesuffix("-sym")
+    """The product of a [product] section: its kind's, turned to ``direction``."""
+    product, direction = section.values["kind"], section.values["direction"]
     try:
-        return product_from_name(label)
-    except ValueError as exc:
-        raise section.error(str(exc), "kind") from None
+        return product if direction is None else dataclasses.replace(product, direction=direction)
+    except ValueError as exc:  # the product's own rule: FCR is SYM, aFRR and mFRR are not
+        raise section.error(str(exc), "direction") from None
 
 
 @dataclass(frozen=True)
 class DispatchSettings:
     setpoint_mw: float
     bid_mw: float
-    product_name: str | None = None  # which [product] the bid belongs to
+    product: BalancingProduct | None  # the [product] the bid belongs to, if there is one
+
+
+def _build_dispatch(section: _Section, products: tuple[BalancingProduct, ...]) -> DispatchSettings:
+    """[dispatch] with its product resolved among ``products``: the one it
+    names, else the only one.  A name not among them, and no name with
+    several, are input errors at key ``product``."""
+    v = section.values
+    if v["product"] is None and len(products) > 1:
+        raise section.error(f"scenario has {len(products)} [product] sections; "
+                            "[dispatch] product must pick one", "product")
+    product = v["product"] or (products[0] if products else None)
+    if product not in (None, *products):
+        raise section.error(f"scenario has no [product] {product.label}", "product")
+    return DispatchSettings(v["setpoint_mw"], v["bid_mw"], product)
 
 
 @dataclass(frozen=True)
@@ -394,29 +413,11 @@ class Scenario:
     economics: EconomicsSettings | None = None
     output_formats: tuple[str, ...] = ("json",)
 
-    def _error(self, message: str) -> ScenarioError:
-        return ScenarioError(message, source=str(self.path))
-
     def primary_unit(self) -> ElectrolyzerUnit:
         """The single unit, or the aggregate when the scenario holds a fleet."""
         if not self.fleet.units:
-            raise self._error("scenario defines no [unit]")
+            raise ScenarioError("scenario defines no [unit]", source=str(self.path))
         return self.fleet.units[0] if self.fleet.counts == (1,) else aggregate(self.fleet)
-
-    def product(self, name: str | None = None) -> BalancingProduct:
-        """The product called ``name``; without a name, the only one."""
-        if not self.products:
-            raise self._error("scenario defines no [product]")
-        if name is None:
-            if len(self.products) > 1:
-                raise self._error(f"scenario has {len(self.products)} [product] sections; "
-                                  "--product or [dispatch] product must pick one")
-            return self.products[0]
-        wanted = product_from_name(name)
-        for p in self.products:
-            if p.kind is wanted.kind and p.direction is wanted.direction:
-                return p
-        raise self._error(f"scenario has no product '{name}'")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -442,19 +443,18 @@ def load_scenario(path: str | Path) -> Scenario:
             raise section.error(f"cannot read file: {exc}", key) from None
 
     name = once["scenario"].values["name"]
-    dispatch = once["dispatch"].values
     units = [s for s in sections if s.name == "unit"]
+    products = tuple(_build_product(s) for s in sections if s.name == "product")
     return Scenario(
         name=name if name is not None else path.stem,
         path=path,
         fleet=Fleet(tuple(_build_unit(s) for s in units), tuple(s.values["count"] for s in units)),
-        products=tuple(_build_product(s) for s in sections if s.name == "product"),
+        products=products,
         fcr_prices=load(prices, "fcr_capacity_csv", load_capacity_prices),
         afrr_price_eur_per_mw_h=prices.values["afrr_price_eur_per_mw_h"],
         spot_prices=load(prices, "spot_csv", load_spot_prices),
         signal=load(once["signal"], "csv", load_signal, once["signal"].values["kind"]),
-        dispatch=DispatchSettings(dispatch["setpoint_mw"], dispatch["bid_mw"],
-                                  dispatch["product"]) if "dispatch" in given else None,
+        dispatch=_build_dispatch(once["dispatch"], products) if "dispatch" in given else None,
         allocate_options=(AllocationOptions(**once["allocate"].values)
                           if "allocate" in given else None),
         economics=(EconomicsSettings(**once["economics"].values)
@@ -466,11 +466,6 @@ def load_scenario(path: str | Path) -> Scenario:
 def flag_value(flag: str, name: str, key: str, text: str):
     """A flag's bare value read as ``key`` of [name]; errors name the flag."""
     return _value(_Section(name, None, flag), key, text, None)
-
-
-def flag_product(text: str) -> BalancingProduct:
-    """``--product`` read as [product] kind."""
-    return _build_product(_check(_Section("product", None, "--product", [("kind", text, None)])))
 
 
 def flag_unit(text: str) -> ElectrolyzerUnit:

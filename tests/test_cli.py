@@ -185,6 +185,13 @@ class TestEligibilityCommand:
         assert code == 1
         assert "--bid, key 'bid_mw': expected a finite number" in capsys.readouterr().err
 
+    def test_zero_bid_is_located(self, capsys):
+        code = main(["eligibility", "--preset", "demo4grid", "--product", "fcr", "--bid", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --bid, key 'bid_mw': bid_mw must be in (0, inf), got 0\n"
+
     def test_non_numeric_bid_is_located(self, capsys):
         code = main(["eligibility", "--preset", "demo4grid", "--product", "fcr", "--bid", "abc"])
         assert code == 1
@@ -241,7 +248,7 @@ class TestEligibilityCommand:
 
     @pytest.mark.parametrize("flag, message", [
         ("--unit", "--unit: expected key=value, got '@plant.scenario'"),
-        ("--product", "--product, key 'kind': unknown product '@plant.scenario', expected one "
+        ("--product", "--product, key 'product': unknown product '@plant.scenario', expected one "
                       "of: afrr-neg, afrr-pos, fcr, mfrr-neg, mfrr-pos"),
         ("--bid", "--bid, key 'bid_mw': expected a number, got '@plant.scenario'"),
         ("--setpoint", "--setpoint, key 'setpoint_mw': expected a number, "
@@ -552,11 +559,47 @@ class TestRepeats:
 
     def test_dispatch_must_name_one_of_several_products(self, tmp_path, capsys):
         path = scenario_copy(tmp_path, DEMO, "unnamed.scenario", ("product = fcr\n", ""))
+        line = Path(path).read_text(encoding="utf-8").splitlines().index("[dispatch]") + 1
         assert main(["simulate", "--scenario", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert (f"{path}: scenario has 2 [product] sections; --product or [dispatch] product "
-                "must pick one" in captured.err)
+        assert (f"{path}, line {line}, key 'product': scenario has 2 [product] sections; "
+                "[dispatch] product must pick one" in captured.err)
+
+    @pytest.mark.parametrize("command", ["simulate", "economics"])
+    @pytest.mark.parametrize("given, at, message", [
+        ("product = xyz\n", "product = xyz", "unknown product 'xyz'"),
+        ("product = afrr-neg\n", "product = afrr-neg", "scenario has no [product] aFRR NEG"),
+        ("", "[dispatch]", "scenario has 2 [product] sections; [dispatch] product must pick one"),
+    ], ids=["unknown", "not-among", "unnamed"])
+    def test_dispatch_product_faults_are_located_whichever_command_runs(
+            self, tmp_path, capsys, command, given, at, message):
+        path = scenario_copy(tmp_path, DEMO, "bad.scenario", ("product = fcr\n", given))
+        line = Path(path).read_text(encoding="utf-8").splitlines().index(at) + 1
+        assert main([command, "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}, line {line}, key 'product': {message}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_dispatch_without_any_product_cannot_simulate(self, tmp_path, capsys):
+        path = scenario_copy(tmp_path, DEMO, "none.scenario",
+                             ("[product]\nkind = fcr\n\n[product]\nkind = afrr\ndirection = pos\n",
+                              ""), ("product = fcr\n", ""))
+        assert main(["simulate", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: scenario has no [product] section\n"
+
+    def test_a_symmetric_afrr_product_is_an_input_error(self, tmp_path, capsys):
+        path = scenario_copy(tmp_path, DEMO, "sym.scenario",
+                             ("direction = pos", "direction = sym"))
+        line = Path(path).read_text(encoding="utf-8").splitlines().index("direction = sym") + 1
+        assert main(["simulate", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"{path}, line {line}, key 'direction': no aFRR SYM product: FCR is SYM, "
+                "aFRR and mFRR are POS or NEG" in captured.err)
 
 
 class TestScenarioCommands:

@@ -109,6 +109,16 @@ class TestElectrolyzerUnit:
         assert unit.min_power_mw == 1.0
         assert unit.ramp_up_mw_per_s == pytest.approx(0.0244)
 
+    @pytest.mark.parametrize("setpoint", [2.5 - 1e-9, 2.5, 10.0, 10.0 + 1e-9])
+    def test_setpoint_band_holds_its_edges_with_slack(self, setpoint):
+        make_unit().check_setpoint(setpoint)
+
+    @pytest.mark.parametrize("setpoint", [2.5 - 1e-6, 10.0 + 1e-6, math.nan, -math.inf])
+    def test_setpoint_outside_the_band_is_named(self, setpoint):
+        with pytest.raises(ValueError) as exc:
+            make_unit().check_setpoint(setpoint)
+        assert str(exc.value) == f"setpoint {setpoint} MW outside operating band [2.5, 10.0] MW"
+
     def test_curve_must_cover_only_the_operating_band(self):
         # breakpoints starting below the minimum load are rejected
         low = EfficiencyCurve(((0.1, 48.0), (1.0, 54.0)))

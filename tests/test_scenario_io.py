@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from elybal import scenario_io
 from elybal.dispatch import PowerTrajectory, SignalKind
-from elybal.markets import CapacityPriceTable, Direction, ProductKind, SpotPriceSeries
+from elybal.markets import (
+    CapacityPriceTable,
+    Direction,
+    ProductKind,
+    SpotPriceSeries,
+    product_from_name,
+)
 from elybal.model import ElectrolyzerUnit, Technology
 from elybal.scenario_io import (
     _SCHEMA,
@@ -159,7 +165,7 @@ formats = json, csv
         assert scenario.afrr_price_eur_per_mw_h == 20.0
         assert scenario.fcr_prices.price("00-04") == 14.71
         assert scenario.dispatch.setpoint_mw == 95.0
-        assert scenario.dispatch.product_name == "fcr"
+        assert scenario.dispatch.product == scenario.products[0]
         assert scenario.signal.kind is SignalKind.SETPOINT_REQUEST
         assert scenario.allocate_options.pre_reserved_fcr_mw == 5.0
         assert scenario.economics.grid_fee_fraction == pytest.approx(0.30)
@@ -267,6 +273,51 @@ ramp_up_pct_per_s = 1
         path = write(tmp_path, "bad.scenario", "[product]\nkind = xcr\n")
         with pytest.raises(ScenarioError, match="unknown product"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("direction", [None, "sym", "pos", "neg"])
+    @pytest.mark.parametrize("kind", ["fcr", "afrr", "mfrr"])
+    def test_each_product_word_is_read_at_its_key(self, tmp_path, kind, direction):
+        text = f"[product]\nkind = {kind}\n"
+        if direction is not None:
+            text += f"direction = {direction}\n"
+        path = write(tmp_path, "product.scenario", text)
+        if direction is not None and (kind == "fcr") != (direction == "sym"):
+            with pytest.raises(ScenarioError, match=r"no \w+ \w+ product: FCR is SYM") as exc:
+                load_scenario(path)
+            assert (exc.value.key, exc.value.line) == ("direction", 3)
+        else:
+            name = kind if direction in (None, "sym") else f"{kind}-{direction}"
+            assert load_scenario(path).products == (product_from_name(name),)
+
+    @pytest.mark.parametrize("text, key, message", [
+        ("[product]\nkind = afrr-pos\n", "kind", "unknown product kind 'afrr-pos'"),
+        ("[product]\ndirection = up\nkind = afrr\n", "direction", "unknown direction 'up'"),
+    ], ids=["glued-kind", "unknown-direction"])
+    def test_a_product_word_outside_its_grammar_is_located(self, tmp_path, text, key, message):
+        path = write(tmp_path, "product.scenario", text)
+        with pytest.raises(ScenarioError, match=message) as exc:
+            load_scenario(path)
+        assert (exc.value.key, exc.value.line) == (key, 2)
+
+    @pytest.mark.parametrize("name_line, kinds, message, line", [
+        ("product = xyz", ["fcr"], "unknown product 'xyz'", 4),
+        ("product = afrr-neg", ["fcr", "afrr"], r"scenario has no \[product\] aFRR NEG", 4),
+        ("", ["fcr", "afrr"], r"scenario has 2 \[product\] sections; \[dispatch\] product "
+                              "must pick one", 1),
+    ], ids=["unknown", "not-among", "unnamed"])
+    def test_dispatch_product_faults_are_located_at_load(self, tmp_path, name_line, kinds,
+                                                         message, line):
+        text = (f"[dispatch]\nsetpoint_mw = 9\nbid_mw = 1\n{name_line}\n"
+                + "".join(f"[product]\nkind = {kind}\n" for kind in kinds))
+        path = write(tmp_path, "dispatch.scenario", text)
+        with pytest.raises(ScenarioError, match=message) as exc:
+            load_scenario(path)
+        assert (exc.value.key, exc.value.line) == ("product", line)
+
+    def test_dispatch_without_a_product_name_takes_the_only_one(self, tmp_path):
+        path = write(tmp_path, "one.scenario", "[dispatch]\nsetpoint_mw = 9\nbid_mw = 1\n"
+                     "[product]\nkind = mfrr\ndirection = neg\n")
+        assert load_scenario(path).dispatch.product == product_from_name("mfrr-neg")
 
     def test_bad_efficiency_point(self, tmp_path):
         path = write(tmp_path, "bad.scenario", """
