@@ -33,7 +33,7 @@ from .markets import (
     ProductKind,
     TimeBlock,
 )
-from .model import ElectrolyzerUnit, specific_energy_at
+from .model import ElectrolyzerUnit, check_range, specific_energy_at
 
 _EPS = 1e-9
 
@@ -45,12 +45,10 @@ class AllocationOptions:
     setpoint_grid_mw: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.setpoint_grid_mw < math.inf:
-            raise ValueError(f"setpoint_grid_mw must be in (0, inf), got {self.setpoint_grid_mw}")
+        check_range("setpoint_grid_mw", self.setpoint_grid_mw, "(0, inf)")
         for name in ("hydrogen_value_eur_per_kg", "pre_reserved_fcr_mw"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be in [0, inf), got {value}")
+            if (value := getattr(self, name)) is not None:
+                check_range(name, value, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -251,8 +249,7 @@ def optimize_day(
     if afrr_prod is not None:
         if afrr_price_per_block_eur is None:
             raise ValueError("aFRR is offered but no capacity price was given")
-        if not 0 <= afrr_price_per_block_eur < math.inf:
-            raise ValueError("afrr_price_per_block_eur must be in [0, inf)")
+        check_range("afrr_price_per_block_eur", afrr_price_per_block_eur, "[0, inf)")
     if fcr_prod is not None and afrr_prod is not None:
         small, big = sorted((fcr_prod.trade_increment_mw, afrr_prod.trade_increment_mw))
         if abs(big / small - round(big / small)) > _EPS:

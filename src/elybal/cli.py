@@ -63,6 +63,10 @@ def cmd_eligibility(args) -> int:
     bid = flag_value("--bid", "dispatch", "bid_mw", args.bid)
     setpoint = (default_setpoint(unit, product) if args.setpoint is None
                 else flag_value("--setpoint", "dispatch", "setpoint_mw", args.setpoint))
+    try:  # the default lies in the band by construction
+        unit.check_setpoint(setpoint)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), key="setpoint_mw", source="--setpoint") from None
     report = check_eligibility(unit, product, bid, setpoint)
     max_bid, max_sp = max_offerable(unit, product, setpoint)
     payload = {**report.to_dict(), "max_offerable_mw": max_bid, "max_offerable_setpoint_mw": max_sp}

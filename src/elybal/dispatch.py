@@ -21,7 +21,6 @@ differ from one at the 1e-15 relative level; verdicts and delays do not.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .markets import BalancingProduct, Direction, TableError
-from .model import EfficiencyCurve, ElectrolyzerUnit, specific_energy_at
+from .model import EfficiencyCurve, ElectrolyzerUnit, check_range, specific_energy_at
 
 DROOP_FULL_ACTIVATION_HZ = 0.2
 DELIVERY_TOLERANCE = 0.005  # fraction of the bid
@@ -58,8 +57,7 @@ class ActivationSignal:
         values = np.array(self.values, dtype=np.float64)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if not 0 < self.timestep_s < math.inf:
-            raise ValueError(f"timestep_s must be finite and > 0, got {self.timestep_s}")
+        check_range("timestep_s", self.timestep_s, "(0, inf)")
         if values.ndim != 1 or values.size == 0:
             raise ValueError("signal needs a one-dimensional array of at least one sample")
         finite = np.isfinite(values)
@@ -119,8 +117,7 @@ class PowerTrajectory:
             raise ValueError("trajectory needs a one-dimensional, non-empty sample array")
         if not np.isfinite(powers).all():
             raise ValueError("trajectory has non-finite power samples")
-        if not 0 < self.timestep_s < math.inf:
-            raise ValueError("timestep_s must be finite and > 0")
+        check_range("timestep_s", self.timestep_s, "(0, inf)")
         lo = self.unit.min_power_mw - _TOL_MW
         hi = self.unit.rated_power_mw + _TOL_MW
         if powers.min() < lo or powers.max() > hi:
@@ -160,8 +157,7 @@ def droop_target(freq_deviation_hz: float, bid_mw: float) -> float:
 
 def _requested_offsets(kind: SignalKind, values, bid_mw: float, direction: Direction) -> np.ndarray:
     """Power offsets (MW) the signal samples request from a ``bid_mw`` bid."""
-    if not 0 <= bid_mw < math.inf:
-        raise ValueError(f"bid must be >= 0 and finite, got {bid_mw}")
+    check_range("bid_mw", bid_mw, "[0, inf)")
     values = np.asarray(values, dtype=float)
     if kind is SignalKind.FREQUENCY_DEVIATION:
         offsets = np.clip(values / DROOP_FULL_ACTIVATION_HZ, -1.0, 1.0) * bid_mw

@@ -12,12 +12,12 @@ from .markets import (
     avg_price_below_threshold,
     day_capacity_price_sum,
 )
+from .model import check_range
 
 
 def fcr_day_revenue(bid_mw: float, prices: CapacityPriceTable) -> float:
     """Capacity revenue of a constant FCR bid held over all six blocks."""
-    if bid_mw < 0:
-        raise ValueError(f"bid_mw must be >= 0, got {bid_mw}")
+    check_range("bid_mw", bid_mw, "[0, inf)")
     return bid_mw * day_capacity_price_sum(prices)
 
 
@@ -25,15 +25,16 @@ def afrr_day_capacity_revenue(
     quantity_mw: float, hours: float, price_eur_per_mw_h: float
 ) -> float:
     """Capacity revenue of an aFRR quantity held for a number of hours."""
-    if quantity_mw < 0 or hours < 0 or price_eur_per_mw_h < 0:
-        raise ValueError("quantity, hours and price must be >= 0")
+    check_range("quantity_mw", quantity_mw, "[0, inf)")
+    check_range("hours", hours, "[0, inf)")
+    check_range("price_eur_per_mw_h", price_eur_per_mw_h, "[0, inf)")
     return quantity_mw * hours * price_eur_per_mw_h
 
 
 def electricity_cost(setpoint_mw: float, hours: float, price_eur_per_mwh: float) -> float:
     """Energy bill for holding a setpoint, fees already included in the price."""
-    if not setpoint_mw >= 0 or not hours >= 0:
-        raise ValueError("setpoint_mw and hours must be >= 0")
+    check_range("setpoint_mw", setpoint_mw, "[0, inf)")
+    check_range("hours", hours, "[0, inf)")
     return setpoint_mw * hours * price_eur_per_mwh
 
 
@@ -41,8 +42,7 @@ def savings_ratio(
     fcr_revenue_eur: float, afrr_revenue_eur: float, electricity_cost_eur: float
 ) -> float:
     """Capacity revenue as a share of the electricity bill."""
-    if electricity_cost_eur <= 0:
-        raise ValueError(f"electricity cost must be > 0, got {electricity_cost_eur}")
+    check_range("electricity_cost_eur", electricity_cost_eur, "(0, inf)")
     return (fcr_revenue_eur + afrr_revenue_eur) / electricity_cost_eur
 
 
@@ -70,10 +70,8 @@ def fleet_coverage(
     A symmetric product needs the requirement in both directions, so the
     operating band it claims is twice the per-direction share.
     """
-    if not required_reserve_mw >= 0:
-        raise ValueError("required_reserve_mw must be >= 0")
-    if not fleet_power_mw > 0:
-        raise ValueError("fleet_power_mw must be > 0")
+    check_range("required_reserve_mw", required_reserve_mw, "[0, inf)")
+    check_range("fleet_power_mw", fleet_power_mw, "(0, inf)")
     share = required_reserve_mw / fleet_power_mw
     band = 2.0 * share if symmetric else None
     return CoverageResult(share=share, symmetric=symmetric, headroom_band=band)

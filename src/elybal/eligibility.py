@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markets import BalancingProduct
-from .model import ElectrolyzerUnit
+from .model import ElectrolyzerUnit, check_range
 
 _TOL = 1e-9
 
@@ -90,14 +90,13 @@ class Eq1Inputs:
     p_ts_mw: float
 
     def __post_init__(self) -> None:
-        if self.p_el_mw <= 0:
-            raise ValueError("p_el_mw must be > 0")
-        if not 0 <= self.u < 1:
-            raise ValueError(f"u must be in [0, 1), got {self.u}")
-        if self.delta_el <= 0:
-            raise ValueError("delta_el must be > 0")
-        if self.p_anc_mw <= 0 or self.p_ts_mw <= 0:
-            raise ValueError("p_anc_mw and p_ts_mw must be > 0")
+        _check_eq1_inputs(**vars(self))
+
+
+def _check_eq1_inputs(**inputs: float) -> None:
+    """Eq. 1's input rule: ``u`` in [0, 1), leaving a flexible band, all else in (0, inf)."""
+    for name, value in inputs.items():
+        check_range(name, value, "[0, 1)" if name == "u" else "(0, inf)")
 
 
 def eq1_gradient(inputs: Eq1Inputs) -> float:
@@ -119,10 +118,7 @@ def eq1_min_ramp(
     Inverts the gradient relation: the plant must deliver
     ``required_mw_per_s`` on every one of the p_anc/p_ts slices.
     """
-    if p_el_mw <= 0 or p_anc_mw <= 0 or p_ts_mw <= 0 or required_mw_per_s <= 0:
-        raise ValueError("all inputs must be > 0")
-    if not 0 <= u < 1:
-        raise ValueError(f"u must be in [0, 1), got {u}: no flexible band left")
+    _check_eq1_inputs(**locals())  # every argument is an input of Eq. 1
     return required_mw_per_s * (p_anc_mw / p_ts_mw) / (p_el_mw * (1.0 - u))
 
 
@@ -130,10 +126,7 @@ def min_rated_power(
     per_direction_capacity_mw: float, delta_el: float, availability_s: float
 ) -> float:
     """Smallest rated power able to firm up the capacity within the deadline."""
-    if per_direction_capacity_mw <= 0:
-        raise ValueError("per_direction_capacity_mw must be > 0")
-    if delta_el <= 0 or availability_s <= 0:
-        raise ValueError("delta_el and availability_s must be > 0")
+    _check_eq1_inputs(**locals())  # every argument is an input of Eq. 1
     return per_direction_capacity_mw / (delta_el * availability_s)
 
 
@@ -206,8 +199,7 @@ def check_eligibility(
     and are paced by the slower ramp direction.  Landing exactly on the
     deadline still qualifies.
     """
-    if not 0 < bid_mw < math.inf:
-        raise ValueError(f"bid must be > 0 MW and finite, got {bid_mw}")
+    check_range("bid_mw", bid_mw, "(0, inf)")
     unit.check_setpoint(setpoint_mw)
 
     checks: list[ConstraintCheck] = []
@@ -340,8 +332,7 @@ def max_offerable(
         bid = tradable_mw(capacity_limit_mw(unit, product, widest), product)
         sp = _setpoint_for_bid(unit, product, bid)
     else:
-        if not math.isfinite(setpoint_mw):
-            raise ValueError(f"setpoint must be finite, got {setpoint_mw}")
+        check_range("setpoint_mw", setpoint_mw, "(-inf, inf)")
         sp = setpoint_mw
         bid = tradable_mw(capacity_limit_mw(unit, product, sp), product)
     # the closed form and the check state one rule; at a float-tolerance

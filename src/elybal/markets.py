@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
+from .model import check_range, in_range
+
 
 class ProductKind(str, Enum):
     FCR = "FCR"
@@ -68,8 +70,7 @@ class BalancingProduct:
         object.__setattr__(self, "kind", ProductKind(self.kind))
         object.__setattr__(self, "direction", Direction(self.direction))
         for field_name in ("min_bid_mw", "trade_increment_mw", "availability_s", "duration_h"):
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"{field_name} must be > 0")
+            check_range(field_name, getattr(self, field_name), "(0, inf)")
         if (self.kind is ProductKind.FCR) != (self.direction is Direction.SYM):
             raise ValueError(f"no {self.kind.value} {self.direction.value} product: "
                              "FCR is SYM, aFRR and mFRR are POS or NEG")
@@ -127,8 +128,7 @@ class TimeBlock:
     end_hour: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.start_hour < 24:
-            raise ValueError(f"start_hour must be in [0, 24), got {self.start_hour}")
+        check_range("start_hour", self.start_hour, "[0, 24)")
         if self.end_hour != self.start_hour + 4:
             raise ValueError("blocks span exactly four hours")
 
@@ -173,7 +173,7 @@ class CapacityPriceTable:
                 raise TableError(str(exc), row, "block") from None
             if canonical in normalized:
                 raise TableError(f"duplicate price for block {canonical}", row, "block")
-            if not 0 <= (price := float(price)) < float("inf"):  # CSV cells are finite
+            if not in_range(price := float(price), "[0, inf)"):  # CSV cells are finite
                 fault = "negative" if price < 0 else "non-finite"
                 raise TableError(f"{fault} capacity price {price} for block {canonical}",
                                  row, "price_eur_per_mw")
@@ -215,7 +215,7 @@ class SpotPriceSeries:
             if not in_order:
                 raise TableError(f"timestamps must be strictly increasing, got "
                                  f"{samples[-1][0]} then {t}", row, "timestamp")
-            if not abs(p := float(p)) < float("inf"):  # CSV cells are finite
+            if not in_range(p := float(p), "(-inf, inf)"):  # CSV cells are finite
                 raise TableError(f"non-finite spot price {p} at {t}", row, "price_eur_per_mwh")
             samples.append((t, p))
         object.__setattr__(self, "samples", tuple(samples))
@@ -237,7 +237,6 @@ def avg_price_below_threshold(
 
 def apply_grid_fee(price_eur_per_mwh: float, fee_fraction: float) -> float:
     """Add proportional grid fees and surcharges to an energy price."""
-    if not fee_fraction >= 0:
-        raise ValueError(f"fee_fraction must be >= 0, got {fee_fraction}")
+    check_range("fee_fraction", fee_fraction, "[0, inf)")
     return price_eur_per_mwh * (1.0 + fee_fraction)
 

@@ -1,13 +1,30 @@
-"""Domain model: electrolyzer units, fleets and partial-load efficiency."""
+"""Domain model: units, fleets, partial-load efficiency and the one range rule."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
+
+
+@cache
+def _ends(interval: str) -> tuple[float, float, bool, bool]:  # lo, hi, lo open, hi open
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return lo, hi, interval[0] == "(", interval[-1] == ")"
+
+
+def in_range(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in an interval written like "(0, 24]"; NaN lies in none."""
+    lo, hi, open_lo, open_hi = _ends(interval)
+    return (lo < value if open_lo else lo <= value) and (value < hi if open_hi else value <= hi)
+
+
+def check_range(name: str, value: float, interval: str) -> None:
+    """Raise ``<name> must be in <interval>, got <value>`` unless ``value`` lies in it."""
+    if not in_range(value, interval):
+        raise ValueError(f"{name} must be in {interval}, got {value}")
 
 
 class Technology(str, Enum):
@@ -39,8 +56,7 @@ class EfficiencyCurve:
             if not f0 < f1:
                 raise ValueError("breakpoint load fractions must be strictly increasing")
         for f, e in pts:
-            if e <= 0:
-                raise ValueError(f"specific energy must be > 0, got {e} kWh/kg at load fraction {f}")
+            check_range(f"specific energy (kWh/kg) at load fraction {f}", e, "(0, inf)")
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -95,16 +111,11 @@ class ElectrolyzerUnit:
     efficiency_curve: EfficiencyCurve | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.min_load_fraction < 1:
-            raise ValueError(
-                f"min_load_fraction must be in (0, 1), got {self.min_load_fraction}"
-            )
+        check_range("min_load_fraction", self.min_load_fraction, "(0, 1)")
         if self.ramp_down is None:
             object.__setattr__(self, "ramp_down", self.ramp_up)
         for name in ("rated_power_mw", "ramp_up", "ramp_down"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            check_range(name, getattr(self, name), "(0, inf)")
         if self.efficiency_curve is not None:
             lo, hi = self.efficiency_curve.domain
             if lo < self.min_load_fraction - 1e-9 or hi > 1.0 + 1e-9:

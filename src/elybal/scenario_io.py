@@ -3,12 +3,12 @@
 Scenario format: flat key-value text, UTF-8, "." decimal separator, LF
 line endings.  ``#`` starts a comment, ``[section]`` opens a section and
 ``key = value`` lines fill it.  One table, ``_SCHEMA``, holds every
-section and key; ``_value`` reads a key of a scenario file and a command
-line flag by it alike, so an unknown, repeated, missing or out-of-range
-key is an input error naming file (or flag), line and key.  Ramp rates
-and load bounds are written in percent of rated power, as on manufacturer
-datasheets, and converted to fractions at the boundary.  Relative file
-references resolve against the scenario file's directory.
+section and key; ``_value`` reads a file's key and a flag by it alike, a
+range by the library's own rule, ``model.in_range``.  An unknown, repeated,
+missing or out-of-range key, and a [dispatch] setpoint the unit cannot
+host, is an input error naming file (or flag), line and key.  Ramps and
+load bounds are in percent of rated power, as on datasheets, and stored
+as fractions.  Relative file references resolve against the scenario's directory.
 
 A CSV loader reads cells (header, two columns, a finite number) and builds
 a type that checks its rows; ``_located`` maps a faulty row to its line.
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocate import AllocationOptions
-from .dispatch import ActivationSignal, PowerTrajectory, SignalKind
+from .dispatch import ActivationSignal, PowerTrajectory, SignalKind, _check_band
 from .economics import EconomicsSettings
 from .markets import (
     BalancingProduct,
@@ -39,7 +39,7 @@ from .markets import (
     TableError,
     product_from_name,
 )
-from .model import EfficiencyCurve, ElectrolyzerUnit, Fleet, Technology, aggregate
+from .model import EfficiencyCurve, ElectrolyzerUnit, Fleet, Technology, aggregate, in_range
 
 
 class ScenarioError(ValueError):
@@ -183,13 +183,6 @@ def _efficiency_points(text: str) -> EfficiencyCurve:
     return EfficiencyCurve(tuple(points))
 
 
-def _within(value: float, interval: str) -> bool:
-    """Whether ``value`` lies in an interval written like "(0, 24]" or "[0, inf)"."""
-    lo, hi = (float(end) for end in interval[1:-1].split(","))
-    above_lo = lo < value if interval[0] == "(" else lo <= value
-    return above_lo and (value < hi if interval[-1] == ")" else value <= hi)
-
-
 @dataclass(frozen=True)
 class _Key:
     """How one scenario key is read: ``convert`` turns the text into a value
@@ -279,7 +272,7 @@ def _value(section: _Section, key: str, text: str, line: int | None):
         value = spec.convert(text)
     except ValueError as exc:
         raise ScenarioError(str(exc), **where) from None
-    if spec.range is not None and not _within(value, spec.range):
+    if spec.range is not None and not in_range(value, spec.range):
         raise ScenarioError(f"{key} must be in {spec.range}, got {text}", **where)
     return value if spec.percent is None else value / 100.0
 
@@ -445,7 +438,7 @@ def load_scenario(path: str | Path) -> Scenario:
     name = once["scenario"].values["name"]
     units = [s for s in sections if s.name == "unit"]
     products = tuple(_build_product(s) for s in sections if s.name == "product")
-    return Scenario(
+    scenario = Scenario(
         name=name if name is not None else path.stem,
         path=path,
         fleet=Fleet(tuple(_build_unit(s) for s in units), tuple(s.values["count"] for s in units)),
@@ -461,6 +454,16 @@ def load_scenario(path: str | Path) -> Scenario:
                    if "economics" in given else None),
         output_formats=once["output"].values["formats"],
     )
+    if (settings := scenario.dispatch) is not None and units:
+        unit = scenario.primary_unit()
+        try:  # simulate's rule, checked here so that its error names the line
+            if settings.product is None:
+                unit.check_setpoint(settings.setpoint_mw)
+            else:
+                _check_band(unit, settings.setpoint_mw, settings.bid_mw, settings.product.direction)
+        except ValueError as exc:
+            raise once["dispatch"].error(str(exc), "setpoint_mw") from None
+    return scenario
 
 
 def flag_value(flag: str, name: str, key: str, text: str):

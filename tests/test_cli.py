@@ -192,6 +192,15 @@ class TestEligibilityCommand:
         assert captured.out == ""
         assert captured.err == "error: --bid, key 'bid_mw': bid_mw must be in (0, inf), got 0\n"
 
+    def test_out_of_band_setpoint_is_located(self, capsys):
+        code = main(["eligibility", "--preset", "demo4grid", "--product", "fcr", "--bid", "1",
+                     "--setpoint", "99"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --setpoint, key 'setpoint_mw': setpoint 99.0 MW outside "
+                                "operating band [1.0, 4.0] MW\n")
+
     def test_non_numeric_bid_is_located(self, capsys):
         code = main(["eligibility", "--preset", "demo4grid", "--product", "fcr", "--bid", "abc"])
         assert code == 1
@@ -582,6 +591,23 @@ class TestRepeats:
         assert f"{path}, line {line}, key 'product': {message}" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["simulate", "allocate", "economics"])
+    @pytest.mark.parametrize("setpoint, message", [
+        ("99", "setpoint 99.0 MW outside operating band [1.0, 4.0] MW"),
+        ("3.9", "setpoint 3.9 MW cannot host a 1.0 MW upward activation below the rated "
+                "power 4.0 MW"),
+    ], ids=["out-of-band", "no-room"])
+    def test_dispatch_setpoint_faults_are_located_whichever_command_runs(
+            self, tmp_path, capsys, command, setpoint, message):
+        path = scenario_copy(tmp_path, DEMO, "bad.scenario",
+                             ("setpoint_mw = 3", f"setpoint_mw = {setpoint}"))
+        line = Path(path).read_text(encoding="utf-8").splitlines().index(
+            f"setpoint_mw = {setpoint}") + 1
+        assert main([command, "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}, line {line}, key 'setpoint_mw': {message}\n"
+
     def test_dispatch_without_any_product_cannot_simulate(self, tmp_path, capsys):
         path = scenario_copy(tmp_path, DEMO, "none.scenario",
                              ("[product]\nkind = fcr\n\n[product]\nkind = afrr\ndirection = pos\n",
@@ -679,11 +705,10 @@ class TestScenarioCommands:
 
     @pytest.mark.parametrize("command, replacements", [
         ("allocate", (("[signal]", "[allocate]\npre_reserved_fcr_mw = 1.5\n\n[signal]"),)),
-        ("simulate", (("setpoint_mw = 3", "setpoint_mw = 3.9"),)),
         ("economics", (("afrr_price_eur_per_mw_h = 20", "spot_csv = spot.csv"),
                        ("[output]", "[economics]\nsetpoint_mw = 3\n"
                                     "spot_threshold_eur_per_mwh = -100\n\n[output]"))),
-    ], ids=["untradable-pin", "band", "no-spot-hour"])
+    ], ids=["untradable-pin", "no-spot-hour"])
     def test_a_runner_error_names_the_scenario(self, tmp_path, capsys, command, replacements):
         (tmp_path / "spot.csv").write_text(
             "timestamp,price_eur_per_mwh\n2024-07-25T00:00:00,40\n", encoding="utf-8")

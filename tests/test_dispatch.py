@@ -85,7 +85,8 @@ class TestActivationSignal:
 
     @pytest.mark.parametrize("timestep_s", [math.nan, math.inf])
     def test_non_finite_timestep_rejected(self, timestep_s):
-        with pytest.raises(ValueError, match="timestep_s must be finite"):
+        message = rf"timestep_s must be in \(0, inf\), got {timestep_s}"
+        with pytest.raises(ValueError, match=message):
             ActivationSignal(SignalKind.SETPOINT_REQUEST, (0.0, 1.0), timestep_s)
 
     def test_needs_two_rows(self):
@@ -293,13 +294,13 @@ class TestCompliance:
     def test_negative_bid_rejected(self):
         sig = step_signal(-1.0, 10, 20)
         traj = simulate(DEMO_UNIT, 3.0, 1.0, sig)
-        with pytest.raises(ValueError, match="bid must be >= 0"):
+        with pytest.raises(ValueError, match=r"bid_mw must be in \[0, inf\), got -1.0"):
             check_compliance(traj, sig, fcr(), 3.0, -1.0)
 
     @pytest.mark.parametrize("setpoint, bid, named", [
         (math.nan, 1.0, "setpoint nan MW outside operating band"),
         (math.inf, 1.0, "setpoint inf MW outside operating band"),
-        (3.0, math.nan, "bid must be >= 0 and finite, got nan"),
+        (3.0, math.nan, r"bid_mw must be in \[0, inf\), got nan"),
     ])
     def test_non_finite_setpoint_or_bid_is_not_a_verdict(self, setpoint, bid, named):
         sig = step_signal(-1.0, 10, 20)

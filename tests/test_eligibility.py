@@ -176,8 +176,8 @@ class TestCheckEligibility:
     @pytest.mark.parametrize("bid, setpoint, named", [
         (1.0, math.nan, "setpoint nan MW"),
         (1.0, math.inf, "setpoint inf MW"),
-        (math.nan, 3.0, "bid must be > 0 MW and finite, got nan"),
-        (math.inf, 3.0, "bid must be > 0 MW and finite, got inf"),
+        (math.nan, 3.0, r"bid_mw must be in \(0, inf\), got nan"),
+        (math.inf, 3.0, r"bid_mw must be in \(0, inf\), got inf"),
     ])
     def test_non_finite_input_is_an_error_not_a_verdict(self, bid, setpoint, named):
         # a NaN setpoint used to pass the band check and fail on headroom
@@ -226,7 +226,8 @@ class TestMaxOfferable:
 
     @pytest.mark.parametrize("setpoint", [math.nan, math.inf, -math.inf])
     def test_non_finite_setpoint_is_an_error(self, setpoint):
-        with pytest.raises(ValueError, match=f"setpoint must be finite, got {setpoint}"):
+        message = rf"setpoint_mw must be in \(-inf, inf\), got {setpoint}"
+        with pytest.raises(ValueError, match=message):
             max_offerable(DEMO_UNIT, fcr(), setpoint)
 
     def test_string_built_product_behaves_like_enum_built(self):

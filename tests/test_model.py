@@ -92,7 +92,7 @@ class TestElectrolyzerUnit:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["rated_power_mw", "ramp_up", "ramp_down"])
     def test_rejects_non_finite_power_and_ramps(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ValueError, match=rf"{field} must be in \(0, inf\), got {value}"):
             make_unit(**{field: value})
 
     def test_ramp_down_defaults_to_ramp_up(self):

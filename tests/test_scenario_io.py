@@ -319,6 +319,29 @@ ramp_up_pct_per_s = 1
                      "[product]\nkind = mfrr\ndirection = neg\n")
         assert load_scenario(path).dispatch.product == product_from_name("mfrr-neg")
 
+    @pytest.mark.parametrize("count, setpoint, product, message", [
+        (1, "4", "", None),  # no product: the band alone
+        (1, "4.5", "", r"setpoint 4.5 MW outside operating band \[1.0, 4.0\] MW"),
+        (2, "8", "", None),  # a fleet: the aggregate's band
+        (1, "1.5", "kind = afrr", r"setpoint 1.5 MW cannot host a 1.0 MW downward activation "
+                                  r"above the minimum load 1.0 MW"),
+        (1, "1", "kind = afrr\ndirection = neg", None),
+        (1, "3.5", "kind = fcr", r"setpoint 3.5 MW cannot host a 1.0 MW upward activation "
+                                 r"below the rated power 4.0 MW"),
+    ], ids=["band-edge", "out-of-band", "fleet", "pos-no-room", "neg", "sym-no-room"])
+    def test_dispatch_setpoint_is_held_to_the_unit_at_load(self, tmp_path, count, setpoint,
+                                                          product, message):
+        path = write(tmp_path, "dispatch.scenario",
+                     f"[unit]\npreset = demo4grid\ncount = {count}\n[dispatch]\n"
+                     f"setpoint_mw = {setpoint}\nbid_mw = 1\n"
+                     + (f"[product]\n{product}\n" if product else ""))
+        if message is None:
+            assert load_scenario(path).dispatch.setpoint_mw == float(setpoint)
+            return
+        with pytest.raises(ScenarioError, match=message) as exc:
+            load_scenario(path)
+        assert (exc.value.key, exc.value.line) == ("setpoint_mw", 5)
+
     def test_bad_efficiency_point(self, tmp_path):
         path = write(tmp_path, "bad.scenario", """
 [unit]
