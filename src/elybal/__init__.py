@@ -22,7 +22,6 @@ from .dispatch import (
     PowerTrajectory,
     SignalKind,
     check_compliance,
-    droop_target,
     hydrogen_output,
     simulate,
 )

@@ -12,7 +12,7 @@ None of those corners depends on the block, only the FCR price does.  So
 ``optimize_day`` builds one candidate table per day in a fixed number of
 array passes (``_day_table``), scores it as one blocks x candidates matrix
 and picks per row (``_pick``) the score within ``_EPS`` of the best, then
-the least reserved capacity, then the least FCR (each within ``_EPS``), then
+the least reserved capacity, then the least FCR (each within ``SLACK_MW``), then
 the highest setpoint, then the first candidate in table order.  When one
 candidate alone comes within ``_EPS`` of any row's best, it is every row's pick.
 """
@@ -33,9 +33,9 @@ from .markets import (
     ProductKind,
     TimeBlock,
 )
-from .model import ElectrolyzerUnit, check_range, specific_energy_at
+from .model import SLACK_MW, ElectrolyzerUnit, check_range, specific_energy_at
 
-_EPS = 1e-9
+_EPS = 1e-9  # slack of the score tie (EUR) and of ratios; powers take SLACK_MW
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def _grid_points(lo: float, hi: float, step: float) -> np.ndarray:
 def _min_tradable_mw(product: BalancingProduct) -> float:
     """Smallest bid on the trading grid at or above the minimum bid."""
     inc = product.trade_increment_mw
-    return max(1, math.ceil(product.min_bid_mw / inc - _EPS)) * inc
+    return max(1, math.ceil((product.min_bid_mw - SLACK_MW) / inc)) * inc
 
 
 def _hydrogen_loss_kg(
@@ -177,12 +177,12 @@ def _day_table(
     else:
         fcr_top = _top_mw(unit, fcr_prod, setpoints)
         if pinned is not None:
-            q = np.where(pinned <= fcr_top + _EPS, pinned, np.nan)[:, None]
+            q = np.where(pinned <= fcr_top + SLACK_MW, pinned, np.nan)[:, None]
         else:
             lo = _min_tradable_mw(fcr_prod)
             c = np.empty((11, n))  # the FCR choices, one row each
             c[0], c[2], c[3:5] = 0.0, fcr_top, unit.rated_power_mw
-            c[1] = np.where(fcr_top < lo - _EPS, np.nan, lo)
+            c[1] = np.where(fcr_top < lo - SLACK_MW, np.nan, lo)
             levels = c[3:7]  # the aFRR origins of the four levels, then the levels
             np.subtract(setpoints, c[1:3], out=c[5:7])
             levels[...] = _top_mw(unit, afrr_prod, levels)
@@ -214,7 +214,7 @@ def _pick(
     blocks x candidates matrix or one row; the other arrays broadcast.
     Masks apply the tie rule in turn: the score within ``_EPS`` of the row
     max, then on columns near some row's max the reserved capacity and FCR
-    within ``_EPS`` of their min, the highest setpoint, the first on ties.
+    within ``SLACK_MW`` of their min, the highest setpoint, the first on ties.
     """
     keep = score >= score.max(axis=-1, keepdims=True) - _EPS
     near = np.flatnonzero(keep.reshape(-1, keep.shape[-1]).any(axis=0))
@@ -223,7 +223,7 @@ def _pick(
     keep = keep[..., near]
     for key in (reserved, q_fcr):
         values = np.where(keep, key[..., near], np.inf)
-        keep &= values <= values.min(axis=-1, keepdims=True) + _EPS
+        keep &= values <= values.min(axis=-1, keepdims=True) + SLACK_MW
     return near[np.where(keep, setpoint[..., near], -np.inf).argmax(axis=-1)]
 
 
@@ -260,7 +260,7 @@ def optimize_day(
     if pinned is not None:
         if fcr_prod is None:
             raise ValueError("pre_reserved_fcr_mw given but FCR is not among the products")
-        if not abs(pinned - tradable_mw(pinned, fcr_prod)) <= _EPS:
+        if not abs(pinned - tradable_mw(pinned, fcr_prod)) <= SLACK_MW:
             raise ValueError(f"pre_reserved_fcr_mw = {pinned:g} MW is not a tradable FCR quantity: "
                              f"it must be 0 or on the {fcr_prod.trade_increment_mw:g} MW trading "
                              f"grid at or above the {fcr_prod.min_bid_mw:g} MW minimum bid")
@@ -351,5 +351,5 @@ def validate_schedule(unit: ElectrolyzerUnit, schedule: BidSchedule) -> None:
                 )
         ranges.sort()
         for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-            if lo < hi - _EPS:
+            if lo < hi - SLACK_MW:
                 raise ValueError(f"block {label}: reserved capacity ranges overlap")

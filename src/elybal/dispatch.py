@@ -28,13 +28,11 @@ from enum import Enum
 import numpy as np
 
 from .markets import BalancingProduct, Direction, TableError
-from .model import EfficiencyCurve, ElectrolyzerUnit, check_range, specific_energy_at
+from .model import SLACK_MW, EfficiencyCurve, ElectrolyzerUnit, check_range, specific_energy_at
 
 DROOP_FULL_ACTIVATION_HZ = 0.2
 DELIVERY_TOLERANCE = 0.005  # fraction of the bid
 DEFAULT_TIMESTEP_S = 1.0
-
-_TOL_MW = 1e-9
 
 
 class SignalKind(str, Enum):
@@ -118,13 +116,13 @@ class PowerTrajectory:
         if not np.isfinite(powers).all():
             raise ValueError("trajectory has non-finite power samples")
         check_range("timestep_s", self.timestep_s, "(0, inf)")
-        lo = self.unit.min_power_mw - _TOL_MW
-        hi = self.unit.rated_power_mw + _TOL_MW
+        lo = self.unit.min_power_mw - SLACK_MW
+        hi = self.unit.rated_power_mw + SLACK_MW
         if powers.min() < lo or powers.max() > hi:
             raise ValueError("trajectory leaves the operating band of the unit")
         steps = np.diff(powers)
-        up_lim = self.unit.ramp_up_mw_per_s * self.timestep_s + _TOL_MW
-        down_lim = self.unit.ramp_down_mw_per_s * self.timestep_s + _TOL_MW
+        up_lim = self.unit.ramp_up_mw_per_s * self.timestep_s + SLACK_MW
+        down_lim = self.unit.ramp_down_mw_per_s * self.timestep_s + SLACK_MW
         if steps.size and (steps.max() > up_lim or steps.min() < -down_lim):
             raise ValueError("trajectory violates the ramp limits of the unit")
 
@@ -149,12 +147,6 @@ class ComplianceResult:
         }
 
 
-def droop_target(freq_deviation_hz: float, bid_mw: float) -> float:
-    """FCR power offset (MW) for a frequency deviation, saturating at the bid."""
-    kind = SignalKind.FREQUENCY_DEVIATION
-    return float(_requested_offsets(kind, freq_deviation_hz, bid_mw, Direction.SYM))
-
-
 def _requested_offsets(kind: SignalKind, values, bid_mw: float, direction: Direction) -> np.ndarray:
     """Power offsets (MW) the signal samples request from a ``bid_mw`` bid."""
     check_range("bid_mw", bid_mw, "[0, inf)")
@@ -176,12 +168,12 @@ def _check_band(
 ) -> None:
     unit.check_setpoint(setpoint_mw)
     min_p, max_p = unit.min_power_mw, unit.rated_power_mw
-    if direction.lowers_load and setpoint_mw - bid_mw < min_p - _TOL_MW:
+    if direction.lowers_load and setpoint_mw - bid_mw < min_p - SLACK_MW:
         raise ValueError(
             f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW downward activation "
             f"above the minimum load {min_p} MW"
         )
-    if direction.raises_load and setpoint_mw + bid_mw > max_p + _TOL_MW:
+    if direction.raises_load and setpoint_mw + bid_mw > max_p + SLACK_MW:
         raise ValueError(
             f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW upward activation "
             f"below the rated power {max_p} MW"

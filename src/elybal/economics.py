@@ -35,6 +35,7 @@ def electricity_cost(setpoint_mw: float, hours: float, price_eur_per_mwh: float)
     """Energy bill for holding a setpoint, fees already included in the price."""
     check_range("setpoint_mw", setpoint_mw, "[0, inf)")
     check_range("hours", hours, "[0, inf)")
+    check_range("price_eur_per_mwh", price_eur_per_mwh, "(-inf, inf)")
     return setpoint_mw * hours * price_eur_per_mwh
 
 
@@ -42,6 +43,8 @@ def savings_ratio(
     fcr_revenue_eur: float, afrr_revenue_eur: float, electricity_cost_eur: float
 ) -> float:
     """Capacity revenue as a share of the electricity bill."""
+    check_range("fcr_revenue_eur", fcr_revenue_eur, "(-inf, inf)")
+    check_range("afrr_revenue_eur", afrr_revenue_eur, "(-inf, inf)")
     check_range("electricity_cost_eur", electricity_cost_eur, "(0, inf)")
     return (fcr_revenue_eur + afrr_revenue_eur) / electricity_cost_eur
 
@@ -146,7 +149,8 @@ def build_report(
     fee is added to it.  ``assumptions`` records both prices and what chose
     them.  Each result needs a pair of inputs and stays None without it;
     the savings ratios need a positive cost and at least one revenue.
-    Settings that complete no pair are a ValueError.
+    Settings that complete no pair, and a revenue or cost that overflows,
+    are a ValueError.
     """
     s = settings
     assumptions: dict = {"hours_per_day": s.hours_per_day,
@@ -170,10 +174,13 @@ def build_report(
             s.afrr_quantity_mw, s.hours_per_day, afrr_price_eur_per_mw_h
         )
     cost = None
-    cost_rounded = None
     if s.setpoint_mw is not None and price is not None:
         cost = electricity_cost(s.setpoint_mw, s.hours_per_day, price)
-        cost_rounded = round_to_sig_figs(cost, 2)
+    for name, value in (("fcr_revenue_eur", fcr_rev), ("afrr_capacity_revenue_eur", afrr_rev),
+                        ("electricity_cost_eur", cost)):
+        if value is not None:
+            check_range(name, value, "(-inf, inf)")
+    cost_rounded = None if cost is None else round_to_sig_figs(cost, 2)
     coverage = None
     if s.required_reserve_mw is not None and s.fleet_power_mw is not None:
         coverage = fleet_coverage(s.required_reserve_mw, s.fleet_power_mw, s.coverage_symmetric)

@@ -5,20 +5,21 @@ power of the plant: a slow-ramping electrolyzer can still firm up a small
 bid, because the deadline applies to the offered megawatts, not to the
 full nameplate range.  ``eq1_gradient`` and its inverses quantify that
 trade-off; ``check_eligibility`` applies the market rules one by one, and
-``capacity_limit_mw`` gives the largest bid they admit at a setpoint.
+``capacity_limit_mw`` gives the largest bid they admit at a setpoint.  A bid
+fits when it is on the trading grid, at or above the minimum bid and within
+min(headroom, ramp x deadline) + ``SLACK_MW`` (1e-9 MW).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .markets import BalancingProduct
-from .model import ElectrolyzerUnit, check_range
-
-_TOL = 1e-9
+from .model import SLACK_MW, ElectrolyzerUnit, check_range
 
 # constraint names, in evaluation order
 MIN_BID = "min_bid"
@@ -61,16 +62,7 @@ class EligibilityReport:
             "setpoint_mw": self.setpoint_mw,
             "eligible": self.eligible,
             "limiting_constraint": self.limiting_constraint,
-            "constraints": [
-                {
-                    "name": c.name,
-                    "required": c.required,
-                    "actual": c.actual,
-                    "margin": c.margin,
-                    "passed": c.passed,
-                }
-                for c in self.constraints
-            ],
+            "constraints": [dataclasses.asdict(c) for c in self.constraints],
         }
 
 
@@ -154,6 +146,11 @@ def _ramp_mw_per_s(unit: ElectrolyzerUnit, product: BalancingProduct) -> float:
     return min(unit.ramp_up_mw_per_s, unit.ramp_down_mw_per_s)
 
 
+def _reach_mw(unit: ElectrolyzerUnit, product: BalancingProduct) -> float:
+    """Largest move the pacing ramp makes within the product deadline."""
+    return _ramp_mw_per_s(unit, product) * product.availability_s
+
+
 def _float_or_array(values: np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
@@ -170,19 +167,18 @@ def capacity_limit_mw(
     array of the same shape.
     """
     sp = np.asarray(setpoint_mw, dtype=float)
-    in_band = (unit.min_power_mw - _TOL <= sp) & (sp <= unit.rated_power_mw + _TOL)
-    reach = _ramp_mw_per_s(unit, product) * product.availability_s
-    limit = np.minimum(_headroom_mw(unit, product, sp), reach)
+    in_band = (unit.min_power_mw - SLACK_MW <= sp) & (sp <= unit.rated_power_mw + SLACK_MW)
+    limit = np.minimum(_headroom_mw(unit, product, sp), _reach_mw(unit, product))
     return _float_or_array(np.where(in_band, limit, 0.0))
 
 
 def tradable_mw(limit_mw: float | np.ndarray, product: BalancingProduct) -> float | np.ndarray:
-    """Largest bid on the trading grid up to ``limit_mw``, or 0 when that
-    falls short of the minimum bid (or the limit is NaN).  A float gives a
-    float, an array an array of the same shape."""
+    """Largest bid on the trading grid up to ``limit_mw`` + ``SLACK_MW``, or
+    0 when that falls short of the minimum bid (or the limit is NaN).  A
+    float gives a float, an array an array of the same shape."""
     inc = product.trade_increment_mw
-    bid = np.floor(np.asarray(limit_mw, dtype=float) / inc + _TOL) * inc
-    return _float_or_array(np.where(bid >= product.min_bid_mw - _TOL, bid, 0.0))
+    bid = np.floor((np.asarray(limit_mw, dtype=float) + SLACK_MW) / inc) * inc
+    return _float_or_array(np.where(bid >= product.min_bid_mw - SLACK_MW, bid, 0.0))
 
 
 def check_eligibility(
@@ -197,7 +193,10 @@ def check_eligibility(
     bids lean on the ramp-down rate and on the headroom below the
     setpoint; NEG bids mirror that.  Symmetric products need both sides
     and are paced by the slower ramp direction.  Landing exactly on the
-    deadline still qualifies.
+    deadline still qualifies: the bid fits when it is on the trading grid,
+    at or above the minimum bid and within min(headroom, ramp x deadline)
+    + ``SLACK_MW``, the limit ``capacity_limit_mw`` takes; the deadline
+    check reports seconds.
     """
     check_range("bid_mw", bid_mw, "(0, inf)")
     unit.check_setpoint(setpoint_mw)
@@ -211,7 +210,7 @@ def check_eligibility(
             required=product.min_bid_mw,
             actual=bid_mw,
             margin=bid_mw - product.min_bid_mw,
-            passed=bid_mw >= product.min_bid_mw - _TOL,
+            passed=bid_mw >= product.min_bid_mw - SLACK_MW,
         )
     )
 
@@ -225,13 +224,13 @@ def check_eligibility(
             required=inc,
             actual=off_grid,
             margin=-off_grid,
-            passed=off_grid <= _TOL,
+            passed=off_grid <= SLACK_MW,
         )
     )
 
     # C3: headroom around the setpoint
     room = float(_headroom_mw(unit, product, setpoint_mw))
-    headroom_ok = room >= bid_mw - _TOL
+    headroom_ok = bid_mw <= room + SLACK_MW
     checks.append(
         ConstraintCheck(
             HEADROOM,
@@ -250,7 +249,7 @@ def check_eligibility(
             required=product.availability_s,
             actual=delivery_s,
             margin=product.availability_s - delivery_s,
-            passed=delivery_s <= product.availability_s + _TOL,
+            passed=bid_mw <= _reach_mw(unit, product) + SLACK_MW,
         )
     )
 
@@ -335,8 +334,7 @@ def max_offerable(
         check_range("setpoint_mw", setpoint_mw, "(-inf, inf)")
         sp = setpoint_mw
         bid = tradable_mw(capacity_limit_mw(unit, product, sp), product)
-    # the closed form and the check state one rule; at a float-tolerance
-    # edge of a lot boundary the check has the last word
+    # the check states the closed form's rule in MW, so it confirms the bid
     if bid > 0.0 and not check_eligibility(unit, product, bid, sp).eligible:
         bid = tradable_mw(bid - product.trade_increment_mw, product)
     return bid, sp

@@ -237,6 +237,7 @@ def avg_price_below_threshold(
 
 def apply_grid_fee(price_eur_per_mwh: float, fee_fraction: float) -> float:
     """Add proportional grid fees and surcharges to an energy price."""
+    check_range("price_eur_per_mwh", price_eur_per_mwh, "(-inf, inf)")
     check_range("fee_fraction", fee_fraction, "[0, inf)")
     return price_eur_per_mwh * (1.0 + fee_fraction)
 

@@ -8,6 +8,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
+SLACK_MW = 1e-9  # how far past a MW bound a power still counts as on it
+
 
 @cache
 def _ends(interval: str) -> tuple[float, float, bool, bool]:  # lo, hi, lo open, hi open
@@ -130,9 +132,9 @@ class ElectrolyzerUnit:
 
     def check_setpoint(self, setpoint_mw: float) -> None:
         """Raise ValueError unless ``setpoint_mw`` lies in [min load, rated
-        power], 1e-9 MW slack; NaN lies outside."""
+        power], ``SLACK_MW`` slack; NaN lies outside."""
         min_p, max_p = self.min_power_mw, self.rated_power_mw
-        if not min_p - 1e-9 <= setpoint_mw <= max_p + 1e-9:
+        if not min_p - SLACK_MW <= setpoint_mw <= max_p + SLACK_MW:
             raise ValueError(
                 f"setpoint {setpoint_mw} MW outside operating band [{min_p}, {max_p}] MW"
             )

@@ -107,7 +107,7 @@ def brute_force_oracle(
             if sp - q_f < min_p - _EPS or sp + q_f > max_p + _EPS:
                 return False
             slowest = min(unit.ramp_up_mw_per_s, unit.ramp_down_mw_per_s)
-            if q_f / slowest > fcr_prod.availability_s + _EPS:
+            if q_f > slowest * fcr_prod.availability_s + _EPS:
                 return False
         if q_a > 0:
             if afrr_prod is None or q_a < afrr_prod.min_bid_mw - _EPS:
@@ -117,7 +117,7 @@ def brute_force_oracle(
                 return False
             if sp - q_f - q_a < min_p - _EPS:
                 return False
-            if q_a / unit.ramp_down_mw_per_s > afrr_prod.availability_s + _EPS:
+            if q_a > unit.ramp_down_mw_per_s * afrr_prod.availability_s + _EPS:
                 return False
         return True
 
@@ -372,10 +372,10 @@ def capacity_limit_scalar(
 
 def tradable_scalar(limit_mw: float, product: BalancingProduct) -> float:
     """Reference for ``tradable_mw`` on one limit: whole lots (a lot short
-    by 1e-9 counts), kept from the minimum bid on; +inf stays, NaN is 0."""
+    by 1e-9 MW counts), kept from the minimum bid on; +inf stays, NaN is 0."""
     if limit_mw != limit_mw:
         return 0.0
-    lots = limit_mw / product.trade_increment_mw + _EPS
+    lots = (limit_mw + _EPS) / product.trade_increment_mw
     bid = (math.floor(lots) if math.isfinite(lots) else lots) * product.trade_increment_mw
     return bid if bid >= product.min_bid_mw - _EPS else 0.0
 

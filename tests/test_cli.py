@@ -451,6 +451,16 @@ class TestEconomicsCommand:
         assert lines[0].startswith("german_fleet_2030")
         assert lines[1].startswith("eu_fleet_2030")
 
+    def test_an_overflowing_revenue_is_an_input_error(self, tmp_path, capsys):
+        # 1e308 lies in the key's range, but 40 MW of it over 24 h does not fit a float
+        path = revenue_copy(tmp_path, "huge.scenario", ("afrr_price_eur_per_mw_h = 20",
+                                                        "afrr_price_eur_per_mw_h = 1e308"))
+        assert main(["economics", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: afrr_capacity_revenue_eur must be in "
+                                "(-inf, inf), got inf\n")
+
     @pytest.mark.parametrize("hours", ["0", "-1", "24.5"])
     def test_hours_per_day_outside_a_day_is_located(self, tmp_path, capsys, hours):
         path = revenue_copy(tmp_path, "hours.scenario",

@@ -16,8 +16,8 @@ from elybal.dispatch import (
     ActivationSignal,
     PowerTrajectory,
     SignalKind,
+    _requested_offsets,
     check_compliance,
-    droop_target,
     hydrogen_output,
     simulate,
 )
@@ -44,25 +44,31 @@ def step_signal(value: float, hold_s: int, total_s: int, kind=SignalKind.SETPOIN
     return ActivationSignal(kind, tuple(values))
 
 
+def droop(freq_deviation_hz: float, bid_mw: float) -> float:
+    """The FCR offset one frequency deviation requests from a symmetric bid."""
+    kind = SignalKind.FREQUENCY_DEVIATION
+    return float(_requested_offsets(kind, freq_deviation_hz, bid_mw, Direction.SYM))
+
+
 class TestDroop:
     def test_full_activation_at_minus_200_mhz(self):
         # under-frequency pulls a consuming asset down by the full bid
-        assert droop_target(-0.2, 5.0) == -5.0
+        assert droop(-0.2, 5.0) == -5.0
 
     def test_full_activation_at_plus_200_mhz(self):
-        assert droop_target(0.2, 5.0) == 5.0
+        assert droop(0.2, 5.0) == 5.0
 
     def test_proportional_inside_the_band(self):
-        assert droop_target(-0.1, 5.0) == pytest.approx(-2.5)
-        assert droop_target(0.05, 4.0) == pytest.approx(1.0)
+        assert droop(-0.1, 5.0) == pytest.approx(-2.5)
+        assert droop(0.05, 4.0) == pytest.approx(1.0)
 
     def test_saturates_beyond_the_band(self):
-        assert droop_target(-0.5, 5.0) == -5.0
-        assert droop_target(1.0, 5.0) == 5.0
+        assert droop(-0.5, 5.0) == -5.0
+        assert droop(1.0, 5.0) == 5.0
 
     def test_negative_bid_rejected(self):
         with pytest.raises(ValueError):
-            droop_target(-0.1, -1.0)
+            droop(-0.1, -1.0)
 
 
 class TestActivationSignal:

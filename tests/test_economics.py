@@ -159,6 +159,17 @@ class TestBuildReport:
         with pytest.raises(ValueError, match=r"\[economics\] computes nothing"):
             build_report(fcr_without_prices)
 
+    @pytest.mark.parametrize("settings, named", [
+        (EconomicsSettings(afrr_quantity_mw=40.0), "afrr_capacity_revenue_eur"),
+        (EconomicsSettings(fcr_bid_mw=1e307), "fcr_revenue_eur"),
+        (EconomicsSettings(setpoint_mw=1e307, electricity_price_eur_per_mwh=50.0),
+         "electricity_cost_eur"),
+    ])
+    def test_a_revenue_or_cost_that_overflows_is_refused(self, settings, named):
+        # each input lies in its range; the product does not
+        with pytest.raises(ValueError, match=rf"^{named} must be in \(-inf, inf\), got inf$"):
+            build_report(settings, fcr_prices=TABLE, afrr_price_eur_per_mw_h=1e308)
+
     def test_coverage_block(self):
         report = build_report(EconomicsSettings(required_reserve_mw=500.0, fleet_power_mw=10000.0))
         assert report.coverage is not None

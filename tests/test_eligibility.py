@@ -7,11 +7,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from elybal.eligibility import (
-    _TOL,
     DURATION,
     GRANULARITY,
     HEADROOM,
@@ -27,8 +26,18 @@ from elybal.eligibility import (
     min_rated_power,
     tradable_mw,
 )
-from elybal.markets import BalancingProduct, Direction, ProductKind, afrr, fcr, mfrr
-from elybal.model import ElectrolyzerUnit, Technology
+from elybal.allocate import AllocationOptions, optimize_day
+from elybal.markets import (
+    CANONICAL_BLOCKS,
+    BalancingProduct,
+    CapacityPriceTable,
+    Direction,
+    ProductKind,
+    afrr,
+    fcr,
+    mfrr,
+)
+from elybal.model import SLACK_MW, ElectrolyzerUnit, Technology
 from oracles import capacity_limit_scalar, max_offerable_scan, tradable_scalar
 
 # the 4 MW demonstration-scale alkaline unit used in the worked examples
@@ -311,8 +320,8 @@ def offer_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=offer_cases())
-# 9 MW of ramp reach, less 5e-10 MW: the grid rounds it to 9 MW, but 9 MW
-# takes 1.7e-8 s too long, so the check has the last word and 8 MW remain
+# 9 MW of ramp reach, less 5e-10 MW: 9 MW lies within the 1e-9 MW slack, so
+# the closed form and the check both offer it
 @example(case=(ElectrolyzerUnit("edge", Technology.AEL, 100.0, 0.1, (9 - 5e-10) / 30000),
                afrr(Direction.NEG), None))
 def test_max_offerable_matches_the_descending_scan(case):
@@ -328,9 +337,9 @@ def _with_neighbours(values):
 @st.composite
 def cap_cases(draw):
     """A plant, a lot of 0.5, 1 or 2 MW with a minimum bid, and two 4 x n
-    arrays, as ``_day_table`` passes: setpoints (the band edges +-_TOL and
+    arrays, as ``_day_table`` passes: setpoints (the band edges +-SLACK_MW and
     their neighbouring floats, NaN, +-inf, points across and off the band)
-    and raw limits (lot boundaries +-_TOL and their neighbours, NaN, +-inf)."""
+    and raw limits (lot boundaries +-SLACK_MW and their neighbours, NaN, +-inf)."""
     rated = draw(st.integers(2, 600)) / 2
     ramp_down = draw(st.one_of(st.none(), st.integers(5, 2000).map(lambda k: k / 10000)))
     unit = ElectrolyzerUnit("caps", Technology.PEM, rated, draw(st.integers(5, 90)) / 100,
@@ -338,9 +347,9 @@ def cap_cases(draw):
     lot = draw(st.sampled_from([0.5, 1.0, 2.0]))
     min_bid = draw(st.sampled_from([lot, 1.0, 2.0, 5.0]))
     specials = [math.nan, math.inf, -math.inf]
-    edges = _with_neighbours(e + k * _TOL for e in (unit.min_power_mw, rated) for k in (-1, 0, 1))
+    edges = _with_neighbours(e + k * SLACK_MW for e in (unit.min_power_mw, rated) for k in (-1, 0, 1))
     setpoint = st.one_of(st.sampled_from(edges + specials), st.floats(-5.0, rated + 5.0))
-    boundaries = _with_neighbours(k * lot + j * _TOL for k in range(6) for j in (-1, 0, 1))
+    boundaries = _with_neighbours(k * lot + j * SLACK_MW for k in range(6) for j in (-1, 0, 1))
     limit = st.one_of(st.sampled_from(boundaries + specials), st.floats(-5.0, 20.0))
     n = draw(st.integers(1, 6))
     setpoints, limits = (np.reshape(draw(st.lists(s, min_size=4 * n, max_size=4 * n)), (4, n))
@@ -369,3 +378,73 @@ def test_capacity_limit_and_tradable_take_arrays(product, case):
         scalar_bid = tradable_mw(value, product)
         assert type(scalar_bid) is float
         assert bid == scalar_bid == tradable_scalar(value, product)
+
+
+# ramp reach k lots off by these MW: inside and outside the slack, both ways
+EDGE_OFFSETS_MW = (0.0, 5e-10, -5e-10, 1.5e-9, -1.5e-9, 1e-8, -1e-8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product=st.sampled_from(PRODUCTS), lot=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+       min_lots=st.integers(1, 3), lots=st.integers(1, 40),
+       offset=st.sampled_from(EDGE_OFFSETS_MW), rated=st.sampled_from([60.0, 100.0, 150.0, 400.0]),
+       fast=st.sampled_from([1.0, 2.0]), at=st.integers(0, 6))
+# edges where the deadline, judged in seconds, and the lot floor, slack in
+# lots, parted from the MW limit: the closed form refused (reach short of a
+# lot by less than the slack, ramps below and above 1 MW/s, at the band
+# minimum plus the reach, mid-band, rated power less the reach and rated
+# power), and one lot more admitted (judged on the deadline, and on the
+# headroom at mid-band less half the reach)
+@example(fcr(), 1.0, 1, 1, -5e-10, 60.0, 1.0, 2)
+@example(fcr(), 0.5, 1, 1, -5e-10, 60.0, 1.0, 4)
+@example(fcr(), 2.0, 1, 15, 1.5e-9, 60.0, 1.0, 3)
+@example(afrr(Direction.POS), 2.0, 1, 3, -1.5e-9, 100.0, 1.0, 1)
+@example(fcr(), 0.5, 1, 30, -5e-10, 60.0, 1.0, 3)
+@example(fcr(), 1.5, 1, 36, -1.5e-9, 150.0, 1.0, 4)
+@example(afrr(Direction.POS), 0.5, 1, 36, 1.5e-9, 60.0, 1.0, 5)
+def test_the_check_admits_the_tradable_bid_and_not_one_lot_more(
+    product, lot, min_lots, lots, offset, rated, fast, at
+):
+    """A plant whose pacing ramp reaches ``lots`` lots + ``offset`` MW by the
+    deadline (the other ramp ``fast`` times quicker), at a setpoint on a
+    band or reach edge: ``check_eligibility`` and the closed form agree."""
+    product = dataclasses.replace(product, trade_increment_mw=lot, min_bid_mw=min_lots * lot)
+    reach = lots * lot + offset
+    ramp = reach / (product.availability_s * rated)
+    up, down = (ramp * fast, ramp) if product.direction is Direction.POS else (ramp, ramp * fast)
+    unit = ElectrolyzerUnit("edge", Technology.PEM, rated, 0.1, up, down)
+    low, mid = unit.min_power_mw, 0.5 * (unit.min_power_mw + rated)
+    setpoint = (low, rated, low + reach, rated - reach, mid, mid - reach / 2, mid + reach / 2)[at]
+    assume(low <= setpoint <= rated)
+    bid = tradable_mw(capacity_limit_mw(unit, product, setpoint), product)
+    if bid > 0.0:
+        assert check_eligibility(unit, product, bid, setpoint).eligible
+    more = bid + lot if bid > 0.0 else product.min_bid_mw
+    assert not check_eligibility(unit, product, more, setpoint).eligible
+
+
+# 100 MW at 0.16666666666 %/s: the ramp reaches 4.9999999998 MW within the
+# 30 s FCR deadline, so a 5 MW bid lies within the slack (it takes 1.2e-9 s
+# too long, which a deadline judged in seconds refused)
+EDGE_PLANT = ElectrolyzerUnit("edge", Technology.AEL, 100.0, 0.5, 0.0016666666666)
+
+
+def test_a_bid_within_the_slack_of_the_reach_is_eligible():
+    assert tradable_mw(capacity_limit_mw(EDGE_PLANT, fcr(), 95.0), fcr()) == 5.0
+    assert check_eligibility(EDGE_PLANT, fcr(), 5.0, 95.0).eligible
+
+
+def test_optimize_day_keeps_a_pin_at_the_reach():
+    prices = CapacityPriceTable({b.label: 10.0 for b in CANONICAL_BLOCKS})
+    options = AllocationOptions(pre_reserved_fcr_mw=5.0)
+    result = optimize_day(EDGE_PLANT, (fcr(), afrr()), prices, 80.0, options)
+    assert [(e.product.kind, e.quantity_mw) for e in result.schedule.entries] == [
+        (ProductKind.FCR, 5.0), (ProductKind.AFRR, 40.0)] * len(CANONICAL_BLOCKS)
+
+
+def test_optimize_day_on_coarse_lots_just_short_of_a_lot():
+    # 2 MW lots and 6 - 1.5e-9 MW of reach: 6 MW lies past the slack, 4 MW fits
+    product = BalancingProduct(ProductKind.AFRR, 2.0, 2.0, 300.0, 4.0, Direction.POS)
+    unit = ElectrolyzerUnit("coarse", Technology.PEM, 100.0, 0.1, (6 - 1.5e-9) / 30000)
+    result = optimize_day(unit, (product,), None, 80.0)
+    assert [e.quantity_mw for e in result.schedule.entries] == [4.0] * len(CANONICAL_BLOCKS)

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from elybal.allocate import AllocationOptions, optimize_day
-from elybal.dispatch import ActivationSignal, PowerTrajectory, SignalKind, droop_target
+from elybal.dispatch import ActivationSignal, PowerTrajectory, SignalKind, simulate
 from elybal.economics import (
     afrr_day_capacity_revenue,
     electricity_cost,
@@ -41,6 +41,7 @@ from elybal.model import EfficiencyCurve, ElectrolyzerUnit, Technology, check_ra
 SRC = Path(__file__).resolve().parents[1] / "src" / "elybal"
 POS = "(0, inf)"
 NON_NEG = "[0, inf)"
+ANY = "(-inf, inf)"
 UNIT = ElectrolyzerUnit("plant", Technology.PEM, 10.0, 0.1, 0.01)
 PRICES = CapacityPriceTable({b.label: 10.0 for b in CANONICAL_BLOCKS})
 
@@ -85,15 +86,15 @@ GUARDS = [
                                             price_eur_per_mw_h=20.0),
             quantity_mw=NON_NEG, hours=NON_NEG, price_eur_per_mw_h=NON_NEG),
     *guards(electricity_cost, dict(setpoint_mw=95.0, hours=24.0, price_eur_per_mwh=65.0),
-            setpoint_mw=NON_NEG, hours=NON_NEG),
+            setpoint_mw=NON_NEG, hours=NON_NEG, price_eur_per_mwh=ANY),
     *guards(fleet_coverage, dict(required_reserve_mw=573.0, fleet_power_mw=10000.0,
                                  symmetric=True),
             required_reserve_mw=NON_NEG, fleet_power_mw=POS),
     *guards(apply_grid_fee, dict(price_eur_per_mwh=50.0, fee_fraction=0.2),
-            fee_fraction=NON_NEG),
+            price_eur_per_mwh=ANY, fee_fraction=NON_NEG),
     *guards(savings_ratio, dict(fcr_revenue_eur=1.0, afrr_revenue_eur=1.0,
                                 electricity_cost_eur=100.0),
-            electricity_cost_eur=POS),
+            fcr_revenue_eur=ANY, afrr_revenue_eur=ANY, electricity_cost_eur=POS),
     *guards(ElectrolyzerUnit, dict(name="plant", technology=Technology.PEM, rated_power_mw=10.0,
                                    min_load_fraction=0.1, ramp_up=0.01, ramp_down=0.01),
             min_load_fraction="(0, 1)", rated_power_mw=POS, ramp_up=POS, ramp_down=POS),
@@ -101,10 +102,12 @@ GUARDS = [
     *guards(ActivationSignal, dict(kind=SignalKind.SETPOINT_REQUEST, values=(0.0, 1.0)),
             timestep_s=POS),
     *guards(PowerTrajectory, dict(powers_mw=(5.0, 5.0), unit=UNIT), timestep_s=POS),
-    *guards(droop_target, dict(freq_deviation_hz=0.1, bid_mw=1.0), bid_mw=NON_NEG),
+    *guards(simulate, dict(unit=UNIT, setpoint_mw=5.0, bid_mw=1.0,
+                           signal=ActivationSignal(SignalKind.FREQUENCY_DEVIATION, (0.1, 0.1))),
+            bid_mw=NON_NEG),
     *guards(check_eligibility, dict(unit=UNIT, product=fcr(), bid_mw=1.0, setpoint_mw=5.0),
             bid_mw=POS),
-    *guards(max_offerable, dict(unit=UNIT, product=fcr()), setpoint_mw="(-inf, inf)"),
+    *guards(max_offerable, dict(unit=UNIT, product=fcr()), setpoint_mw=ANY),
     *guards(AllocationOptions, {}, hydrogen_value_eur_per_kg=NON_NEG,
             pre_reserved_fcr_mw=NON_NEG, setpoint_grid_mw=POS),
     *guards(optimize_day, dict(unit=UNIT, products=(afrr(),), fcr_prices=None,
