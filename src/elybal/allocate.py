@@ -33,9 +33,9 @@ from .markets import (
     ProductKind,
     TimeBlock,
 )
-from .model import SLACK_MW, ElectrolyzerUnit, check_range, specific_energy_at
+from .model import SLACK_LOAD, SLACK_MW, ElectrolyzerUnit, check_range, specific_energy_at
 
-_EPS = 1e-9  # slack of the score tie (EUR) and of ratios; powers take SLACK_MW
+_EPS = 1e-9  # slack of the score tie (EUR) and of ratios; powers take SLACK_MW, loads SLACK_LOAD
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def optimize_day(
                              f"grid at or above the {fcr_prod.min_bid_mw:g} MW minimum bid")
     h2_value = options.hydrogen_value_eur_per_kg
     curve = unit.efficiency_curve
-    if h2_value is not None and (curve is None or curve.domain[1] < 1.0 - _EPS):
+    if h2_value is not None and (curve is None or curve.domain[1] < 1.0 - SLACK_LOAD):
         have = "none" if curve is None else "domain [{:g}, {:g}]".format(*curve.domain)
         raise ValueError("hydrogen_value_eur_per_kg prices production forgone against full load "
                          "and needs an efficiency curve that reaches load fraction 1; the unit's "
@@ -337,13 +337,11 @@ def validate_schedule(unit: ElectrolyzerUnit, schedule: BidSchedule) -> None:
         ranges: list[tuple[float, float]] = []
         for entry in block_entries:
             sp, q, d = entry.setpoint_mw, entry.quantity_mw, entry.product.direction
-            if d is Direction.SYM:  # the FCR band, around the setpoint
-                origin = sp
-            else:  # stacked outside the FCR band, on the side it moves the load to
-                origin = sp - q_fcr if d.lowers_load else sp + q_fcr
-            band = (origin - q if d.lowers_load else origin, origin + q if d.raises_load else origin)
+            # a one-sided entry starts at the FCR band's edge on its side; for the
+            # FCR entry itself the band's two offsets cancel, leaving the setpoint
+            origin = sp + sum(d.band(0.0, q_fcr))
             report = check_eligibility(unit, entry.product, q, origin)
-            ranges.append(band)
+            ranges.append(d.band(origin, q))
             if not report.eligible:
                 raise ValueError(
                     f"block {label}: {entry.product.label} {q} MW fails "

@@ -148,19 +148,13 @@ class ComplianceResult:
 
 
 def _requested_offsets(kind: SignalKind, values, bid_mw: float, direction: Direction) -> np.ndarray:
-    """Power offsets (MW) the signal samples request from a ``bid_mw`` bid."""
+    """Power offsets (MW) the signal samples request from a ``bid_mw`` bid,
+    clipped to the bid's band: one-sided products only activate into their own."""
     check_range("bid_mw", bid_mw, "[0, inf)")
     values = np.asarray(values, dtype=float)
     if kind is SignalKind.FREQUENCY_DEVIATION:
-        offsets = np.clip(values / DROOP_FULL_ACTIVATION_HZ, -1.0, 1.0) * bid_mw
-    else:
-        offsets = np.clip(values, -bid_mw, bid_mw)
-    # one-sided products only ever activate into their own band
-    if not direction.raises_load:
-        offsets = np.minimum(offsets, 0.0)
-    elif not direction.lowers_load:
-        offsets = np.maximum(offsets, 0.0)
-    return offsets
+        return np.clip(values / DROOP_FULL_ACTIVATION_HZ, *direction.band(0.0, 1.0)) * bid_mw
+    return np.clip(values, *direction.band(0.0, bid_mw))
 
 
 def _check_band(
@@ -168,12 +162,13 @@ def _check_band(
 ) -> None:
     unit.check_setpoint(setpoint_mw)
     min_p, max_p = unit.min_power_mw, unit.rated_power_mw
-    if direction.lowers_load and setpoint_mw - bid_mw < min_p - SLACK_MW:
+    lo, hi = direction.band(setpoint_mw, bid_mw)
+    if lo < min_p - SLACK_MW:
         raise ValueError(
             f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW downward activation "
             f"above the minimum load {min_p} MW"
         )
-    if direction.raises_load and setpoint_mw + bid_mw > max_p + SLACK_MW:
+    if hi > max_p + SLACK_MW:
         raise ValueError(
             f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW upward activation "
             f"below the rated power {max_p} MW"

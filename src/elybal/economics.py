@@ -82,6 +82,7 @@ def fleet_coverage(
 
 def round_to_sig_figs(value: float, figures: int = 2) -> float:
     """Round to significant figures, for headline-style reporting."""
+    check_range("value", value, "(-inf, inf)")
     if value == 0:
         return 0.0
     digits = figures - 1 - math.floor(math.log10(abs(value)))
@@ -122,13 +123,13 @@ class EconomicReport:
 
 @dataclass(frozen=True)
 class EconomicsSettings:
-    """The [economics] keys of a scenario, in their stored units."""
+    """The [economics] keys of a scenario, each as written (``grid_fee_pct`` in percent)."""
 
     setpoint_mw: float | None = None
     hours_per_day: float = 24.0
     electricity_price_eur_per_mwh: float | None = None
     spot_threshold_eur_per_mwh: float | None = None
-    grid_fee_fraction: float = 0.0
+    grid_fee_pct: float = 0.0
     fcr_bid_mw: float | None = None
     afrr_quantity_mw: float | None = None
     required_reserve_mw: float | None = None
@@ -154,7 +155,7 @@ def build_report(
     """
     s = settings
     assumptions: dict = {"hours_per_day": s.hours_per_day,
-                         "grid_fee_pct": s.grid_fee_fraction * 100.0}
+                         "grid_fee_pct": s.grid_fee_pct}
     price = s.electricity_price_eur_per_mwh
     threshold = s.spot_threshold_eur_per_mwh
     if price is None and spot_prices is not None and threshold is not None:
@@ -163,7 +164,7 @@ def build_report(
         assumptions["qualifying_hours"] = hours
     if price is not None:
         assumptions["electricity_price_eur_per_mwh"] = price
-        price = apply_grid_fee(price, s.grid_fee_fraction)
+        price = apply_grid_fee(price, s.grid_fee_pct / 100.0)
         assumptions["electricity_price_with_fees_eur_per_mwh"] = price
     fcr_rev = None
     if s.fcr_bid_mw is not None and fcr_prices is not None:

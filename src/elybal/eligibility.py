@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markets import BalancingProduct
+from .markets import BalancingProduct, Direction
 from .model import SLACK_MW, ElectrolyzerUnit, check_range
 
 # constraint names, in evaluation order
@@ -125,25 +125,15 @@ def min_rated_power(
 def _headroom_mw(
     unit: ElectrolyzerUnit, product: BalancingProduct, setpoint_mw: float | np.ndarray
 ) -> float | np.ndarray:
-    """Room the activation can move into, on each side of the setpoint it
-    moves the load to; the narrower side when it moves both ways."""
-    d = product.direction
-    if not d.raises_load:
-        return setpoint_mw - unit.min_power_mw
-    if not d.lowers_load:
-        return unit.rated_power_mw - setpoint_mw
-    return np.minimum(setpoint_mw - unit.min_power_mw, unit.rated_power_mw - setpoint_mw)
+    """Room the activation can move into from the setpoint, on the side that binds."""
+    return product.direction.binding(lambda: setpoint_mw - unit.min_power_mw,
+                                     lambda: unit.rated_power_mw - setpoint_mw)
 
 
 def _ramp_mw_per_s(unit: ElectrolyzerUnit, product: BalancingProduct) -> float:
-    """Ramp that paces the delivery: the ramp toward each side the product
-    moves the load to; the slower one when it moves both ways."""
-    d = product.direction
-    if not d.raises_load:
-        return unit.ramp_down_mw_per_s
-    if not d.lowers_load:
-        return unit.ramp_up_mw_per_s
-    return min(unit.ramp_up_mw_per_s, unit.ramp_down_mw_per_s)
+    """Ramp that paces the delivery: the ramp toward the side that binds."""
+    return product.direction.binding(lambda: unit.ramp_down_mw_per_s,
+                                     lambda: unit.ramp_up_mw_per_s)
 
 
 def _reach_mw(unit: ElectrolyzerUnit, product: BalancingProduct) -> float:
@@ -298,16 +288,6 @@ def default_setpoint(unit: ElectrolyzerUnit, product: BalancingProduct) -> float
     return min(max(rounded, unit.min_power_mw), unit.rated_power_mw)
 
 
-def _setpoint_for_bid(
-    unit: ElectrolyzerUnit, product: BalancingProduct, bid_mw: float
-) -> float:
-    """``default_setpoint`` moved just far enough to leave the bid headroom."""
-    d = product.direction
-    lo = unit.min_power_mw + bid_mw if d.lowers_load else unit.min_power_mw
-    hi = unit.rated_power_mw - bid_mw if d.raises_load else unit.rated_power_mw
-    return min(max(default_setpoint(unit, product), lo), hi)
-
-
 def max_offerable(
     unit: ElectrolyzerUnit,
     product: BalancingProduct,
@@ -323,13 +303,11 @@ def max_offerable(
     setpoint is an error.
     """
     if setpoint_mw is None:
-        d = product.direction
-        if d.lowers_load and d.raises_load:
-            widest = 0.5 * (unit.min_power_mw + unit.rated_power_mw)
-        else:
-            widest = unit.rated_power_mw if d.lowers_load else unit.min_power_mw
+        d, parked = product.direction, default_setpoint(unit, product)
+        widest = 0.5 * (unit.min_power_mw + unit.rated_power_mw) if d is Direction.SYM else parked
         bid = tradable_mw(capacity_limit_mw(unit, product, widest), product)
-        sp = _setpoint_for_bid(unit, product, bid)
+        down, up = d.band(0.0, bid)  # the bid's offsets from the setpoint that hosts it
+        sp = min(max(parked, unit.min_power_mw - down), unit.rated_power_mw - up)
     else:
         check_range("setpoint_mw", setpoint_mw, "(-inf, inf)")
         sp = setpoint_mw

@@ -12,10 +12,12 @@ and column of a fault, which a CSV reader maps to a file line.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+
+import numpy as np
 
 from .model import check_range, in_range
 
@@ -31,15 +33,30 @@ class Direction(str, Enum):
     POS = "POS"  # positive reserve: the grid gains power, a load sheds
     NEG = "NEG"  # negative reserve: the grid loses power, a load absorbs
 
-    # the one direction rule for a load: a POS activation moves it below the
-    # setpoint, on the ramp-down, a NEG one above it, on the ramp-up, SYM both
-    @property
-    def lowers_load(self) -> bool:
-        return self is not Direction.NEG
+    def __init__(self, value: str) -> None:
+        # the one direction rule for a load: a POS activation moves it below the
+        # setpoint, on the ramp-down, a NEG one above it, on the ramp-up, SYM both;
+        # ``band`` and ``binding`` state what follows from it for a bid.  Member
+        # attributes, not properties: the allocator reads them on its hot path
+        self.lowers_load = value != "NEG"
+        self.raises_load = value != "POS"
 
-    @property
-    def raises_load(self) -> bool:
-        return self is not Direction.POS
+    def band(self, origin: float | np.ndarray, q: float) -> tuple[float | np.ndarray, ...]:
+        """The power range (lo, hi) a ``q`` MW activation from ``origin`` moves the load through."""
+        return (origin - q if self.lowers_load else origin,
+                origin + q if self.raises_load else origin)
+
+    def binding(self, below: Callable[[], float | np.ndarray],
+                above: Callable[[], float | np.ndarray]) -> float | np.ndarray:
+        """The bound of the side that binds: ``below()`` for POS, ``above()`` for
+        NEG, the smaller of the two for SYM, elementwise on arrays.  Only the
+        side(s) the load moves to are evaluated."""
+        if not self.raises_load:
+            return below()
+        if not self.lowers_load:
+            return above()
+        lo, hi = below(), above()
+        return np.minimum(lo, hi) if isinstance(lo, np.ndarray) else min(lo, hi)
 
 
 class EmptySelectionError(ValueError):

@@ -9,6 +9,7 @@ from functools import cache, cached_property
 import numpy as np
 
 SLACK_MW = 1e-9  # how far past a MW bound a power still counts as on it
+SLACK_LOAD = 1e-9  # how far past a load-fraction bound a load still counts as on it
 
 
 @cache
@@ -67,9 +68,9 @@ class EfficiencyCurve:
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Breakpoints widened by the 1e-12 domain band, which takes the edge values."""
+        """Breakpoints widened by ``SLACK_LOAD`` at both ends, which take the edge values."""
         fractions, energies = zip(*self.breakpoints)
-        return (np.array([fractions[0] - 1e-12, *fractions, fractions[-1] + 1e-12]),
+        return (np.array([fractions[0] - SLACK_LOAD, *fractions, fractions[-1] + SLACK_LOAD]),
                 np.array([energies[0], *energies, energies[-1]]))
 
 
@@ -80,7 +81,8 @@ def specific_energy_at(
 
     ``load_fraction`` is a float or an array of them; a float gives a
     float, an array an array of the same shape.  Raises ValueError when
-    there is no curve and outside the curve domain: no extrapolation.
+    there is no curve and outside the curve domain, ``SLACK_LOAD`` slack:
+    no extrapolation.
     """
     if curve is None:
         raise ValueError("no efficiency curve: hydrogen accounting needs efficiency_points")
@@ -120,7 +122,7 @@ class ElectrolyzerUnit:
             check_range(name, getattr(self, name), "(0, inf)")
         if self.efficiency_curve is not None:
             lo, hi = self.efficiency_curve.domain
-            if lo < self.min_load_fraction - 1e-9 or hi > 1.0 + 1e-9:
+            if lo < self.min_load_fraction - SLACK_LOAD or hi > 1.0 + SLACK_LOAD:
                 raise ValueError(
                     "efficiency breakpoints must lie within "
                     f"[{self.min_load_fraction}, 1.0], curve covers [{lo}, {hi}]"

@@ -244,7 +244,7 @@ _SCHEMA: dict[str, tuple[bool, dict[str, _Key]]] = {
         "hours_per_day": _Key(range="(0, 24]", default=24.0),
         "electricity_price_eur_per_mwh": _Key(),
         "spot_threshold_eur_per_mwh": _Key(),
-        "grid_fee_pct": _Key(range="[0, inf)", percent="grid_fee_fraction", default=0.0),
+        "grid_fee_pct": _Key(range="[0, inf)", default=0.0),
         "fcr_bid_mw": _Key(range="[0, inf)"),
         "afrr_quantity_mw": _Key(range="[0, inf)"),
         "required_reserve_mw": _Key(range="[0, inf)"),

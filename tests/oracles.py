@@ -549,7 +549,7 @@ def check_compliance_loop(
 def specific_energy_at_scalar(curve: EfficiencyCurve, load_fraction: float) -> float:
     """Reference for ``model.specific_energy_at``: a walk over the segments."""
     lo, hi = curve.domain
-    if not (lo - 1e-12 <= load_fraction <= hi + 1e-12):
+    if not (lo - 1e-9 <= load_fraction <= hi + 1e-9):
         raise ValueError(
             f"load fraction {load_fraction} outside efficiency curve domain [{lo}, {hi}]"
         )
@@ -562,7 +562,7 @@ def specific_energy_at_scalar(curve: EfficiencyCurve, load_fraction: float) -> f
         if f0 <= load_fraction <= f1:
             t = (load_fraction - f0) / (f1 - f0)
             return e0 + t * (e1 - e0)
-    # only reachable for queries within the 1e-12 tolerance band at the edges
+    # only reachable for queries within the 1e-9 tolerance band at the edges
     return pts[0][1] if load_fraction < lo else pts[-1][1]
 
 

@@ -389,6 +389,23 @@ class TestAllocateCommand:
         assert main(["allocate", "--scenario", str(scenario)]) == 1
         assert "pre_reserved_fcr_mw" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", ["50.0000000005:55, 100:50", "50:55, 99.99999995:50"])
+    def test_a_curve_within_the_load_slack_of_the_band_prices_hydrogen(self, tmp_path, capsys,
+                                                                       points):
+        # each curve end lies within 1e-9 of the unit's load band, which the unit admits;
+        # the allocator's lookups at the band edge accept it too
+        scenario = tmp_path / "edge.scenario"
+        scenario.write_text(
+            "[unit]\nname = edge\ntechnology = AEL\nrated_power_mw = 100\nmin_load_pct = 50\n"
+            "ramp_up_pct_per_s = 0.167\n"
+            f"efficiency_points = {points}\n\n[product]\nkind = fcr\n\n"
+            f"[prices]\nfcr_capacity_csv = {SCENARIOS / 'prices' / 'capacity_2024_07_25.csv'}\n\n"
+            "[allocate]\nhydrogen_value_eur_per_kg = 3\n", encoding="utf-8")
+        assert main(["allocate", "--scenario", str(scenario)]) == 0
+        captured = capsys.readouterr()
+        assert "capacity revenue" in captured.out
+        assert captured.err == ""
+
     def test_too_fine_a_setpoint_grid_is_an_input_error(self, tmp_path, capsys):
         fine = scenario_copy(tmp_path, DEMO, "fine.scenario",
                              ("[output]", "[allocate]\nsetpoint_grid_mw = 1e-12\n\n[output]"))
@@ -425,6 +442,17 @@ class TestEconomicsCommand:
         assert payload["electricity_cost_eur"] == 148200.0
         assert payload["electricity_cost_rounded_eur"] == 150000.0
         assert payload["assumptions"]["electricity_price_with_fees_eur_per_mwh"] == 65.0
+
+    def test_the_grid_fee_is_reported_as_written(self, tmp_path, capsys):
+        # the fee is applied as 7 / 100 but reported as the 7 % the file gives
+        path = revenue_copy(tmp_path, "fee.scenario", ("grid_fee_pct = 30", "grid_fee_pct = 7"))
+        assert main(["economics", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "out" / "revenue_100mw.economics.json").read_text())
+        assert payload["assumptions"]["grid_fee_pct"] == 7.0
+        assert payload["assumptions"]["electricity_price_with_fees_eur_per_mwh"] == 53.5
+        rows = (tmp_path / "out" / "revenue_100mw.economics.csv").read_text().splitlines()
+        assert "assumptions.grid_fee_pct,7.0" in rows
 
     def test_economics_json_report_carries_no_activation_revenue(self, tmp_path, capsys):
         # aFRR activation revenue is not modeled, so the report has no field for it

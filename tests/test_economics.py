@@ -122,7 +122,7 @@ class TestBuildReport:
     def test_full_assembly(self):
         report = build_report(
             EconomicsSettings(fcr_bid_mw=5.0, afrr_quantity_mw=40.0, setpoint_mw=95.0,
-                              electricity_price_eur_per_mwh=50.0, grid_fee_fraction=0.30),
+                              electricity_price_eur_per_mwh=50.0, grid_fee_pct=30.0),
             fcr_prices=TABLE,
             afrr_price_eur_per_mw_h=20.0,
         )

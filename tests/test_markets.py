@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,6 +75,24 @@ class TestProductDefinitions:
         assert (Direction.SYM.lowers_load, Direction.SYM.raises_load) == (True, True)
         assert (Direction.POS.lowers_load, Direction.POS.raises_load) == (True, False)
         assert (Direction.NEG.lowers_load, Direction.NEG.raises_load) == (False, True)
+        # the band a 2 MW activation moves the load through, from 5 MW and from
+        # [5, 1] MW, and the bound that binds, of (4, 1) and of ([1, 4], [4, 1])
+        origins = np.array([5.0, 1.0])
+        below, above = np.array([1.0, 4.0]), np.array([4.0, 1.0])
+        for d, band, bands, bound, bounds in (
+            (Direction.SYM, (3.0, 7.0), ([3.0, -1.0], [7.0, 3.0]), 1.0, [1.0, 1.0]),
+            (Direction.POS, (3.0, 5.0), ([3.0, -1.0], [5.0, 1.0]), 4.0, [1.0, 4.0]),
+            (Direction.NEG, (5.0, 7.0), ([5.0, 1.0], [7.0, 3.0]), 1.0, [4.0, 1.0]),
+        ):
+            assert d.band(5.0, 2.0) == band
+            assert all(type(end) is float for end in d.band(5.0, 2.0))
+            np.testing.assert_array_equal(d.band(origins, 2.0), bands)
+            assert d.binding(lambda: 4.0, lambda: 1.0) == bound
+            assert type(d.binding(lambda: 4.0, lambda: 1.0)) is float
+            np.testing.assert_array_equal(d.binding(lambda: below, lambda: above), bounds)
+        # the side the load does not move to is never evaluated
+        assert Direction.POS.binding(lambda: 4.0, lambda: 1 / 0) == 4.0
+        assert Direction.NEG.binding(lambda: 1 / 0, lambda: 1.0) == 1.0
 
     def test_plain_strings_coerce_to_enums(self):
         # the enums mix in str, so "POS" == Direction.POS; construction must

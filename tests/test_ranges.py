@@ -18,6 +18,7 @@ from elybal.economics import (
     electricity_cost,
     fcr_day_revenue,
     fleet_coverage,
+    round_to_sig_figs,
     savings_ratio,
 )
 from elybal.eligibility import (
@@ -95,6 +96,7 @@ GUARDS = [
     *guards(savings_ratio, dict(fcr_revenue_eur=1.0, afrr_revenue_eur=1.0,
                                 electricity_cost_eur=100.0),
             fcr_revenue_eur=ANY, afrr_revenue_eur=ANY, electricity_cost_eur=POS),
+    *guards(round_to_sig_figs, dict(value=148200.0, figures=2), value=ANY),
     *guards(ElectrolyzerUnit, dict(name="plant", technology=Technology.PEM, rated_power_mw=10.0,
                                    min_load_fraction=0.1, ramp_up=0.01, ramp_down=0.01),
             min_load_fraction="(0, 1)", rated_power_mw=POS, ramp_up=POS, ramp_down=POS),

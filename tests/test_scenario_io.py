@@ -168,7 +168,7 @@ formats = json, csv
         assert scenario.dispatch.product == scenario.products[0]
         assert scenario.signal.kind is SignalKind.SETPOINT_REQUEST
         assert scenario.allocate_options.pre_reserved_fcr_mw == 5.0
-        assert scenario.economics.grid_fee_fraction == pytest.approx(0.30)
+        assert scenario.economics.grid_fee_pct == 30.0
         assert scenario.output_formats == ("json", "csv")
 
     def test_unit_count_weighs_one_unit(self, tmp_path):
