@@ -31,6 +31,7 @@ from .markets import (
     CapacityPriceTable,
     Direction,
     ProductKind,
+    TableError,
     TimeBlock,
 )
 from .model import SLACK_LOAD, SLACK_MW, ElectrolyzerUnit, check_range, specific_energy_at
@@ -93,19 +94,18 @@ def _split_products(
     products: tuple[BalancingProduct, ...] | list[BalancingProduct],
 ) -> tuple[BalancingProduct | None, BalancingProduct | None]:
     if not products:
-        raise ValueError("at least one product is required")
+        raise TableError("at least one product is required", None, "products")
     fcr_prod = None
     afrr_prod = None
-    for p in products:
+    for row, p in enumerate(products):
         if p.kind is ProductKind.FCR:
             fcr_prod = p
         elif p.kind is ProductKind.AFRR and p.direction is Direction.POS:
             afrr_prod = p
-        else:
-            raise ValueError(
-                f"cannot allocate revenue for {p.label}: only FCR and aFRR POS carry "
-                "capacity prices here"
-            )
+        else:  # an aFRR's fault is its direction, any other product's its kind
+            raise TableError(f"cannot allocate revenue for {p.label}: only FCR and aFRR POS "
+                             "carry capacity prices here", row,
+                             "direction" if p.kind is ProductKind.AFRR else "kind")
     return fcr_prod, afrr_prod
 
 
@@ -115,8 +115,9 @@ _MAX_SETPOINTS = 1_000_000
 
 def _grid_points(lo: float, hi: float, step: float) -> np.ndarray:
     if not (count := (hi - lo) / step + 1) <= _MAX_SETPOINTS:
-        raise ValueError(f"setpoint_grid_mw = {step:g} MW gives {count:.3g} setpoints from "
-                         f"{lo:g} to {hi:g} MW, more than the {_MAX_SETPOINTS} a day may search")
+        raise TableError(f"setpoint_grid_mw = {step:g} MW gives {count:.3g} setpoints from "
+                         f"{lo:g} to {hi:g} MW, more than the {_MAX_SETPOINTS} a day may search",
+                         None, "setpoint_grid_mw")
     first = math.ceil(lo / step - _EPS)
     last = math.floor(hi / step + _EPS)
     return np.arange(first, last + 1) * step
@@ -239,38 +240,44 @@ def optimize_day(
     Each block is solved independently.  The objective per block is the
     capacity revenue minus, when ``hydrogen_value_eur_per_kg`` is set, the
     value of production forgone at the reduced setpoint.  An infeasible
-    block simply carries no bid; it is never an error.
+    block simply carries no bid; it is never an error.  A faulty input is a
+    ``TableError`` at its scenario key, a product's at its row.
     """
     options = options or AllocationOptions()
     fcr_prod, afrr_prod = _split_products(tuple(products))
 
     if fcr_prod is not None and fcr_prices is None:
-        raise ValueError("FCR is offered but no capacity price table was given")
+        raise TableError("FCR is offered but no capacity price table was given", None,
+                         "fcr_capacity_csv")
     if afrr_prod is not None:
         if afrr_price_per_block_eur is None:
-            raise ValueError("aFRR is offered but no capacity price was given")
-        check_range("afrr_price_per_block_eur", afrr_price_per_block_eur, "[0, inf)")
+            raise TableError("aFRR is offered but no capacity price was given", None,
+                             "afrr_price_eur_per_mw_h")
+        check_range("afrr_price_per_block_eur", afrr_price_per_block_eur, "[0, inf)",
+                    "afrr_price_eur_per_mw_h")
     if fcr_prod is not None and afrr_prod is not None:
         small, big = sorted((fcr_prod.trade_increment_mw, afrr_prod.trade_increment_mw))
         if abs(big / small - round(big / small)) > _EPS:
-            raise ValueError("FCR and aFRR trading increments must be whole multiples of one "
+            raise TableError("FCR and aFRR trading increments must be whole multiples of one "
                              f"another, got {fcr_prod.trade_increment_mw:g} and "
-                             f"{afrr_prod.trade_increment_mw:g} MW")
+                             f"{afrr_prod.trade_increment_mw:g} MW", None, "products")
     pinned = options.pre_reserved_fcr_mw
     if pinned is not None:
         if fcr_prod is None:
-            raise ValueError("pre_reserved_fcr_mw given but FCR is not among the products")
+            raise TableError("pre_reserved_fcr_mw given but FCR is not among the products",
+                             None, "pre_reserved_fcr_mw")
         if not abs(pinned - tradable_mw(pinned, fcr_prod)) <= SLACK_MW:
-            raise ValueError(f"pre_reserved_fcr_mw = {pinned:g} MW is not a tradable FCR quantity: "
-                             f"it must be 0 or on the {fcr_prod.trade_increment_mw:g} MW trading "
-                             f"grid at or above the {fcr_prod.min_bid_mw:g} MW minimum bid")
+            raise TableError(f"pre_reserved_fcr_mw = {pinned:g} MW is not a tradable FCR "
+                             f"quantity: it must be 0 or on the {fcr_prod.trade_increment_mw:g} "
+                             f"MW trading grid at or above the {fcr_prod.min_bid_mw:g} MW "
+                             "minimum bid", None, "pre_reserved_fcr_mw")
     h2_value = options.hydrogen_value_eur_per_kg
     curve = unit.efficiency_curve
     if h2_value is not None and (curve is None or curve.domain[1] < 1.0 - SLACK_LOAD):
         have = "none" if curve is None else "domain [{:g}, {:g}]".format(*curve.domain)
-        raise ValueError("hydrogen_value_eur_per_kg prices production forgone against full load "
+        raise TableError("hydrogen_value_eur_per_kg prices production forgone against full load "
                          "and needs an efficiency curve that reaches load fraction 1; the unit's "
-                         f"curve: {have}")
+                         f"curve: {have}", None, "hydrogen_value_eur_per_kg")
     lowest_sp = unit.min_power_mw
     if h2_value is not None:  # forgone production is only known on the curve
         lowest_sp = max(lowest_sp, curve.domain[0] * unit.rated_power_mw)

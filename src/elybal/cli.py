@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .allocate import AllocationOptions, optimize_day
+from .allocate import optimize_day
 from .dispatch import PowerTrajectory, check_compliance, simulate
 from .economics import build_report
 from .eligibility import check_eligibility, default_setpoint, max_offerable
@@ -61,12 +61,9 @@ def cmd_eligibility(args) -> int:
     unit = _unit_from_args(args)
     product = flag_value("--product", "dispatch", "product", args.product)
     bid = flag_value("--bid", "dispatch", "bid_mw", args.bid)
-    setpoint = (default_setpoint(unit, product) if args.setpoint is None
-                else flag_value("--setpoint", "dispatch", "setpoint_mw", args.setpoint))
-    try:  # the default lies in the band by construction
-        unit.check_setpoint(setpoint)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), key="setpoint_mw", source="--setpoint") from None
+    setpoint = (default_setpoint(unit, product) if args.setpoint is None  # in the band
+                else flag_value("--setpoint", "dispatch", "setpoint_mw", args.setpoint,
+                                unit.check_setpoint))
     report = check_eligibility(unit, product, bid, setpoint)
     max_bid, max_sp = max_offerable(unit, product, setpoint)
     payload = {**report.to_dict(), "max_offerable_mw": max_bid, "max_offerable_setpoint_mw": max_sp}
@@ -127,10 +124,10 @@ def _allocate(scenario: Scenario, args) -> tuple[str, bool, dict]:
     unit = scenario.primary_unit()
     _section(scenario, scenario.products, "product")
     fcr_prices = load_capacity_prices(args.prices) if args.prices else scenario.fcr_prices
-    options = scenario.allocate_options or AllocationOptions()
     afrr_hourly = scenario.afrr_price_eur_per_mw_h
     afrr_block = None if afrr_hourly is None else afrr_hourly * 4.0  # held over a 4 h block
-    result = optimize_day(unit, scenario.products, fcr_prices, afrr_block, options)
+    result = scenario.run("allocate", lambda: optimize_day(unit, scenario.products, fcr_prices,
+                                                           afrr_block, scenario.allocate_options))
     reserved = {}
     for e in result.schedule.entries:
         reserved[e.product.label] = reserved.get(e.product.label, 0.0) + e.quantity_mw
@@ -144,8 +141,8 @@ def _allocate(scenario: Scenario, args) -> tuple[str, bool, dict]:
 
 def _economics(scenario: Scenario, args) -> tuple[str, bool, dict]:
     settings = _section(scenario, scenario.economics, "economics")
-    report = build_report(settings, scenario.fcr_prices, scenario.afrr_price_eur_per_mw_h,
-                          scenario.spot_prices)
+    report = scenario.run("economics", lambda: build_report(
+        settings, scenario.fcr_prices, scenario.afrr_price_eur_per_mw_h, scenario.spot_prices))
     parts = [f"{scenario.name}:"]
     if report.fcr_revenue_eur is not None:
         parts.append(f"FCR {report.fcr_revenue_eur:.2f} euro/day")
@@ -188,23 +185,18 @@ def _write_reports(scenario: Scenario, reports: dict, out_dir: Path, written: li
 def cmd_scenarios(args) -> int:
     """Run a scenario command on every ``--scenario``, then write the reports
     and print the texts in argument order.  The command's runner maps one
-    scenario to its text, its verdict and its reports, keyed by report kind;
-    a ValueError it raises becomes an input error naming the scenario file.
-    Nothing is written or printed until every scenario has run, so a run
-    that fails on a later scenario writes no file.  With ``--out``, two
-    scenarios of one name are an input error, and a write that fails (an
-    ``OSError``) deletes every file this call has written, prints nothing
-    and raises a ``ScenarioError`` naming the failing scenario's file; the
-    directories it made stay."""
+    scenario to its text, its verdict and its reports, keyed by report kind,
+    calling the library through ``Scenario.run``.  Nothing is written or
+    printed until every scenario has run, so a run that fails on a later
+    scenario writes no file.  With ``--out``, two scenarios of one name are
+    an input error, and a write that fails (an ``OSError``) deletes every
+    file this call has written, prints nothing and raises a
+    ``ScenarioError`` naming the failing scenario's file; the directories
+    it made stay."""
     runs = []
     for value in args.scenario:
         scenario = load_scenario(value)
-        try:
-            runs.append((scenario, *args.runner(scenario, args)))
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(str(exc), source=scenario.path) from None
+        runs.append((scenario, *args.runner(scenario, args)))
     if args.out:
         paths: dict[str, Path] = {}
         for scenario, *_ in runs:

@@ -33,6 +33,11 @@ from .model import SLACK_MW, EfficiencyCurve, ElectrolyzerUnit, check_range, spe
 DROOP_FULL_ACTIVATION_HZ = 0.2
 DELIVERY_TOLERANCE = 0.005  # fraction of the bid
 DEFAULT_TIMESTEP_S = 1.0
+SLACK_S = 1e-9  # how far apart two times (s) still count as one, per second of scale above 1 s
+
+
+def _slack_s(scale_s: float = 0.0) -> float:  # the one time slack, at a time scale (s)
+    return SLACK_S * max(1.0, scale_s)
 
 
 class SignalKind(str, Enum):
@@ -82,12 +87,12 @@ class ActivationSignal:
             raise TableError("signal file needs at least two rows to fix the timestep",
                              None, "time_s")
         times = rows[:, 0]
-        if abs(times[0]) > 1e-9:
+        if abs(times[0]) > _slack_s():
             raise TableError(f"signal must start at t = 0 s, got {times[0]}", 0, "time_s")
         dt = float(times[1] - times[0])
         if dt <= 0:
             raise TableError("signal times must be strictly increasing", 1, "time_s")
-        off_grid = ~(np.abs(np.diff(times) - dt) <= 1e-9 * max(1.0, dt))  # NaN is off too
+        off_grid = ~(np.abs(np.diff(times) - dt) <= _slack_s(dt))  # NaN is off too
         if off_grid.any():
             i = int(np.argmax(off_grid))
             raise TableError("non-uniform timestep", i + 1, "time_s",
@@ -164,15 +169,11 @@ def _check_band(
     min_p, max_p = unit.min_power_mw, unit.rated_power_mw
     lo, hi = direction.band(setpoint_mw, bid_mw)
     if lo < min_p - SLACK_MW:
-        raise ValueError(
-            f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW downward activation "
-            f"above the minimum load {min_p} MW"
-        )
+        raise TableError(f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW downward "
+                         f"activation above the minimum load {min_p} MW", None, "setpoint_mw")
     if hi > max_p + SLACK_MW:
-        raise ValueError(
-            f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW upward activation "
-            f"below the rated power {max_p} MW"
-        )
+        raise TableError(f"setpoint {setpoint_mw} MW cannot host a {bid_mw} MW upward "
+                         f"activation below the rated power {max_p} MW", None, "setpoint_mw")
 
 
 def simulate(
@@ -238,7 +239,7 @@ def check_compliance(
         raise ValueError(
             f"trajectory ({n} samples) and signal ({len(signal.values)}) differ in horizon"
         )
-    if abs(trajectory.timestep_s - signal.timestep_s) > 1e-9 * max(1.0, signal.timestep_s):
+    if abs(trajectory.timestep_s - signal.timestep_s) > _slack_s(signal.timestep_s):
         raise ValueError("trajectory and signal timesteps differ")
     dt = trajectory.timestep_s
     powers = trajectory.powers_mw
@@ -266,7 +267,7 @@ def check_compliance(
     # undelivered, the delay is the time observed; it counts once the
     # deadline passed while the request was still standing
     delays = (graded[np.where(delivered, first_hit, stop - 1)] - onsets) * dt
-    late = delays > product.availability_s + 1e-9
+    late = delays > product.availability_s + _slack_s()
     graded_delays = delays[delivered | late]
     violations = onsets[late] * dt + product.availability_s
 

@@ -12,7 +12,7 @@ from .markets import (
     avg_price_below_threshold,
     day_capacity_price_sum,
 )
-from .model import check_range
+from .model import TableError, check_range
 
 
 def fcr_day_revenue(bid_mw: float, prices: CapacityPriceTable) -> float:
@@ -150,8 +150,8 @@ def build_report(
     fee is added to it.  ``assumptions`` records both prices and what chose
     them.  Each result needs a pair of inputs and stays None without it;
     the savings ratios need a positive cost and at least one revenue.
-    Settings that complete no pair, and a revenue or cost that overflows,
-    are a ValueError.
+    Settings that complete no pair are a ``TableError`` at ``settings``, a
+    revenue or cost that overflows one at the result's name.
     """
     s = settings
     assumptions: dict = {"hours_per_day": s.hours_per_day,
@@ -186,12 +186,11 @@ def build_report(
     if s.required_reserve_mw is not None and s.fleet_power_mw is not None:
         coverage = fleet_coverage(s.required_reserve_mw, s.fleet_power_mw, s.coverage_symmetric)
     if fcr_rev is None and afrr_rev is None and cost is None and coverage is None:
-        raise ValueError(
+        raise TableError(
             "[economics] computes nothing; each result needs a pair of keys: fcr_bid_mw with "
             "[prices] fcr_capacity_csv, afrr_quantity_mw with an aFRR price, setpoint_mw with "
-            "electricity_price_eur_per_mwh (or [prices] spot_csv with "
-            "spot_threshold_eur_per_mwh), required_reserve_mw with fleet_power_mw"
-        )
+            "electricity_price_eur_per_mwh (or [prices] spot_csv with spot_threshold_eur_per_mwh), "
+            "required_reserve_mw with fleet_power_mw", None, "settings")
     ratio = None
     ratio_rounded = None
     if cost is not None and cost > 0 and (fcr_rev is not None or afrr_rev is not None):

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import check_range, in_range
+from .model import TableError, check_range, in_range
 
 
 class ProductKind(str, Enum):
@@ -59,19 +59,6 @@ class Direction(str, Enum):
         return np.minimum(lo, hi) if isinstance(lo, np.ndarray) else min(lo, hi)
 
 
-class EmptySelectionError(ValueError):
-    """Raised when a price query matches no samples."""
-
-
-class TableError(ValueError):
-    """A fault at ``row`` (from 0; None: the whole table) in column ``key`` of
-    a table; ``reason`` leaves the row out, ``message`` may add it."""
-
-    def __init__(self, reason: str, row: int | None, key: str, message: str | None = None):
-        super().__init__(message or reason)
-        self.reason, self.row, self.key = reason, row, key
-
-
 @dataclass(frozen=True)
 class BalancingProduct:
     kind: ProductKind
@@ -89,8 +76,8 @@ class BalancingProduct:
         for field_name in ("min_bid_mw", "trade_increment_mw", "availability_s", "duration_h"):
             check_range(field_name, getattr(self, field_name), "(0, inf)")
         if (self.kind is ProductKind.FCR) != (self.direction is Direction.SYM):
-            raise ValueError(f"no {self.kind.value} {self.direction.value} product: "
-                             "FCR is SYM, aFRR and mFRR are POS or NEG")
+            raise TableError(f"no {self.kind.value} {self.direction.value} product: "
+                             "FCR is SYM, aFRR and mFRR are POS or NEG", None, "direction")
 
     @property
     def label(self) -> str:
@@ -243,12 +230,11 @@ def avg_price_below_threshold(
 ) -> tuple[float, int]:
     """Mean price and sample count over hours priced strictly below the threshold."""
     if not series.samples:
-        raise ValueError("spot price series is empty")
+        raise TableError("spot price series is empty", None, "spot_csv")
     selected = [p for _, p in series.samples if p < threshold_eur_per_mwh]
     if not selected:
-        raise EmptySelectionError(
-            f"no samples below {threshold_eur_per_mwh} euro/MWh in series of {len(series.samples)}"
-        )
+        raise TableError(f"no samples below {threshold_eur_per_mwh} euro/MWh in series of "
+                         f"{len(series.samples)}", None, "spot_threshold_eur_per_mwh")
     return sum(selected) / len(selected), len(selected)
 
 

@@ -24,10 +24,20 @@ def in_range(value: float, interval: str) -> bool:
     return (lo < value if open_lo else lo <= value) and (value < hi if open_hi else value <= hi)
 
 
-def check_range(name: str, value: float, interval: str) -> None:
-    """Raise ``<name> must be in <interval>, got <value>`` unless ``value`` lies in it."""
+class TableError(ValueError):
+    """A fault in the input or table column ``key`` names, at ``row`` (from 0;
+    None: all of it); ``reason`` leaves the row out, ``message`` may add it."""
+
+    def __init__(self, reason: str, row: int | None, key: str, message: str | None = None):
+        super().__init__(message or reason)
+        self.reason, self.row, self.key = reason, row, key
+
+
+def check_range(name: str, value: float, interval: str, key: str | None = None) -> None:
+    """Raise ``<name> must be in <interval>, got <value>`` unless ``value`` lies
+    in it, a ``TableError`` keyed ``key``, by default ``name``."""
     if not in_range(value, interval):
-        raise ValueError(f"{name} must be in {interval}, got {value}")
+        raise TableError(f"{name} must be in {interval}, got {value}", None, key or name)
 
 
 class Technology(str, Enum):
@@ -115,31 +125,29 @@ class ElectrolyzerUnit:
     efficiency_curve: EfficiencyCurve | None = None
 
     def __post_init__(self) -> None:
-        check_range("min_load_fraction", self.min_load_fraction, "(0, 1)")
         if self.ramp_down is None:
             object.__setattr__(self, "ramp_down", self.ramp_up)
         for name in ("rated_power_mw", "ramp_up", "ramp_down"):
             check_range(name, getattr(self, name), "(0, inf)")
+        check_range("min_load_fraction", self.min_load_fraction, "(0, 1)")
         if self.efficiency_curve is not None:
             lo, hi = self.efficiency_curve.domain
             if lo < self.min_load_fraction - SLACK_LOAD or hi > 1.0 + SLACK_LOAD:
-                raise ValueError(
-                    "efficiency breakpoints must lie within "
-                    f"[{self.min_load_fraction}, 1.0], curve covers [{lo}, {hi}]"
-                )
+                raise TableError("efficiency breakpoints must lie within "
+                                 f"[{self.min_load_fraction}, 1.0], curve covers [{lo}, {hi}]",
+                                 None, "efficiency_points")
 
     @property
     def min_power_mw(self) -> float:
         return self.min_load_fraction * self.rated_power_mw
 
     def check_setpoint(self, setpoint_mw: float) -> None:
-        """Raise ValueError unless ``setpoint_mw`` lies in [min load, rated
-        power], ``SLACK_MW`` slack; NaN lies outside."""
+        """Raise a ``TableError`` at ``setpoint_mw`` unless it lies in [min
+        load, rated power], ``SLACK_MW`` slack; NaN lies outside."""
         min_p, max_p = self.min_power_mw, self.rated_power_mw
         if not min_p - SLACK_MW <= setpoint_mw <= max_p + SLACK_MW:
-            raise ValueError(
-                f"setpoint {setpoint_mw} MW outside operating band [{min_p}, {max_p}] MW"
-            )
+            raise TableError(f"setpoint {setpoint_mw} MW outside operating band "
+                             f"[{min_p}, {max_p}] MW", None, "setpoint_mw")
 
     @property
     def ramp_up_mw_per_s(self) -> float:

@@ -1,14 +1,16 @@
 """Scenario files, preset catalog, price/signal CSVs and report emitters.
 
-Scenario format: flat key-value text, UTF-8, "." decimal separator, LF
-line endings.  ``#`` starts a comment, ``[section]`` opens a section and
-``key = value`` lines fill it.  One table, ``_SCHEMA``, holds every
-section and key; ``_value`` reads a file's key and a flag by it alike, a
-range by the library's own rule, ``model.in_range``.  An unknown, repeated,
-missing or out-of-range key, and a [dispatch] setpoint the unit cannot
-host, is an input error naming file (or flag), line and key.  Ramps and
-load bounds are in percent of rated power, as on datasheets, and stored
-as fractions.  Relative file references resolve against the scenario's directory.
+Scenario format: flat key-value text, UTF-8 (a leading byte-order mark is
+skipped), "." decimal separator, LF line endings.  ``#`` starts a comment,
+``[section]`` opens a section and ``key = value`` lines fill it.  One
+table, ``_SCHEMA``, holds every section and key; ``_value`` reads a file's
+key and a flag by it alike, a range by the library's own rule,
+``model.in_range``.  A library rule names the key of a fault (a
+``TableError``), which ``_Section.run`` turns into an input error naming
+file (or flag), line and key, at the section header when the key is absent.
+Ramps and load bounds are in percent of rated power, as on datasheets, and
+stored as fractions.  Relative file references resolve against the
+scenario's directory.
 
 A CSV loader reads cells (header, two columns, a finite number) and builds
 a type that checks its rows; ``_located`` maps a faulty row to its line.
@@ -133,6 +135,18 @@ class _Section:
         """An input error at the first line of ``key``, else at the section header."""
         line = next((line for k, _, line in self.items if k == key), self.line)
         return ScenarioError(message, key=key, line=line, source=self.source)
+
+    def run(self, build: Callable[[], object], among: tuple[_Section, ...] = ()):
+        """``build()``; a ValueError it raises is an input error at its key (a
+        ``TableError``'s) in the first of this section and ``among`` with that key,
+        the ``row``-th for a fault in a row; at this section's header when none has it."""
+        try:
+            return build()
+        except ValueError as exc:
+            fault = exc if isinstance(exc, TableError) else TableError(str(exc), None, None)
+            holders = [s for s in (self, *among) if fault.key in _SCHEMA[s.name][1]]
+            at = next(iter(holders[fault.row or 0:]), self)
+            raise at.error(fault.reason, fault.key if at in holders else None) from None
 
 
 def _number(text: str) -> float:
@@ -301,7 +315,7 @@ def _read_text(path: Path) -> str:
     """A file's text; bytes that are not UTF-8 are an input error naming the file."""
     data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")  # a byte-order mark
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
                             source=str(path)) from None
@@ -352,20 +366,16 @@ def _build_unit(section: _Section) -> ElectrolyzerUnit:
             raise section.error(f"missing required key '{key}' in [unit] without preset", key)
         fields[field_name] = value if value is not None else getattr(base, field_name)
     name = v["name"] if v["name"] is not None else (base.name if base else "unit")
-    try:
-        return ElectrolyzerUnit(name=name, ramp_down=v["ramp_down"],
-                                efficiency_curve=v["efficiency_points"], **fields)
-    except ValueError as exc:
-        raise section.error(str(exc)) from None
+    return section.run(lambda: ElectrolyzerUnit(name=name, ramp_down=v["ramp_down"],
+                                                efficiency_curve=v["efficiency_points"], **fields))
 
 
 def _build_product(section: _Section) -> BalancingProduct:
     """The product of a [product] section: its kind's, turned to ``direction``."""
     product, direction = section.values["kind"], section.values["direction"]
-    try:
-        return product if direction is None else dataclasses.replace(product, direction=direction)
-    except ValueError as exc:  # the product's own rule: FCR is SYM, aFRR and mFRR are not
-        raise section.error(str(exc), "direction") from None
+    # the product's own rule: FCR is SYM, aFRR and mFRR are not
+    return section.run(lambda: product if direction is None
+                       else dataclasses.replace(product, direction=direction))
 
 
 @dataclass(frozen=True)
@@ -405,12 +415,19 @@ class Scenario:
     allocate_options: AllocationOptions | None = None
     economics: EconomicsSettings | None = None
     output_formats: tuple[str, ...] = ("json",)
+    sections: tuple[_Section, ...] = field(default=(), repr=False, compare=False)
+
+    def run(self, name: str, build: Callable[[], object]):
+        """``build()`` by [name]'s ``_Section.run``, then ``sections`` (units, products first)."""
+        own = [s for s in self.sections if s.name == name] or [_Section(name, None, str(self.path))]
+        return own[0].run(build, self.sections)
 
     def primary_unit(self) -> ElectrolyzerUnit:
         """The single unit, or the aggregate when the scenario holds a fleet."""
         if not self.fleet.units:
             raise ScenarioError("scenario defines no [unit]", source=str(self.path))
-        return self.fleet.units[0] if self.fleet.counts == (1,) else aggregate(self.fleet)
+        return self.fleet.units[0] if self.fleet.counts == (1,) else self.run(
+            "unit", lambda: aggregate(self.fleet))  # a total may overflow
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -453,22 +470,22 @@ def load_scenario(path: str | Path) -> Scenario:
         economics=(EconomicsSettings(**once["economics"].values)
                    if "economics" in given else None),
         output_formats=once["output"].values["formats"],
+        sections=(*(s for s in sections if _SCHEMA[s.name][0]), *once.values()),
     )
     if (settings := scenario.dispatch) is not None and units:
-        unit = scenario.primary_unit()
-        try:  # simulate's rule, checked here so that its error names the line
-            if settings.product is None:
-                unit.check_setpoint(settings.setpoint_mw)
-            else:
-                _check_band(unit, settings.setpoint_mw, settings.bid_mw, settings.product.direction)
-        except ValueError as exc:
-            raise once["dispatch"].error(str(exc), "setpoint_mw") from None
+        unit = scenario.primary_unit()  # simulate's rule, checked here for every command
+        sp, bid, product = settings.setpoint_mw, settings.bid_mw, settings.product
+        scenario.run("dispatch", lambda: unit.check_setpoint(sp) if product is None
+                     else _check_band(unit, sp, bid, product.direction))
     return scenario
 
 
-def flag_value(flag: str, name: str, key: str, text: str):
-    """A flag's bare value read as ``key`` of [name]; errors name the flag."""
-    return _value(_Section(name, None, flag), key, text, None)
+def flag_value(flag: str, name: str, key: str, text: str, check: Callable = lambda value: None):
+    """A flag's bare value read as ``key`` of [name] and held to ``check``; errors name the flag."""
+    section = _Section(name, None, flag)
+    value = _value(section, key, text, None)
+    section.run(lambda: check(value))
+    return value
 
 
 def flag_unit(text: str) -> ElectrolyzerUnit:
@@ -525,15 +542,13 @@ def _read_csv_rows(path: Path, expected_header: list[str]) -> list[tuple[int, st
 
 
 def _located(path: Path, rows: Callable[[], list[tuple]], build: Callable, *args):
-    """``build(*args)``, a ValueError made an input error of the file, a
-    ``TableError`` at its key and at the line of its row in ``rows()``."""
+    """``build(*args)``, a ``TableError`` made an input error of the file at
+    its key and at the line of its row in ``rows()``."""
     try:
         return build(*args)
     except TableError as exc:
         line = None if exc.row is None else rows()[exc.row][0]
         raise ScenarioError(exc.reason, key=exc.key, line=line, source=str(path)) from None
-    except ValueError as exc:
-        raise ScenarioError(str(exc), source=str(path)) from None
 
 
 def load_capacity_prices(path: str | Path) -> CapacityPriceTable:
@@ -562,11 +577,8 @@ def _loadtxt_signal_rows(path: Path) -> np.ndarray | None:
     else this returns None for."""
     if not path.is_file() or path.suffix.lower() in _COMPRESSED_SUFFIXES:
         return None
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = fh.readline()
-        except ValueError:
-            return None
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        header = fh.readline().removeprefix("\ufeff")  # bytes not UTF-8 fail here or in numpy
     if [h.strip().lower() for h in header.split(",")] != ["time_s", "value"]:
         return None
     try:

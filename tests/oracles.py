@@ -596,11 +596,12 @@ def load_signal_rows(path: str | Path, kind: SignalKind) -> ActivationSignal:
     """Reference for ``scenario_io.load_signal``: the row walk alone, on its
     own ``csv.reader`` loop.  A row is numbered by the physical file line it
     starts on, counted here as the lines are handed to the reader.  Every
-    value cell is checked before any time cell, as the loader does."""
+    value cell is checked before any time cell, as the loader does, and a
+    leading UTF-8 byte-order mark is skipped."""
     path = Path(path)
     source = str(path)
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
                             source=source) from None

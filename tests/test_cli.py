@@ -412,7 +412,8 @@ class TestAllocateCommand:
         assert main(["allocate", "--scenario", fine]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {fine}: setpoint_grid_mw = 1e-12 MW gives ")
+        assert captured.err.startswith(f"error: {fine}, line 31, key 'setpoint_grid_mw': "
+                                       "setpoint_grid_mw = 1e-12 MW gives ")
         assert "Traceback" not in captured.err
 
     def test_a_failing_scenario_leaves_no_output(self, tmp_path, capsys):
@@ -480,13 +481,14 @@ class TestEconomicsCommand:
         assert lines[1].startswith("eu_fleet_2030")
 
     def test_an_overflowing_revenue_is_an_input_error(self, tmp_path, capsys):
-        # 1e308 lies in the key's range, but 40 MW of it over 24 h does not fit a float
+        # 1e308 lies in the key's range, but 40 MW of it over 24 h does not fit a float;
+        # no single key overflows, so the error stands at the [economics] header
         path = revenue_copy(tmp_path, "huge.scenario", ("afrr_price_eur_per_mw_h = 20",
                                                         "afrr_price_eur_per_mw_h = 1e308"))
         assert main(["economics", "--scenario", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {path}: afrr_capacity_revenue_eur must be in "
+        assert captured.err == (f"error: {path}, line 37: afrr_capacity_revenue_eur must be in "
                                 "(-inf, inf), got inf\n")
 
     @pytest.mark.parametrize("hours", ["0", "-1", "24.5"])
@@ -524,7 +526,7 @@ class TestEconomicsCommand:
         assert main(["economics", "--scenario", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{path}: [economics] computes nothing" in captured.err
+        assert f"{path}, line 7: [economics] computes nothing" in captured.err
         for pair in ("fcr_bid_mw with [prices] fcr_capacity_csv",
                      "afrr_quantity_mw with an aFRR price",
                      "setpoint_mw with electricity_price_eur_per_mwh",
@@ -741,20 +743,75 @@ class TestScenarioCommands:
         assert f"error: {REVENUE}: cannot write" in capsys.readouterr().err
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
-    @pytest.mark.parametrize("command, replacements", [
-        ("allocate", (("[signal]", "[allocate]\npre_reserved_fcr_mw = 1.5\n\n[signal]"),)),
-        ("economics", (("afrr_price_eur_per_mw_h = 20", "spot_csv = spot.csv"),
-                       ("[output]", "[economics]\nsetpoint_mw = 3\n"
-                                    "spot_threshold_eur_per_mwh = -100\n\n[output]"))),
-    ], ids=["untradable-pin", "no-spot-hour"])
-    def test_a_runner_error_names_the_scenario(self, tmp_path, capsys, command, replacements):
+    # Each runner fault, on a copy of a shipped scenario: the command, the text
+    # replaced, the key the error names (None: no single key, as in an
+    # overflow) and the line it stands at, given by that line's text.  A key
+    # the file leaves out stands at its section header.
+    @pytest.mark.parametrize("command, source, replacements, key, at", [
+        ("allocate", DEMO, (("[signal]", "[allocate]\npre_reserved_fcr_mw = 1.5\n\n[signal]"),),
+         "pre_reserved_fcr_mw", "pre_reserved_fcr_mw = 1.5"),
+        ("economics", DEMO, (("afrr_price_eur_per_mw_h = 20", "spot_csv = spot.csv"),
+                             ("[output]", "[economics]\nsetpoint_mw = 3\n"
+                                          "spot_threshold_eur_per_mwh = -100\n\n[output]")),
+         "spot_threshold_eur_per_mwh", "spot_threshold_eur_per_mwh = -100"),
+        ("allocate", REVENUE, (("[product]\nkind = fcr\n\n", ""),
+                               ("product = fcr", "product = afrr")),
+         "pre_reserved_fcr_mw", "pre_reserved_fcr_mw = 5"),
+        ("allocate", REVENUE, (("pre_reserved_fcr_mw = 5", "hydrogen_value_eur_per_kg = 5"),),
+         "hydrogen_value_eur_per_kg", "hydrogen_value_eur_per_kg = 5"),
+        ("allocate", REVENUE, (("ramp_up_pct_per_s = 0.167", "ramp_up_pct_per_s = 0.167\n"
+                                "efficiency_points = 50:55, 100:50\ncount = 2"),
+                               ("setpoint_mw = 95\nbid_mw", "setpoint_mw = 190\nbid_mw"),
+                               ("pre_reserved_fcr_mw = 5", "hydrogen_value_eur_per_kg = 5")),
+         "hydrogen_value_eur_per_kg", "hydrogen_value_eur_per_kg = 5"),
+        ("allocate", REVENUE, (("fcr_capacity_csv = ", "# fcr_capacity_csv = "),),
+         "fcr_capacity_csv", "[prices]"),
+        ("allocate", REVENUE, (("afrr_price_eur_per_mw_h = 20", "# no aFRR price"),),
+         "afrr_price_eur_per_mw_h", "[prices]"),
+        ("allocate", REVENUE, (("direction = pos", "direction = neg"),),
+         "direction", "direction = neg"),
+        ("allocate", REVENUE, (("kind = afrr", "kind = mfrr"),), "kind", "kind = mfrr"),
+        ("allocate", REVENUE, (("[product]\nkind = fcr\n\n[product]\nkind = afrr\n"
+                                "direction = pos\n\n", ""),
+                               ("[output]", "[product]\nkind = fcr\n\n[product]\nkind = mfrr\n\n"
+                                "[output]")),
+         "kind", "kind = mfrr"),
+        ("allocate", REVENUE, (("= 20", "= 1e308"),),
+         "afrr_price_eur_per_mw_h", "afrr_price_eur_per_mw_h = 1e308"),
+        ("economics", REVENUE, (("fcr_bid_mw = 5", "fcr_bid_mw = 1e306"),), None, "[economics]"),
+        ("economics", DEMO, (("afrr_price_eur_per_mw_h = 20", "spot_csv = empty.csv"),
+                             ("[output]", "[economics]\nsetpoint_mw = 3\n"
+                                          "spot_threshold_eur_per_mwh = 50\n\n[output]")),
+         "spot_csv", "spot_csv = empty.csv"),
+        ("allocate", REVENUE, (("ramp_up_pct_per_s = 0.167", "ramp_up_pct_per_s = 0.167\n"
+                                "efficiency_points = 40:55, 100:50"),),
+         "efficiency_points", "efficiency_points = 40:55, 100:50"),
+        ("allocate", REVENUE, (("rated_power_mw = 100", "rated_power_mw = 1e308\ncount = 2"),),
+         "rated_power_mw", "rated_power_mw = 1e308"),
+    ], ids=["untradable-pin", "no-spot-hour", "pin-without-fcr", "hydrogen-without-curve",
+            "hydrogen-on-a-fleet", "no-fcr-prices", "no-afrr-price", "afrr-neg", "mfrr",
+            "mfrr-after-signal", "afrr-block-overflow", "fcr-revenue-overflow",
+            "empty-spot-file", "curve-outside-the-band", "fleet-power-overflow"])
+    def test_a_runner_error_names_the_scenario(self, tmp_path, capsys, command, source,
+                                               replacements, key, at):
         (tmp_path / "spot.csv").write_text(
             "timestamp,price_eur_per_mwh\n2024-07-25T00:00:00,40\n", encoding="utf-8")
-        path = scenario_copy(tmp_path, DEMO, "demo.scenario", *replacements)
+        (tmp_path / "empty.csv").write_text("timestamp,price_eur_per_mwh\n", encoding="utf-8")
+        path = scenario_copy(tmp_path, source, "fault.scenario", *replacements)
+        line = Path(path).read_text(encoding="utf-8").splitlines().index(at) + 1
         assert main([command, "--scenario", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: "), captured.err
+        where = f"line {line}" + ("" if key is None else f", key '{key}'")
+        assert captured.err.startswith(f"error: {path}, {where}: "), captured.err
+        assert "Traceback" not in captured.err
+
+    def test_a_key_of_an_absent_section_is_named_without_a_line(self, tmp_path, capsys):
+        path = tmp_path / "bare.scenario"
+        path.write_text("[unit]\npreset = demo4grid\n\n[product]\nkind = fcr\n", encoding="utf-8")
+        assert main(["allocate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: {path}, key 'fcr_capacity_csv': FCR is "
+                                           "offered but no capacity price table was given\n")
 
     def test_simulate_mixed_verdicts_exit_2_in_argument_order(self, capsys):
         assert main(["simulate", "--scenario", REVENUE, DEMO]) == 2

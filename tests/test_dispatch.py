@@ -21,7 +21,7 @@ from elybal.dispatch import (
     hydrogen_output,
     simulate,
 )
-from elybal.markets import Direction, afrr, fcr
+from elybal.markets import Direction, TableError, afrr, fcr
 from elybal.model import EfficiencyCurve, ElectrolyzerUnit, Technology, specific_energy_at
 from elybal.scenario_io import load_signal
 from oracles import (
@@ -122,6 +122,37 @@ class TestActivationSignal:
         assert sig != ActivationSignal(SignalKind.SETPOINT_REQUEST, (0.0, -1.0), 1.0)
         assert sig != ActivationSignal(SignalKind.SETPOINT_REQUEST, (0.0, -1.0, -1.0), 0.5)
         assert sig != ActivationSignal(SignalKind.SETPOINT_REQUEST, (0.0, -0.5), 0.5)
+
+
+class TestTimeSlack:
+    """One time slack: two times count as one within 1e-9 s, relative to a
+    step above 1 s; the signal's start and the deadline take it absolute."""
+
+    KIND = SignalKind.SETPOINT_REQUEST
+
+    def test_a_signal_starts_at_zero_within_the_slack(self):
+        assert ActivationSignal.from_rows(self.KIND, [(1e-9, 0.0), (1.0, 0.0)]).timestep_s > 0
+        with pytest.raises(TableError, match="must start at t = 0 s") as exc:
+            ActivationSignal.from_rows(self.KIND, [(2e-9, 0.0), (1.0, 0.0)])
+        assert (exc.value.row, exc.value.key) == (0, "time_s")
+
+    @pytest.mark.parametrize("dt", [0.1, 1.0, 100.0])
+    def test_a_step_is_uniform_within_the_slack_at_its_scale(self, dt):
+        slack = 1e-9 * max(1.0, dt)
+        ActivationSignal.from_rows(self.KIND, [(0.0, 0.0), (dt, 0.0), (2 * dt + slack / 2, 0.0)])
+        with pytest.raises(TableError, match="non-uniform timestep") as exc:
+            ActivationSignal.from_rows(self.KIND, [(0.0, 0.0), (dt, 0.0), (2 * dt + 2 * slack, 0.0)])
+        assert (exc.value.row, exc.value.key) == (2, "time_s")
+
+    @pytest.mark.parametrize("dt, compliant", [(1.0 + 1e-11, True), (1.0 + 1e-10, False)])
+    def test_a_delivery_is_on_time_within_the_slack_of_the_deadline(self, dt, compliant):
+        # the 1 MW step lands 30 samples after the onset: 30 dt against FCR's 30 s
+        unit = ElectrolyzerUnit("fast", Technology.PEM, 10.0, 0.1, 0.5)
+        powers = [5.0] * 30 + [4.0] * 10
+        signal = ActivationSignal(self.KIND, [-1.0] * 40, dt)
+        result = check_compliance(PowerTrajectory(dt, powers, unit), signal, fcr(), 5.0, 1.0)
+        assert result.compliant is compliant
+        assert result.max_delivery_delay_s == 30 * dt
 
 
 class TestSimulate:
@@ -319,8 +350,9 @@ class TestCompliance:
         # 4 MW cannot host the 1 MW upward half of the FCR band
         sig = load_signal(SIGNALS / "step_down_1mw.csv", SignalKind.SETPOINT_REQUEST)
         traj = simulate(DEMO_UNIT, 4.0, 1.0, sig, Direction.POS)
-        with pytest.raises(ValueError, match="cannot host a 1.0 MW upward activation"):
+        with pytest.raises(ValueError, match="cannot host a 1.0 MW upward activation") as exc:
             check_compliance(traj, sig, fcr(), 4.0, 1.0)
+        assert exc.value.key == "setpoint_mw"
 
     def test_mismatched_horizons_rejected(self):
         sig = step_signal(-1.0, 10, 20)

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from elybal import model
 from elybal.markets import (
     CANONICAL_BLOCKS,
     BalancingProduct,
     CapacityPriceTable,
     Direction,
-    EmptySelectionError,
     ProductKind,
     SpotPriceSeries,
     TableError,
@@ -63,12 +63,16 @@ class TestProductDefinitions:
         assert p.label == "mFRR NEG"
 
     def test_direction_sym_reserved_for_symmetric(self):
-        with pytest.raises(ValueError, match="no aFRR SYM product: FCR is SYM"):
+        with pytest.raises(ValueError, match="no aFRR SYM product: FCR is SYM") as exc:
             BalancingProduct(ProductKind.AFRR, 1.0, 1.0, 300.0, 4.0, Direction.SYM)
+        assert exc.value.key == "direction"
         with pytest.raises(ValueError, match="no FCR POS product: FCR is SYM"):
             BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, 4.0, Direction.POS)
         with pytest.raises(ValueError, match="no mFRR SYM product"):
             BalancingProduct(ProductKind.MFRR, 1.0, 1.0, 750.0, 4.0, Direction.SYM)
+
+    def test_the_fault_type_is_the_models(self):
+        assert TableError is model.TableError
 
     def test_which_side_of_the_setpoint_each_direction_moves_the_load(self):
         # POS sheds load, NEG absorbs power, SYM does both
@@ -267,14 +271,16 @@ class TestSpotPrices:
         assert avg == pytest.approx(15.0)
         assert n == 2
 
-    def test_no_qualifying_hours_raises_empty_selection(self):
+    def test_no_qualifying_hours_is_a_fault_of_the_threshold(self):
         series = hourly_series([80.0, 90.0])
-        with pytest.raises(EmptySelectionError):
+        with pytest.raises(TableError, match="no samples below 50.0") as exc:
             avg_price_below_threshold(series, 50.0)
+        assert (exc.value.row, exc.value.key) == (None, "spot_threshold_eur_per_mwh")
 
     def test_empty_series_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TableError, match="spot price series is empty") as exc:
             avg_price_below_threshold(SpotPriceSeries(()), 50.0)
+        assert (exc.value.row, exc.value.key) == (None, "spot_csv")
 
 
 def test_grid_fee_is_proportional():

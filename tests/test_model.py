@@ -118,12 +118,14 @@ class TestElectrolyzerUnit:
         with pytest.raises(ValueError) as exc:
             make_unit().check_setpoint(setpoint)
         assert str(exc.value) == f"setpoint {setpoint} MW outside operating band [2.5, 10.0] MW"
+        assert (exc.value.row, exc.value.key) == (None, "setpoint_mw")  # a TableError
 
     def test_curve_must_cover_only_the_operating_band(self):
         # breakpoints starting below the minimum load are rejected
         low = EfficiencyCurve(((0.1, 48.0), (1.0, 54.0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="efficiency breakpoints must lie within") as exc:
             make_unit(min_load_fraction=0.25, efficiency_curve=low)
+        assert exc.value.key == "efficiency_points"
         make_unit(min_load_fraction=0.25, efficiency_curve=CURVE)  # fits
 
 

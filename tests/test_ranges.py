@@ -37,7 +37,14 @@ from elybal.markets import (
     apply_grid_fee,
     fcr,
 )
-from elybal.model import EfficiencyCurve, ElectrolyzerUnit, Technology, check_range, in_range
+from elybal.model import (
+    EfficiencyCurve,
+    ElectrolyzerUnit,
+    TableError,
+    Technology,
+    check_range,
+    in_range,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "elybal"
 POS = "(0, inf)"
@@ -147,6 +154,16 @@ def test_the_message_names_the_input_its_interval_and_its_value():
     with pytest.raises(ValueError, match=r"^hours must be in \(0, 24\], got 25$"):
         check_range("hours", 25, "(0, 24]")
     check_range("hours", 24, "(0, 24]")
+
+
+def test_the_fault_is_keyed_by_the_name_unless_a_key_is_given():
+    with pytest.raises(TableError) as exc:
+        check_range("hours", 25, "(0, 24]")
+    assert (exc.value.reason, exc.value.row, exc.value.key) == (
+        "hours must be in (0, 24], got 25", None, "hours")
+    with pytest.raises(TableError, match="^afrr_price_per_block_eur must be") as exc:
+        check_range("afrr_price_per_block_eur", math.inf, "[0, inf)", "afrr_price_eur_per_mw_h")
+    assert exc.value.key == "afrr_price_eur_per_mw_h"
 
 
 # in_range held to comparisons written out by hand, one per interval the

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import os
 import re
 import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from elybal import scenario_io
+from elybal import allocate, scenario_io
+from elybal.cli import main
 from elybal.dispatch import PowerTrajectory, SignalKind
 from elybal.markets import (
     CapacityPriceTable,
@@ -24,7 +29,7 @@ from elybal.markets import (
     SpotPriceSeries,
     product_from_name,
 )
-from elybal.model import ElectrolyzerUnit, Technology
+from elybal.model import ElectrolyzerUnit, Fleet, Technology
 from elybal.scenario_io import (
     _SCHEMA,
     PRESETS,
@@ -440,32 +445,112 @@ def _entry(key: str):
     return st.one_of(good, _BAD).map(lambda value: f"{key} = {value}")
 
 
-def _section(name: str):
-    keys = sorted(_SCHEMA[name][1]) + ["bogus"]
-    return st.lists(st.sampled_from(keys).flatmap(_entry), max_size=len(keys)).map(
+def _section(name: str, entry=_entry, extra: tuple[str, ...] = ("bogus",)):
+    keys = sorted(_SCHEMA[name][1]) + list(extra)
+    return st.lists(st.sampled_from(keys).flatmap(entry), max_size=len(keys)).map(
         lambda lines: "\n".join([f"[{name}]", *lines])
     )
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=st.tuples(
+_SCENARIO_TEXT = st.tuples(
     st.lists(st.sampled_from(sorted(_SCHEMA)).flatmap(_section), max_size=5),
     st.one_of(st.just(""), _TEXT),
-).map(lambda parts: "\n".join([*parts[0], parts[1]])))
+).map(lambda parts: "\n".join([*parts[0], parts[1]]))
+
+
+def _write_fuzz_files(tmp_path: Path, text: str) -> Path:
+    """The scenario text and the CSVs its file keys may name, in one folder."""
+    write(tmp_path, "prices.csv", PRICES_CSV)
+    write(tmp_path, "signal.csv", SIGNAL_CSV)
+    write(tmp_path, "spot.csv", "timestamp,price_eur_per_mwh\n2024-07-25T00:00:00,43.5\n")
+    return write(tmp_path, "fuzz.scenario", text)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_SCENARIO_TEXT)
 @example(text="[unit]\npreset = mcphy\ncount = inf\n")
 @example(text="[dispatch]\nsetpoint_mw = 3\nbid_mw = 1\n[dispatch]\nsetpoint_mw = 4\nbid_mw = 1\n")
 @example(text="[unit]\npreset = mcphy\ncount = 2\ncount = 3\n")
 @example(text="[signal]\nkind = frequency\ncsv = a\x00b\n")
 def test_any_scenario_text_loads_or_raises_scenario_error(tmp_path, text):
-    write(tmp_path, "prices.csv", PRICES_CSV)
-    write(tmp_path, "signal.csv", SIGNAL_CSV)
-    write(tmp_path, "spot.csv", "timestamp,price_eur_per_mwh\n2024-07-25T00:00:00,43.5\n")
-    path = write(tmp_path, "fuzz.scenario", text)
+    path = _write_fuzz_files(tmp_path, text)
     try:
         assert isinstance(load_scenario(path), Scenario)
     except ScenarioError:
         pass
+
+
+# Texts that mostly load: a shipped scenario, its CSV paths made absolute,
+# with some of its lines dropped, some values replaced by a well-formed one
+# (a small number or one at the edge of what a float holds or a search
+# takes) and well-formed sections added.
+_EDGE = st.one_of(_NUMBER, st.sampled_from(["0", "1e-12", "0.3", "1e306", "1e308"]))
+_SHIPPED = [path.read_text(encoding="utf-8").replace("= prices/", f"= {REPO_SCENARIOS}/prices/")
+            .replace("= signals/", f"= {REPO_SCENARIOS}/signals/")
+            for path in sorted(REPO_SCENARIOS.glob("*.scenario"))]
+
+
+def _good_entry(key: str):
+    good = st.sampled_from(_WORDS[key]) if key in _WORDS else _EDGE
+    return good.map(lambda value: f"{key} = {value}")
+
+
+@st.composite
+def _shipped_variant(draw) -> str:
+    lines = []
+    for line in draw(st.sampled_from(_SHIPPED)).splitlines():
+        key, is_entry, _ = line.partition(" = ")
+        change = draw(st.sampled_from(["keep"] * 12 + ["drop", "replace"])) if is_entry else "keep"
+        if change != "drop":
+            lines.append(draw(_good_entry(key)) if change == "replace" else line)
+    added = st.sampled_from(sorted(_SCHEMA)).flatmap(lambda name: _section(name, _good_entry, ()))
+    return "\n".join([*lines, *draw(st.lists(added, max_size=2))])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_shipped_variant())
+@example(text="[unit]\npreset = mcphy\n[product]\nkind = afrr\ndirection = pos\n"
+              "[prices]\nafrr_price_eur_per_mw_h = 1e300\n[allocate]\n")
+@example(text="[unit]\npreset = mcphy\ncount = 2\nefficiency_points = 50:50.5, 100:54\n"
+              "[product]\nkind = fcr\n[prices]\nfcr_capacity_csv = prices.csv\n"
+              "[allocate]\nhydrogen_value_eur_per_kg = 2\n")
+@example(text="[prices]\nspot_csv = spot.csv\n[economics]\nsetpoint_mw = 3\n"
+              "spot_threshold_eur_per_mwh = 1\n")
+@example(text="[unit]\npreset = mcphy\nrated_power_mw = 1e308\ncount = 2\n[product]\nkind = fcr\n")
+def test_any_loadable_text_runs_or_raises_scenario_error(tmp_path, text):
+    """simulate, allocate and economics run through ``main()`` on every text
+    that loads.  Each ends in a result (0), a negative verdict (2) or an
+    input error naming a file of the scenario's folder (1): a ScenarioError,
+    never another ValueError, which would print without a file."""
+    path = _write_fuzz_files(tmp_path, text)
+    try:
+        load_scenario(path)
+    except ScenarioError:
+        return
+    # the allocator's own setpoint cap, lowered so that no generated fleet
+    # takes more than a few MB; a larger search is refused like any other
+    with mock.patch.object(allocate, "_MAX_SETPOINTS", 10_000):
+        for command in ("simulate", "allocate", "economics"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--scenario", str(path)])
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.getvalue().startswith(f"error: {tmp_path}{os.sep}"), err.getvalue()
+            event(f"{command}: exit {code}")
+
+
+def test_a_fleet_built_in_python_aggregates_and_locates_an_overflow_at_its_file():
+    unit = ElectrolyzerUnit("big", Technology.PEM, 1e308, 0.1, 0.01)
+    fleet = Scenario("f", Path("f.scenario"), Fleet((unit,), (1,)), ())
+    assert fleet.primary_unit() is unit
+    two = Scenario("f", Path("f.scenario"), Fleet((unit,), (2,)), ())
+    with pytest.raises(ScenarioError) as exc:
+        two.primary_unit()
+    assert str(exc.value) == ("f.scenario, key 'rated_power_mw': rated_power_mw must be in "
+                              "(0, inf), got inf")
 
 
 class TestScenarioRoundTrip:
@@ -490,6 +575,45 @@ def test_readme_key_table_matches_the_schema():
         (section, key, spec.range)
         for section, (_, keys) in _SCHEMA.items() for key, spec in keys.items()
     )
+
+
+class TestByteOrderMark:
+    """Excel's "CSV UTF-8" export starts a file with the UTF-8 byte-order
+    mark; every reader skips it and loads what the file without it loads."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def copies(self, tmp_path: Path, text: str, plain: str, marked: str) -> tuple[Path, Path]:
+        write(tmp_path, plain, text)
+        (tmp_path / marked).write_bytes(self.BOM + text.encode("utf-8"))
+        return tmp_path / plain, tmp_path / marked
+
+    def test_a_scenario(self, tmp_path):
+        text = (REPO_SCENARIOS / "revenue_100mw.scenario").read_text(encoding="utf-8")
+        text = text.replace("= prices/", f"= {REPO_SCENARIOS}/prices/")
+        text = text.replace("= signals/", f"= {REPO_SCENARIOS}/signals/")
+        plain, marked = self.copies(tmp_path, text, "plain.scenario", "marked.scenario")
+        assert text.startswith("#")  # the mark stands before a comment
+        assert dataclasses.replace(load_scenario(marked), path=plain) == load_scenario(plain)
+
+    def test_a_capacity_price_file(self, tmp_path):
+        plain, marked = self.copies(tmp_path, PRICES_CSV, "plain.csv", "marked.csv")
+        assert load_capacity_prices(marked) == load_capacity_prices(plain)
+
+    def test_a_spot_price_file(self, tmp_path):
+        text = "timestamp,price_eur_per_mwh\n2024-07-25T00:00:00,43.5\n2024-07-25T01:00:00,-2\n"
+        plain, marked = self.copies(tmp_path, text, "plain.csv", "marked.csv")
+        assert load_spot_prices(marked) == load_spot_prices(plain)
+
+    @pytest.mark.parametrize("name, by_numpy", [("marked.csv", True), ("marked.csv.gz", False)],
+                             ids=["numpy", "row-walk"])
+    def test_a_signal_file(self, tmp_path, name, by_numpy):
+        # numpy decompresses a path named *.gz, so that plain text goes to the row walk
+        plain, marked = self.copies(tmp_path, SIGNAL_CSV, "plain.csv", name)
+        assert (scenario_io._loadtxt_signal_rows(marked) is not None) == by_numpy
+        kind = SignalKind.SETPOINT_REQUEST
+        assert load_signal(marked, kind) == load_signal(plain, kind)
+        assert load_signal_rows(marked, kind) == load_signal(plain, kind)
 
 
 class TestCsvLoaders:
@@ -643,12 +767,14 @@ class TestCsvLoaders:
         (load_spot_prices, "timestamp,price_eur_per_mwh"),
         (lambda path: load_signal(path, SignalKind.SETPOINT_REQUEST), "time_s,value"),
     ])
-    def test_non_utf8_csv_names_the_file(self, tmp_path, load, header):
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+    def test_non_utf8_csv_names_the_file(self, tmp_path, load, header, mark):
+        # the offset counts from the start of the file, a byte-order mark included
         path = tmp_path / "latin1.csv"
-        path.write_bytes(header.encode() + b"\n0,\xff\n")
+        path.write_bytes(mark + header.encode() + b"\n0,\xff\n")
         with pytest.raises(ScenarioError, match="not UTF-8 text") as exc:
             load(path)
-        at = len(header) + 3
+        at = len(mark) + len(header) + 3
         assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte at byte {at})"
 
 
@@ -733,6 +859,11 @@ def _load_outcome(load, path: Path):
 @example(data=b"time_s,value\n0,\xff\n1,2\n")
 @example(data=b"time_s,value\n0,1\n\n1,2\n2.5,3\n")
 @example(data=b"time_s,value\n0,1\r\n1,2\r\n1,3\r\n")
+@example(data=b"\xef\xbb\xbftime_s,value\n0,1\n1,2\n")
+@example(data=b"\xef\xbb\xbftime_s,value")
+@example(data=b"\xef\xbb\xbf\xef\xbb\xbftime_s,value\n0,1\n1,2\n")
+@example(data=b"time_s,value\xff\n0,1\n1,2\n")
+@example(data=b"time_s,value\n0,1\n1,2\xff\n")
 def test_load_signal_matches_the_row_walk(tmp_path, data):
     path = tmp_path / "signal.csv"
     path.write_bytes(data)
