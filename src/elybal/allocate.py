@@ -2,19 +2,21 @@
 
 The symmetric FCR band is reserved around the setpoint; an aFRR (positive)
 activation then starts below that band, so both products can be carried at
-once without double-counting headroom.  Blocks are independent, and at a
-fixed setpoint the block score is linear in the FCR quantity except where
-the aFRR bid below the band stops being capped by its ramp or drops under
-its minimum bid, so the optimum sits at a corner: aFRR bids nothing or its
-tradable top, and FCR bids 0, a tradable end or a lot at one of those kinks.
+once without double-counting headroom.  The score of a block is linear in
+the aFRR bid, so aFRR bids nothing or its tradable top.
 
-None of those corners depends on the block, only the FCR price does.  So
-``optimize_day`` builds one candidate table per day in a fixed number of
-array passes (``_day_table``), scores it as one blocks x candidates matrix
-and picks per row (``_pick``) the score within ``_EPS`` of the best, then
-the least reserved capacity, then the least FCR (each within ``SLACK_MW``), then
-the highest setpoint, then the first candidate in table order.  When one
-candidate alone comes within ``_EPS`` of any row's best, it is every row's pick.
+The search goes by FCR lot.  For a fixed lot, a higher setpoint leaves at
+least as much room below the band for aFRR and, while hydrogen production
+rises with load (``optimize_day`` checks the efficiency curve), forgoes no
+more hydrogen; the tie rule prefers it anyway.  So each lot is tried only
+at its host, the highest grid setpoint whose FCR top holds it.  None of
+that depends on the block, only the FCR price does, so ``optimize_day``
+builds one candidate table per day (``_day_table``), scores it as one
+blocks x candidates matrix and picks per row (``_pick``) the score within
+``_EPS`` of the best, then the least reserved capacity, then the least FCR
+(each within ``SLACK_MW``), then the highest setpoint, then the first
+candidate in table order.  When one candidate alone comes within ``_EPS``
+of any row's best, it is every row's pick.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eligibility import capacity_limit_mw, check_eligibility, tradable_mw
+from .eligibility import _limiting, _rule_checks, capacity_limit_mw, tradable_mw
 from .markets import (
     CANONICAL_BLOCKS,
     BalancingProduct,
@@ -111,7 +113,7 @@ def _split_products(
     return fcr_prod, afrr_prod
 
 
-# most setpoints a day searches: ~1.3 kB of arrays each, 100 times 10 GW at 1 MW
+# most setpoints a day searches: its arrays peak at ~33 B a setpoint, 30 MB at 10 GW on 0.01 MW
 _MAX_SETPOINTS = 1_000_000
 
 
@@ -159,55 +161,32 @@ def _day_table(
     pinned: float | None,
     setpoints: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The candidates of a day as (setpoint index, q_fcr, q_afrr) arrays,
-    ordered by setpoint, then FCR ascending, then aFRR 0 before its top.
+    """The candidates of a day as (setpoint, q_fcr, q_afrr) arrays: one FCR
+    lot each, lots ascending, then aFRR 0 before its top.
 
-    Each FCR lot moves the aFRR origin down, out of the room below the
-    setpoint, so the aFRR top falls in steps as q_fcr grows: flat while the
-    aFRR ramp reach caps it, then one aFRR lot at a time, then 0 below the
-    aFRR minimum bid.  Along a step the score rises with q_fcr, and across
-    the last FCR lots of the steps it is linear, so the optimum is 0, a
-    tradable end, or the last lot of a step (or the lot after it) whose
-    aFRR top is one of four levels: the ramp reach, the smallest bid, the
-    top at the lowest FCR lot and the step above the top at the highest.
-    That holds when one trading increment is a multiple of the other.  A
-    pin is the single FCR candidate where it fits.  Free choices fill one
-    11 x setpoints array in place; NaN marks an empty or repeated choice.
+    The lots are 0 and every tradable lot up to the largest FCR top on the
+    grid, or the pin alone.  Each sits at its host, the highest setpoint
+    whose FCR top holds it within ``SLACK_MW``: the running maximum of the
+    tops, taken from the top of the grid down, is sorted, so one
+    ``searchsorted`` counts the setpoints above each host.  Without FCR the
+    one lot, 0, sits at the top setpoint; a pin no setpoint holds has no
+    candidate.  The aFRR top is taken at the host, below the FCR band.
     """
     n = len(setpoints)
-    if fcr_prod is None:
-        q = np.zeros((n, 1))
-    else:
-        fcr_top = _top_mw(unit, fcr_prod, setpoints)
-        if pinned is not None:
-            q = np.where(pinned <= fcr_top + SLACK_MW, pinned, np.nan)[:, None]
-        else:
-            lo = _min_tradable_mw(fcr_prod)
-            c = np.empty((11, n))  # the FCR choices, one row each
-            c[0], c[2], c[3:5] = 0.0, fcr_top, unit.rated_power_mw
-            c[1] = np.where(fcr_top < lo - SLACK_MW, np.nan, lo)
-            levels = c[3:7]  # the aFRR origins of the four levels, then the levels
-            np.subtract(setpoints, c[1:3], out=c[5:7])
-            levels[...] = _top_mw(unit, afrr_prod, levels)
-            if n and c[3, 0] > 0.0:  # the aFRR ramp reach
-                c[4] = _min_tradable_mw(afrr_prod)
-                c[6] += afrr_prod.trade_increment_mw
-            empty = levels <= 0.0
-            levels[...] = tradable_mw(setpoints - unit.min_power_mw - levels, fcr_prod)
-            np.copyto(levels, np.nan, where=empty)
-            np.add(levels, fcr_prod.trade_increment_mw, out=c[7:])
-            np.maximum(c[3:], c[1], out=c[3:])
-            np.minimum(c[3:], c[2], out=c[3:])
-            q = c.T.copy()
-            q.sort(axis=1)
-            np.copyto(q[:, 1:], np.nan, where=q[:, 1:] == q[:, :-1])
-    live = q == q
-    rows, q_fcr = np.nonzero(live)[0], q[live]
-    top = _top_mw(unit, afrr_prod, setpoints[rows] - q_fcr)
+    lots = np.array([0.0 if pinned is None else pinned])
+    reach = np.maximum.accumulate(_top_mw(unit, fcr_prod, setpoints)[::-1])
+    if fcr_prod is not None and pinned is None and n:
+        inc = fcr_prod.trade_increment_mw
+        k = np.arange(round(_min_tradable_mw(fcr_prod) / inc), round(reach[-1] / inc) + 1)
+        lots = np.concatenate((lots, k * inc))
+    above = np.searchsorted(reach + SLACK_MW, lots)
+    hosted = above < n
+    lots, setpoint = lots[hosted], setpoints[n - 1 - above[hosted]]
+    top = _top_mw(unit, afrr_prod, setpoint - lots)
     count = 1 + (top > 0.0)
     q_afrr = np.zeros(count.sum())
     q_afrr[count.cumsum() - 1] = top
-    return rows.repeat(count), q_fcr.repeat(count), q_afrr
+    return setpoint.repeat(count), lots.repeat(count), q_afrr
 
 
 def _pick(
@@ -283,18 +262,28 @@ def optimize_day(
     lowest_sp = unit.min_power_mw
     if h2_value is not None:  # forgone production is only known on the curve
         lowest_sp = max(lowest_sp, curve.domain[0] * unit.rated_power_mw)
+        # a lot's highest host forgoes the least hydrogen only while production x / SE(x)
+        # rises with load; it is monotone on each linear piece of the curve, and the curve
+        # spans the setpoints, so its breakpoints tell
+        loads, energies = np.array(curve.breakpoints).T
+        kg_h = loads * unit.rated_power_mw * 1000.0 / energies
+        if (falls := np.flatnonzero(kg_h[1:] < kg_h[:-1] * (1.0 - _EPS))).size:
+            k = falls[0]
+            raise TableError("hydrogen_value_eur_per_kg needs production that rises with load; "
+                             f"the unit's curve makes {kg_h[k]:.6g} kg/h at load fraction "
+                             f"{loads[k]:g} but {kg_h[k + 1]:.6g} kg/h at {loads[k + 1]:g}",
+                             None, "hydrogen_value_eur_per_kg")
     setpoints = _grid_points(lowest_sp, unit.rated_power_mw, options.setpoint_grid_mw)
-    rows, q_fcr, q_afrr = _day_table(unit, fcr_prod, afrr_prod, pinned, setpoints)
-    setpoint = setpoints[rows]
+    setpoint, q_fcr, q_afrr = _day_table(unit, fcr_prod, afrr_prod, pinned, setpoints)
     afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
     fcr_price = list(fcr_prices.prices.values()) if fcr_prod else [0.0] * len(CANONICAL_BLOCKS)
     score = np.multiply.outer(fcr_price, q_fcr) + q_afrr * afrr_price
     if h2_value is not None:
-        h2_kg = _hydrogen_loss_kg(unit, setpoints, (fcr_prod or afrr_prod).duration_h)[rows]
+        h2_kg = _hydrogen_loss_kg(unit, setpoint, (fcr_prod or afrr_prod).duration_h)
         score -= h2_kg * h2_value
     entries: list[ScheduleEntry] = []
     revenue = h2_loss = 0.0
-    best = _pick(score, q_fcr + q_afrr, q_fcr, setpoint) if rows.size else []  # no candidate, no bid
+    best = _pick(score, q_fcr + q_afrr, q_fcr, setpoint) if q_fcr.size else []  # no candidate
     picked = (q_fcr[best].tolist(), q_afrr[best].tolist(), setpoint[best].tolist(),
               h2_kg[best].tolist() if h2_value is not None else [0.0] * len(best))
     for block, price, qf, qa, sp, kg in zip(CANONICAL_BLOCKS, fcr_price, *picked):
@@ -349,13 +338,10 @@ def validate_schedule(unit: ElectrolyzerUnit, schedule: BidSchedule) -> None:
             # a one-sided entry starts at the FCR band's edge on its side; for the
             # FCR entry itself the band's two offsets cancel, leaving the setpoint
             origin = sp + sum(d.band(0.0, q_fcr))
-            report = check_eligibility(unit, entry.product, q, origin)
+            failed = _limiting(_rule_checks(unit, entry.product, q, origin))
             ranges.append(d.band(origin, q))
-            if not report.eligible:
-                raise ValueError(
-                    f"block {label}: {entry.product.label} {q} MW fails "
-                    f"{report.limiting_constraint}"
-                )
+            if failed is not None:
+                raise ValueError(f"block {label}: {entry.product.label} {q} MW fails {failed}")
         ranges.sort()
         for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
             if lo < hi - SLACK_MW:

@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -191,9 +192,9 @@ def cmd_scenarios(args) -> int:
     printed until every scenario has run, so a run that fails on a later
     scenario writes no file.  With ``--out``, two scenarios of one name are
     an input error, and a write that fails (an ``OSError``) deletes every
-    file this call has written, prints nothing and raises a
-    ``ScenarioError`` naming the failing scenario's file; the directories
-    it made stay."""
+    file this call has written, for a link also the regular file it points
+    to (never a device), prints nothing and raises a ``ScenarioError``
+    naming the failing scenario's file; the directories it made stay."""
     runs = []
     for value in args.scenario:
         scenario = load_scenario(value)
@@ -211,9 +212,11 @@ def cmd_scenarios(args) -> int:
             try:
                 _write_reports(scenario, reports, Path(args.out), written)
             except OSError as exc:
-                for path in written:
-                    with contextlib.suppress(OSError):  # the failed one may not exist
-                        path.unlink()
+                for path in written:  # through a link its file goes too, unless not a regular one
+                    for name in (os.path.realpath(path), path):
+                        with contextlib.suppress(OSError):  # the failed one may not exist
+                            if os.path.islink(name) or os.path.isfile(name):
+                                os.unlink(name)
                 raise ScenarioError(f"cannot write its reports, so none are kept: {exc}",
                                     source=scenario.path) from exc
     for _, text, _, _ in runs:

@@ -170,6 +170,43 @@ def tradable_mw(limit_mw: float | np.ndarray, product: BalancingProduct) -> floa
     return _float_or_array(np.where(bid >= product.min_bid_mw - SLACK_MW, bid, 0.0))
 
 
+def _rule_checks(
+    unit: ElectrolyzerUnit, product: BalancingProduct, bid_mw: float, setpoint_mw: float
+) -> tuple[tuple[str, float, float, float, bool], ...]:
+    """The market rules for one bid in evaluation order, each as the fields
+    of its ``ConstraintCheck``: (name, required, actual, margin, passed)."""
+    check_range("bid_mw", bid_mw, "(0, inf)")
+    unit.check_setpoint(setpoint_mw)
+    inc = product.trade_increment_mw
+    lots = bid_mw / inc
+    off_grid = abs(lots - round(lots)) * inc
+    room = float(_headroom_mw(unit, product, setpoint_mw))
+    headroom_ok = bid_mw <= room + SLACK_MW
+    delivery_s = bid_mw / _ramp_mw_per_s(unit, product)
+    return (
+        # C1: minimum bid size
+        (MIN_BID, product.min_bid_mw, bid_mw, bid_mw - product.min_bid_mw,
+         bid_mw >= product.min_bid_mw - SLACK_MW),
+        # C2: bid on the trading-size grid
+        (GRANULARITY, inc, off_grid, -off_grid, off_grid <= SLACK_MW),
+        # C3: headroom around the setpoint
+        (HEADROOM, bid_mw, room, room - bid_mw, headroom_ok),
+        # C4: full delivery within the availability deadline
+        (RAMP_DEADLINE, product.availability_s, delivery_s, product.availability_s - delivery_s,
+         bid_mw <= _reach_mw(unit, product) + SLACK_MW),
+        # C5: sustaining the activation for the block.  A steady-state load
+        # can hold any in-band operating point indefinitely, so this follows
+        # the headroom check.
+        (DURATION, product.duration_h, product.duration_h if headroom_ok else 0.0,
+         0.0 if headroom_ok else -product.duration_h, headroom_ok),
+    )
+
+
+def _limiting(checks: tuple[tuple[str, float, float, float, bool], ...]) -> str | None:
+    """Name of the first rule that fails, None when all pass."""
+    return next((name for name, *_, passed in checks if not passed), None)
+
+
 def check_eligibility(
     unit: ElectrolyzerUnit,
     product: BalancingProduct,
@@ -187,80 +224,13 @@ def check_eligibility(
     + ``SLACK_MW``, the limit ``capacity_limit_mw`` takes; the deadline
     check reports seconds.
     """
-    check_range("bid_mw", bid_mw, "(0, inf)")
-    unit.check_setpoint(setpoint_mw)
-
-    checks: list[ConstraintCheck] = []
-
-    # C1: minimum bid size
-    checks.append(
-        ConstraintCheck(
-            MIN_BID,
-            required=product.min_bid_mw,
-            actual=bid_mw,
-            margin=bid_mw - product.min_bid_mw,
-            passed=bid_mw >= product.min_bid_mw - SLACK_MW,
-        )
-    )
-
-    # C2: bid on the trading-size grid
-    inc = product.trade_increment_mw
-    lots = bid_mw / inc
-    off_grid = abs(lots - round(lots)) * inc
-    checks.append(
-        ConstraintCheck(
-            GRANULARITY,
-            required=inc,
-            actual=off_grid,
-            margin=-off_grid,
-            passed=off_grid <= SLACK_MW,
-        )
-    )
-
-    # C3: headroom around the setpoint
-    room = float(_headroom_mw(unit, product, setpoint_mw))
-    headroom_ok = bid_mw <= room + SLACK_MW
-    checks.append(
-        ConstraintCheck(
-            HEADROOM,
-            required=bid_mw,
-            actual=room,
-            margin=room - bid_mw,
-            passed=headroom_ok,
-        )
-    )
-
-    # C4: full delivery within the availability deadline
-    delivery_s = bid_mw / _ramp_mw_per_s(unit, product)
-    checks.append(
-        ConstraintCheck(
-            RAMP_DEADLINE,
-            required=product.availability_s,
-            actual=delivery_s,
-            margin=product.availability_s - delivery_s,
-            passed=bid_mw <= _reach_mw(unit, product) + SLACK_MW,
-        )
-    )
-
-    # C5: sustaining the activation for the block.  A steady-state load
-    # can hold any in-band operating point indefinitely, so this follows
-    # the headroom check.
-    checks.append(
-        ConstraintCheck(
-            DURATION,
-            required=product.duration_h,
-            actual=product.duration_h if headroom_ok else 0.0,
-            margin=0.0 if headroom_ok else -product.duration_h,
-            passed=headroom_ok,
-        )
-    )
-
-    limiting = next((c.name for c in checks if not c.passed), None)
+    checks = _rule_checks(unit, product, bid_mw, setpoint_mw)
+    limiting = _limiting(checks)
     return EligibilityReport(
         product=product,
         bid_mw=bid_mw,
         setpoint_mw=setpoint_mw,
-        constraints=tuple(checks),
+        constraints=tuple(ConstraintCheck(*c) for c in checks),
         eligible=limiting is None,
         limiting_constraint=limiting,
     )

@@ -1,9 +1,10 @@
 """Reference implementations the fast code paths are checked against.
 
-All are deliberately naive: ``brute_force_oracle`` tries every integer
-(FCR, aFRR) pair at every setpoint and states the bid rules on its own,
-``optimize_day_loop`` scores the allocator's corner candidates
-(``corner_candidates``) one setpoint at a time, ``pick_row`` applies the
+All are deliberately naive.  ``brute_force_oracle`` tries every integer
+(FCR, aFRR) pair at every setpoint and states the bid rules on its own.
+``optimize_day_loop`` scores, one setpoint at a time, the corners where a
+block's score can peak there (``corner_candidates``); the allocator goes
+by FCR lot instead, so the two share no search.  ``pick_row`` applies the
 allocator's tie rule to one row of candidates one stage at a time,
 ``capacity_limit_scalar`` and ``tradable_scalar`` state the bid caps in
 Python floats, and ``max_offerable_scan`` walks the bids down from rated
@@ -310,8 +311,12 @@ def optimize_day_loop(
     options: AllocationOptions | None = None,
 ) -> AllocationResult:
     """Reference for ``optimize_day`` on days too large for the brute force:
-    the same corner candidates, scored one setpoint at a time and kept by
-    the sequential comparison ``_better``.  Takes valid inputs only."""
+    the corner candidates of every grid setpoint (``corner_candidates``),
+    scored one setpoint at a time and kept by the sequential comparison
+    ``_better``.  It shares no search with ``optimize_day``, which tries
+    each FCR lot only at the highest setpoint that holds it; the grid, the
+    hydrogen loss, the smallest lot and the product split it does share.
+    Takes valid inputs only."""
     options = options or AllocationOptions()
     fcr_prod, afrr_prod = _split_products(tuple(products))
     h2_value = options.hydrogen_value_eur_per_kg

@@ -35,7 +35,13 @@ from elybal.markets import (
     mfrr,
 )
 from elybal.model import EfficiencyCurve, ElectrolyzerUnit, Technology
-from oracles import brute_force_oracle, corner_candidates, optimize_day_loop, pick_row
+from oracles import (
+    brute_force_oracle,
+    capacity_limit_scalar,
+    optimize_day_loop,
+    pick_row,
+    tradable_scalar,
+)
 
 PRICES = CapacityPriceTable({
     "NEGPOS_00_04": 14.71,
@@ -207,6 +213,14 @@ class TestPinnedFcr:
         )
         assert result.schedule.entries == ()
 
+    def test_a_pin_within_the_slack_of_the_top_is_carried(self):
+        # 5 MW + 5e-10 MW lies within the 1e-9 MW slack of the 5 MW FCR top
+        pin = 5.0 + 5e-10
+        result = optimize_day(BIG_UNIT, [fcr()], PRICES, None,
+                              options=AllocationOptions(pre_reserved_fcr_mw=pin))
+        carried = [(e.quantity_mw, e.setpoint_mw) for e in result.schedule.entries]
+        assert carried == [(pin, 95.0)] * 6
+
 
 def test_trading_increments_must_nest():
     odd = BalancingProduct(ProductKind.AFRR, 1.0, 1.5, 300.0, 4.0, Direction.POS)
@@ -259,6 +273,25 @@ class TestHydrogenOpportunityCost:
         assert all(e.setpoint_mw >= 7.0 for e in result.schedule.entries)
         slow = brute_force_oracle(unit, [fcr(), afrr()], PRICES, 30.0, options)
         assert result.schedule.entries == slow.schedule.entries
+
+    @pytest.mark.parametrize("points, falls", [
+        (((0.5, 25.0), (0.7, 20.0), (1.0, 60.0)), True),  # 20, 35 then 16.7 kg/h per MW
+        (((0.2, 10.0), (1.0, 100.0)), True),  # one piece: 20 down to 10 kg/h per MW
+        (((0.5, 25.0), (1.0, 50.0)), False),  # flat: 20 kg/h per MW from half load up
+        (((0.6, 6.6), (1.0, 11.0)), False),  # flat, though 1 ulp lower at full load
+    ])
+    def test_hydrogen_value_needs_production_that_rises_with_load(self, points, falls):
+        unit = ElectrolyzerUnit("h2", Technology.AEL, 100.0, 0.2, 0.05,
+                                efficiency_curve=EfficiencyCurve(points))
+        day = (unit, [fcr(), afrr()], PRICES, 30.0,
+               AllocationOptions(hydrogen_value_eur_per_kg=0.1))
+        optimize_day(*day[:4])  # without a hydrogen value the curve is not read
+        if not falls:
+            optimize_day(*day)
+            return
+        with pytest.raises(TableError, match="needs production that rises with load") as info:
+            optimize_day(*day)
+        assert (info.value.row, info.value.key) == (None, "hydrogen_value_eur_per_kg")
 
     def test_missing_curve_is_an_error(self):
         bare = ElectrolyzerUnit("bare", Technology.AEL, 10.0, 0.2, 0.05)
@@ -427,9 +460,10 @@ def _day(unit, fcr_prod, afrr_prod, block_prices, afrr_price, options, offered="
 
 @st.composite
 def allocation_days(draw):
-    """Small plants with custom FCR and aFRR POS grids, cent prices and
-    every option: free, pinned FCR, hydrogen value, coarse setpoint grids."""
-    rated = float(draw(st.integers(2, 10)))
+    """Small plants, rated whole or not, with custom FCR and aFRR POS grids,
+    cent prices and every option: free, pinned FCR, hydrogen value on rising
+    or flat production, coarse setpoint grids."""
+    rated = draw(st.integers(20, 100)) / 10
     u = draw(st.sampled_from([0.1, 0.2, 0.25, 0.4, 0.5]))
     ramp_up = draw(st.sampled_from([0.002, 0.005, 0.02, 0.05, 0.1]))
     ramp_down = draw(st.sampled_from([None, 0.005, 0.05]))
@@ -451,7 +485,13 @@ def allocation_days(draw):
         options = AllocationOptions(pre_reserved_fcr_mw=draw(st.sampled_from(lots)))
     elif mode == "hydrogen":
         start = max(u, draw(st.sampled_from([0.0, 0.6, 0.7])))
-        curve = EfficiencyCurve(((start, draw(st.sampled_from([48.0, 52.0]))), (1.0, 55.0)))
+        mid = (start + 1.0) / 2.0
+        curve = EfficiencyCurve(draw(st.sampled_from([
+            ((start, 48.0), (1.0, 55.0)),
+            ((start, 52.0), (1.0, 55.0)),
+            ((start, 50.0 * start), (1.0, 50.0)),  # production flat at every load
+            ((start, 52.0), (mid, 50.0 * mid), (1.0, 50.0)),  # rising, then flat
+        ])))
         options = AllocationOptions(
             hydrogen_value_eur_per_kg=draw(st.sampled_from([0.0, 0.02, 0.1])))
     elif mode == "grid":
@@ -534,10 +574,11 @@ LOTS = st.sampled_from([0.5, 1.0, 2.0])
 
 @st.composite
 def table_days(draw):
-    """Plants of 2-40 MW whose FCR and aFRR POS trade in 0.5, 1 or 2 MW
-    lots: free, pinned, FCR-only and aFRR-only, on 0.25-1 MW setpoint grids."""
+    """Plants of 2-40 MW, rated whole or not, whose FCR and aFRR POS trade in
+    0.5, 1 or 2 MW lots: free, pinned, FCR-only and aFRR-only, on 0.25-1 MW
+    setpoint grids."""
     unit = ElectrolyzerUnit(
-        "table", Technology.AEL, float(draw(st.integers(2, 40))),
+        "table", Technology.AEL, draw(st.integers(20, 400)) / 10,
         draw(st.sampled_from([0.1, 0.2, 0.4, 0.5])),
         draw(st.sampled_from([0.002, 0.005, 0.02, 0.1])),
         draw(st.sampled_from([None, 0.005, 0.05])),
@@ -565,17 +606,32 @@ def table_days(draw):
 @example(day=LOWEST_LOT_KINK)
 @example(day=STEP_ABOVE_KINK)
 @example(day=RAMP_REACH_KINK)
-def test_day_table_lists_the_oracle_corners_in_order(day):
+def test_each_lot_sits_at_the_highest_setpoint_that_holds_it(day):
     unit, products, _, _, options = day
     fcr_prod, afrr_prod = _split_products(products)
     pinned = options.pre_reserved_fcr_mw
     setpoints = _grid_points(unit.min_power_mw, unit.rated_power_mw, options.setpoint_grid_mw)
-    expected = [(row, q_fcr, q_afrr) for row, sp in enumerate(setpoints.tolist())
-                for q_fcr, q_afrr in corner_candidates(unit, fcr_prod, afrr_prod, pinned, sp)]
-    rows, q_fcr, q_afrr = _day_table(unit, fcr_prod, afrr_prod, pinned, setpoints)
-    assert rows.dtype.kind == "i"
-    want = np.array(expected, dtype=float).reshape(-1, 3).T
-    np.testing.assert_array_equal(np.array([rows, q_fcr, q_afrr], dtype=float), want)
+
+    def top(product, sp):
+        return 0.0 if product is None else tradable_scalar(
+            capacity_limit_scalar(unit, product, sp), product)
+
+    fcr_tops = [top(fcr_prod, sp) for sp in setpoints.tolist()]
+    lots = [0.0] if pinned is None else [pinned]
+    if pinned is None and fcr_prod is not None:
+        inc, k = fcr_prod.trade_increment_mw, 1
+        while k * inc <= max(fcr_tops, default=0.0) + 1e-9:
+            if k * inc >= fcr_prod.min_bid_mw - 1e-9:
+                lots.append(k * inc)
+            k += 1
+    expected = []
+    for lot in lots:  # the last setpoint whose FCR top holds the lot, by a scan of the grid
+        hosts = [sp for sp, held in zip(setpoints.tolist(), fcr_tops) if lot <= held + 1e-9]
+        if hosts:
+            afrr_top = top(afrr_prod, hosts[-1] - lot)
+            expected += [(hosts[-1], lot, 0.0)] + [(hosts[-1], lot, afrr_top)] * (afrr_top > 0.0)
+    got = _day_table(unit, fcr_prod, afrr_prod, pinned, setpoints)
+    np.testing.assert_array_equal(np.array(got), np.array(expected).reshape(-1, 3).T)
 
 
 # jittered by half the tie tolerance, so ties at every stage of the rule are common
@@ -621,26 +677,32 @@ def test_pick_applies_the_row_tie_rule_to_every_row(arrays):
 
 @st.composite
 def large_days(draw):
-    """100 MW to 2 GW plants on the shipped FCR and aFRR POS products:
-    free, pinned FCR or hydrogen-valued, setpoint grids of 0.25-2 MW with
-    at most 1,000 setpoints, so that the loop stays quick."""
-    rated = float(draw(st.integers(100, 2000)))
+    """100 MW to 2 GW plants on 0.25-2 MW setpoint grids and 1-12 GW plants
+    on grids of 10 MW or coarser, rated whole or not, with the shipped FCR
+    and aFRR POS products: free, pinned FCR or hydrogen-valued on a curve
+    whose production rises or ends flat; at most 1,000 setpoints, so that
+    the loop stays quick."""
+    if draw(st.booleans()):
+        rated, grids = draw(st.integers(1000, 20000)) / 10, (0.25, 0.5, 1.0, 2.0)
+    else:
+        rated = draw(st.integers(1000, 12000)) + draw(st.sampled_from([0.0, 0.3, 0.75]))
+        grids = (10.0, 20.0, 50.0)
     u = draw(st.sampled_from([0.1, 0.2, 0.4, 0.5]))
     ramp_up = draw(st.sampled_from([0.000167, 0.001, 0.005, 0.01]))
     ramp_down = draw(st.sampled_from([None, 0.0005, 0.002]))
-    grid = draw(st.sampled_from(
-        [g for g in (0.25, 0.5, 1.0, 2.0) if rated * (1 - u) / g <= 1000]))
+    grid = draw(st.sampled_from([g for g in grids if rated * (1 - u) / g <= 1000]))
     block_prices = draw(st.lists(CENTS, min_size=6, max_size=6))
     afrr_price = draw(st.one_of(CENTS, st.sampled_from(block_prices)))
     mode = draw(st.sampled_from(["free", "pinned", "hydrogen"]))
     curve = None
     options = AllocationOptions(setpoint_grid_mw=grid)
     if mode == "pinned":
-        options = AllocationOptions(
-            pre_reserved_fcr_mw=float(draw(st.integers(0, 40))), setpoint_grid_mw=grid)
+        pin = draw(st.integers(0, 40 if rated < 1000 else 4000))
+        options = AllocationOptions(pre_reserved_fcr_mw=float(pin), setpoint_grid_mw=grid)
     elif mode == "hydrogen":
-        curve = EfficiencyCurve(((u, draw(st.sampled_from([48.0, 52.0]))), (0.7, 50.0),
-                                 (1.0, 55.0)))
+        # (0.7, 35) to (1.0, 50) makes 20 kg/h per MW at both ends: flat production
+        upper = draw(st.sampled_from([((0.7, 50.0), (1.0, 55.0)), ((0.7, 35.0), (1.0, 50.0))]))
+        curve = EfficiencyCurve(((u, draw(st.sampled_from([48.0, 52.0]))), *upper))
         options = AllocationOptions(
             hydrogen_value_eur_per_kg=draw(st.sampled_from([0.0, 0.5, 2.0, 5.0])),
             setpoint_grid_mw=grid)

@@ -7,6 +7,7 @@ import json
 import os
 import shlex
 import shutil
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -770,6 +771,45 @@ class TestScenarioCommands:
         assert f"error: {REVENUE}: cannot write" in capsys.readouterr().err
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symbolic links")
+    @pytest.mark.parametrize("kind", ["file", "directory", "socket"])
+    def test_a_failed_rewrite_through_a_link_leaves_no_mixed_target(self, tmp_path, capsys,
+                                                                    monkeypatch, kind):
+        assert main(["allocate", "--scenario", REVENUE, "--out", str(tmp_path / "fresh")]) == 0
+        fresh = (tmp_path / "fresh" / "revenue_100mw.allocation.json").read_text(encoding="utf-8")
+        old = '{\n  "old": 1,\n' + '  "pad": 0,\n' * 200 + '  "end": 0\n}\n'
+        target = tmp_path / "kept" / "r.json"
+        if kind == "file":
+            target.parent.mkdir()
+            target.write_text(old, encoding="utf-8")
+
+            def disk_full(fd):  # after the new head is written over the old report
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(os, "fstat", disk_full)
+        elif kind == "directory":  # not a regular file: opening it fails, and it stays
+            target.mkdir(parents=True)
+        else:  # like a device, a file that unlink would remove but that is not a regular one
+            if not hasattr(socket, "AF_UNIX"):
+                pytest.skip("no unix sockets")
+            target.parent.mkdir()
+            with socket.socket(socket.AF_UNIX) as server:
+                server.bind(str(target))
+        link = tmp_path / "out" / "revenue_100mw.allocation.json"
+        link.parent.mkdir()
+        try:
+            link.symlink_to(target)
+        except OSError:
+            pytest.skip("symbolic links need a privilege here")
+        assert main(["allocate", "--scenario", REVENUE, "--out", str(link.parent)]) == 1
+        monkeypatch.undo()
+        assert f"error: {REVENUE}: cannot write" in capsys.readouterr().err
+        assert not link.is_symlink() and not link.exists()
+        if kind == "file":
+            assert not target.exists() or target.read_text(encoding="utf-8") in (old, fresh)
+        else:
+            assert target.exists()
+
     # Each runner fault, on a copy of a shipped scenario: the command, the text
     # replaced, the key the error names (None: no single key, as in an
     # overflow) and the line it stands at, given by that line's text.  A key
@@ -789,6 +829,10 @@ class TestScenarioCommands:
         ("allocate", REVENUE, (("ramp_up_pct_per_s = 0.167", "ramp_up_pct_per_s = 0.167\n"
                                 "efficiency_points = 50:55, 100:50\ncount = 2"),
                                ("setpoint_mw = 95\nbid_mw", "setpoint_mw = 190\nbid_mw"),
+                               ("pre_reserved_fcr_mw = 5", "hydrogen_value_eur_per_kg = 5")),
+         "hydrogen_value_eur_per_kg", "hydrogen_value_eur_per_kg = 5"),
+        ("allocate", REVENUE, (("ramp_up_pct_per_s = 0.167", "ramp_up_pct_per_s = 0.167\n"
+                                "efficiency_points = 50:25, 70:20, 100:60"),
                                ("pre_reserved_fcr_mw = 5", "hydrogen_value_eur_per_kg = 5")),
          "hydrogen_value_eur_per_kg", "hydrogen_value_eur_per_kg = 5"),
         ("allocate", REVENUE, (("fcr_capacity_csv = ", "# fcr_capacity_csv = "),),
@@ -816,7 +860,8 @@ class TestScenarioCommands:
         ("allocate", REVENUE, (("rated_power_mw = 100", "rated_power_mw = 1e308\ncount = 2"),),
          "rated_power_mw", "rated_power_mw = 1e308"),
     ], ids=["untradable-pin", "no-spot-hour", "pin-without-fcr", "hydrogen-without-curve",
-            "hydrogen-on-a-fleet", "no-fcr-prices", "no-afrr-price", "afrr-neg", "mfrr",
+            "hydrogen-on-a-fleet", "hydrogen-on-a-falling-curve", "no-fcr-prices",
+            "no-afrr-price", "afrr-neg", "mfrr",
             "mfrr-after-signal", "afrr-block-overflow", "fcr-revenue-overflow",
             "empty-spot-file", "curve-outside-the-band", "fleet-power-overflow"])
     def test_a_runner_error_names_the_scenario(self, tmp_path, capsys, command, source,

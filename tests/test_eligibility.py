@@ -337,7 +337,7 @@ def _with_neighbours(values):
 @st.composite
 def cap_cases(draw):
     """A plant, a lot of 0.5, 1 or 2 MW with a minimum bid, and two 4 x n
-    arrays, as ``_day_table`` passes: setpoints (the band edges +-SLACK_MW and
+    arrays, since the helpers take any shape: setpoints (the band edges +-SLACK_MW and
     their neighbouring floats, NaN, +-inf, points across and off the band)
     and raw limits (lot boundaries +-SLACK_MW and their neighbours, NaN, +-inf)."""
     rated = draw(st.integers(2, 600)) / 2
