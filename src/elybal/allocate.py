@@ -14,9 +14,9 @@ that depends on the block, only the FCR price does, so ``optimize_day``
 builds one candidate table per day (``_day_table``), scores it as one
 blocks x candidates matrix and picks per row (``_pick``) the score within
 ``_EPS`` of the best, then the least reserved capacity, then the least FCR
-(each within ``SLACK_MW``), then the highest setpoint, then the first
-candidate in table order.  When one candidate alone comes within ``_EPS``
-of any row's best, it is every row's pick.
+(each within ``SLACK_MW``), then the first in table order: the lots ascend,
+so the setpoints never rise and the first is the highest.  When one
+candidate alone comes within ``_EPS`` of any row's best, it is every row's pick.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _day_table(
     setpoints: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The candidates of a day as (setpoint, q_fcr, q_afrr) arrays: one FCR
-    lot each, lots ascending, then aFRR 0 before its top.
+    lot each, lots ascending (setpoints never rise), aFRR 0 before its top.
 
     The lots are 0 and every tradable lot up to the largest FCR top on the
     grid, or the pin alone.  Each sits at its host, the highest setpoint
@@ -189,14 +189,12 @@ def _day_table(
     return setpoint.repeat(count), lots.repeat(count), q_afrr
 
 
-def _pick(
-    score: np.ndarray, reserved: np.ndarray, q_fcr: np.ndarray, setpoint: np.ndarray
-) -> np.ndarray:
+def _pick(score: np.ndarray, reserved: np.ndarray, q_fcr: np.ndarray) -> np.ndarray:
     """Index of the best candidate in each row (last axis) of ``score``, a
     blocks x candidates matrix or one row; the other arrays broadcast.
     Masks apply the tie rule in turn: the score within ``_EPS`` of the row
     max, then on columns near some row's max the reserved capacity and FCR
-    within ``SLACK_MW`` of their min, the highest setpoint, the first on ties.
+    within ``SLACK_MW`` of their min, the first (the highest setpoint) on ties.
     """
     keep = score >= score.max(axis=-1, keepdims=True) - _EPS
     near = np.flatnonzero(keep.reshape(-1, keep.shape[-1]).any(axis=0))
@@ -206,7 +204,7 @@ def _pick(
     for key in (reserved, q_fcr):
         values = np.where(keep, key[..., near], np.inf)
         keep &= values <= values.min(axis=-1, keepdims=True) + SLACK_MW
-    return near[np.where(keep, setpoint[..., near], -np.inf).argmax(axis=-1)]
+    return near[keep.argmax(axis=-1)]
 
 
 def optimize_day(
@@ -283,7 +281,7 @@ def optimize_day(
         score -= h2_kg * h2_value
     entries: list[ScheduleEntry] = []
     revenue = h2_loss = 0.0
-    best = _pick(score, q_fcr + q_afrr, q_fcr, setpoint) if q_fcr.size else []  # no candidate
+    best = _pick(score, q_fcr + q_afrr, q_fcr) if q_fcr.size else []  # no candidate
     picked = (q_fcr[best].tolist(), q_afrr[best].tolist(), setpoint[best].tolist(),
               h2_kg[best].tolist() if h2_value is not None else [0.0] * len(best))
     for block, price, qf, qa, sp, kg in zip(CANONICAL_BLOCKS, fcr_price, *picked):

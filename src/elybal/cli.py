@@ -7,8 +7,9 @@ input errors of any kind.
 Each flag value is read and checked as the scenario key that holds it in
 a file: ``--unit key=value,...`` as one [unit] section, ``--product``,
 ``--bid`` and ``--setpoint`` as [dispatch] product, bid_mw and
-setpoint_mw.  Exactly one of ``--preset``, ``--unit`` and ``--fleet FILE``
-names the unit.  Relative paths resolve against the working directory.
+setpoint_mw, and ``--prices`` as [prices] fcr_capacity_csv.  Exactly one
+of ``--preset``, ``--unit`` and ``--fleet FILE`` names the unit.  Relative
+paths resolve against the working directory.
 
 In-process ``main`` calls share one parser, built once by ``build_parser``.
 """
@@ -34,6 +35,7 @@ from .scenario_io import (
     Scenario,
     ScenarioError,
     emit_report,
+    flag_file,
     flag_unit,
     flag_value,
     load_capacity_prices,
@@ -126,7 +128,10 @@ def _simulate(scenario: Scenario, args) -> tuple[str, bool, dict]:
 def _allocate(scenario: Scenario, args) -> tuple[str, bool, dict]:
     unit = scenario.primary_unit()
     _section(scenario, scenario.products, "product")
-    fcr_prices = load_capacity_prices(args.prices) if args.prices else scenario.fcr_prices
+    fcr_prices = scenario.fcr_prices
+    if args.prices is not None:
+        fcr_prices = flag_file("--prices", "prices", "fcr_capacity_csv", args.prices,
+                               load_capacity_prices)
     afrr_hourly = scenario.afrr_price_eur_per_mw_h
     afrr_block = None if afrr_hourly is None else afrr_hourly * 4.0  # held over a 4 h block
     result = scenario.run("allocate", lambda: optimize_day(unit, scenario.products, fcr_prices,

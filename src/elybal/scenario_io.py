@@ -449,12 +449,7 @@ def load_scenario(path: str | Path) -> Scenario:
         """The file a key names, loaded; None when the key is not given."""
         if section.values[key] is None:
             return None
-        try:
-            return loader(path.parent / section.values[key], *args)
-        except ScenarioError:
-            raise
-        except (OSError, ValueError) as exc:  # ValueError: e.g. a NUL byte in the path
-            raise section.error(f"cannot read file: {exc}", key) from None
+        return _load_file(section, key, path.parent / section.values[key], loader, *args)
 
     name = once["scenario"].values["name"]
     units = [s for s in sections if s.name == "unit"]
@@ -482,6 +477,21 @@ def load_scenario(path: str | Path) -> Scenario:
         scenario.run("dispatch", lambda: unit.check_setpoint(sp) if product is None
                      else _check_band(unit, sp, bid, product.direction))
     return scenario
+
+
+def _load_file(section: _Section, key: str, path: Path, loader: Callable, *args):
+    """``loader(path, *args)``; a fault reading the file is an input error at ``key``."""
+    try:
+        return loader(path, *args)
+    except ScenarioError:
+        raise
+    except (OSError, ValueError) as exc:  # ValueError: e.g. a NUL byte in the path
+        raise section.error(f"cannot read file: {exc}", key) from None
+
+
+def flag_file(flag: str, name: str, key: str, text: str, loader: Callable):
+    """The file a flag names, read as ``key`` of [name] by ``loader``; read faults name the flag."""
+    return _load_file(_Section(name, None, flag), key, Path(text), loader)
 
 
 def flag_value(flag: str, name: str, key: str, text: str, check: Callable = lambda value: None):

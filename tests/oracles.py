@@ -1,20 +1,20 @@
 """Reference implementations the fast code paths are checked against.
 
-All are deliberately naive.  ``brute_force_oracle`` tries every integer
-(FCR, aFRR) pair at every setpoint and states the bid rules on its own.
-``optimize_day_loop`` scores, one setpoint at a time, the corners where a
-block's score can peak there (``corner_candidates``); the allocator goes
-by FCR lot instead, so the two share no search.  ``pick_row`` applies the
-allocator's tie rule to one row of candidates one stage at a time,
-``capacity_limit_scalar`` and ``tradable_scalar`` state the bid caps in
+All are deliberately naive: their job is to be obviously right, not fast.
+Each states its rule on its own.  Every oracle may share the result types,
+the product definitions and the spec constants of ``src/elybal``
+(``CANONICAL_BLOCKS``, ``DELIVERY_TOLERANCE``, ``DROOP_FULL_ACTIVATION_HZ``);
+each docstring names anything else it shares, and why.
+
+Allocation: ``brute_force_oracle`` tries every integer (FCR, aFRR) pair at
+every setpoint, ``optimize_day_loop`` every tradable FCR lot at every
+setpoint, and ``pick_row`` applies the tie rule to one row of candidates.
+Bids: ``capacity_limit_scalar`` and ``tradable_scalar`` state the caps in
 Python floats, and ``max_offerable_scan`` walks the bids down from rated
-power through ``check_eligibility``.  The dispatch references
-(``simulate_loop``, ``check_compliance_loop``, ``hydrogen_output_loop``
-and ``specific_energy_at_scalar``) step through the samples one at a
-time with the scalar request rule ``requested_offset``.  ``load_signal_rows``
-reads a signal CSV row by row through its own ``csv.reader`` loop and
-``float``, sharing no code with the loader.  Keep them
-plain; their job is to be obviously right, not fast.
+power.  Dispatch: ``simulate_loop``, ``check_compliance_loop``,
+``hydrogen_output_loop`` and ``specific_energy_at_scalar`` step through the
+samples one at a time with the scalar request rule ``requested_offset``.
+Input: ``load_signal_rows`` reads a signal CSV row by row.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from elybal.allocate import (
     AllocationResult,
     BidSchedule,
     ScheduleEntry,
-    _grid_points,
     _hydrogen_loss_kg,
-    _min_tradable_mw,
-    _pick,
-    _split_products,
 )
 from elybal.dispatch import (
     DELIVERY_TOLERANCE,
@@ -45,23 +41,60 @@ from elybal.dispatch import (
     PowerTrajectory,
     SignalKind,
 )
-from elybal.eligibility import (
-    capacity_limit_mw,
-    check_eligibility,
-    default_setpoint,
-    tradable_mw,
-)
+from elybal.eligibility import check_eligibility, default_setpoint
 from elybal.markets import (
     CANONICAL_BLOCKS,
     BalancingProduct,
     CapacityPriceTable,
     Direction,
+    ProductKind,
     TableError,
 )
 from elybal.model import EfficiencyCurve, ElectrolyzerUnit
 from elybal.scenario_io import ScenarioError
 
 _EPS = 1e-9
+
+
+def _day_products(
+    products: list[BalancingProduct] | tuple[BalancingProduct, ...],
+) -> tuple[BalancingProduct | None, BalancingProduct | None]:
+    """The day's FCR and aFRR POS products, None for one not offered
+    (valid inputs only: each at most once, no other product)."""
+    fcr_prod = next((p for p in products if p.kind is ProductKind.FCR), None)
+    afrr_prod = next((p for p in products if p.kind is ProductKind.AFRR), None)
+    return fcr_prod, afrr_prod
+
+
+def _setpoints(unit: ElectrolyzerUnit, options: AllocationOptions) -> list[float]:
+    """Every multiple of ``setpoint_grid_mw`` from the lowest setpoint (with a
+    hydrogen value, on the curve) to rated power, 1e-9 steps of slack."""
+    lo, hi, step = unit.min_power_mw, unit.rated_power_mw, options.setpoint_grid_mw
+    if options.hydrogen_value_eur_per_kg is not None:
+        lo = max(lo, unit.efficiency_curve.domain[0] * hi)
+    return [k * step for k in range(math.ceil(lo / step - _EPS), math.floor(hi / step + _EPS) + 1)]
+
+
+def _day_result(
+    picks: list[tuple[float, float, float]], products, fcr_prices: CapacityPriceTable | None,
+    afrr_price_per_block_eur: float | None, h2_value: float | None, hydrogen_loss_kg,
+) -> AllocationResult:
+    """The day of one (q_fcr, q_afrr, setpoint) pick per block: a block
+    with a bid forgoes ``hydrogen_loss_kg(setpoint)``."""
+    fcr_prod, afrr_prod = _day_products(products)
+    entries: list[ScheduleEntry] = []
+    revenue = h2_loss = 0.0
+    for block, (q_f, q_a, sp) in zip(CANONICAL_BLOCKS, picks):
+        if q_f > 0:
+            entries.append(ScheduleEntry(block, fcr_prod, q_f, sp))
+            revenue += q_f * fcr_prices.price(block)
+        if q_a > 0:
+            entries.append(ScheduleEntry(block, afrr_prod, q_a, sp))
+            revenue += q_a * afrr_price_per_block_eur
+        if h2_value is not None and (q_f > 0 or q_a > 0):
+            h2_loss += hydrogen_loss_kg(sp)
+    objective = revenue - h2_loss * h2_value if h2_value is not None else revenue
+    return AllocationResult(BidSchedule(tuple(entries)), revenue, h2_loss, objective)
 
 
 def brute_force_oracle(
@@ -72,22 +105,19 @@ def brute_force_oracle(
     options: AllocationOptions | None = None,
     max_combinations: int = 10**6,
 ) -> AllocationResult:
-    """Reference optimizer: plain cross product over all integer bids.
-
-    Shares only the objective and the tie rule (``_pick``, applied to all
-    feasible pairs of a block) with ``optimize_day``.  Refuses to run when
-    the search space exceeds ``max_combinations``.
+    """Reference optimizer: every integer (FCR, aFRR) pair at every grid
+    setpoint, held to the bid rules stated here and kept per block by
+    ``pick_row``.  The hydrogen loss goes through
+    ``specific_energy_at_scalar``.  It shares no code of ``src/elybal``
+    beyond the types and product definitions.  Refuses to run when the
+    search space exceeds ``max_combinations``; takes valid inputs only.
     """
     options = options or AllocationOptions()
-    fcr_prod, afrr_prod = _split_products(tuple(products))
+    fcr_prod, afrr_prod = _day_products(products)
 
     min_p, max_p = unit.min_power_mw, unit.rated_power_mw
     h2_value = options.hydrogen_value_eur_per_kg
-    lowest_sp = min_p
-    if h2_value is not None:
-        # forgone production is only known where the efficiency curve is
-        lowest_sp = max(min_p, unit.efficiency_curve.domain[0] * max_p)
-    setpoints = _grid_points(lowest_sp, max_p, options.setpoint_grid_mw).tolist()
+    setpoints = _setpoints(unit, options)
     n_quant = int(math.floor(max_p / 1.0 + _EPS)) + 1
     space = len(CANONICAL_BLOCKS) * len(setpoints) * n_quant * n_quant
     if space > max_combinations:
@@ -95,71 +125,49 @@ def brute_force_oracle(
             f"search space of {space} combinations exceeds the oracle bound {max_combinations}"
         )
 
-    def feasible(sp: float, q_f: float, q_a: float) -> bool:
-        if options.pre_reserved_fcr_mw is not None:
-            if abs(q_f - options.pre_reserved_fcr_mw) > _EPS:
-                return False
-        if q_f > 0:
-            if fcr_prod is None or q_f < fcr_prod.min_bid_mw - _EPS:
-                return False
-            lots = q_f / fcr_prod.trade_increment_mw
-            if abs(lots - round(lots)) > _EPS:
-                return False
-            if sp - q_f < min_p - _EPS or sp + q_f > max_p + _EPS:
-                return False
-            slowest = min(unit.ramp_up_mw_per_s, unit.ramp_down_mw_per_s)
-            if q_f > slowest * fcr_prod.availability_s + _EPS:
-                return False
-        if q_a > 0:
-            if afrr_prod is None or q_a < afrr_prod.min_bid_mw - _EPS:
-                return False
-            lots = q_a / afrr_prod.trade_increment_mw
-            if abs(lots - round(lots)) > _EPS:
-                return False
-            if sp - q_f - q_a < min_p - _EPS:
-                return False
-            if q_a > unit.ramp_down_mw_per_s * afrr_prod.availability_s + _EPS:
-                return False
-        return True
+    pinned = options.pre_reserved_fcr_mw
+    slowest = min(unit.ramp_up_mw_per_s, unit.ramp_down_mw_per_s)
 
-    duration = fcr_prod.duration_h if fcr_prod else afrr_prod.duration_h
-    entries: list[ScheduleEntry] = []
-    revenue = 0.0
-    h2_loss_total = 0.0
+    def tradable(q: float, product: BalancingProduct | None) -> bool:
+        """0, or a bid of an offered product: on its grid, from its minimum bid."""
+        if q == 0.0 or product is None:
+            return q == 0.0
+        lots = q / product.trade_increment_mw
+        return abs(lots - round(lots)) <= _EPS and q >= product.min_bid_mw - _EPS
+
+    def feasible(sp: float, q_f: float, q_a: float) -> bool:
+        """The FCR band inside [min, rated] power and reached by the slower ramp
+        by its deadline, the aFRR band below it and reached by the down ramp."""
+        return (tradable(q_f, fcr_prod) and tradable(q_a, afrr_prod)
+                and (pinned is None or abs(q_f - pinned) <= _EPS)
+                and (q_f == 0.0 or (sp - q_f >= min_p - _EPS and sp + q_f <= max_p + _EPS
+                                    and q_f <= slowest * fcr_prod.availability_s + _EPS))
+                and (q_a == 0.0 or (sp - q_f - q_a >= min_p - _EPS and q_a
+                                    <= unit.ramp_down_mw_per_s * afrr_prod.availability_s + _EPS)))
+
+    duration = (fcr_prod or afrr_prod).duration_h
+
+    def hydrogen_loss_kg(sp: float) -> float:
+        """Production forgone at ``sp`` against full load over one block."""
+        def production_kg(power: float) -> float:
+            return power * duration * 1000.0 / specific_energy_at_scalar(
+                unit.efficiency_curve, power / max_p)
+        return production_kg(max_p) - production_kg(sp)
+
+    h2_cost = {sp: h2_value * hydrogen_loss_kg(sp) if h2_value is not None else 0.0
+               for sp in setpoints}
+    bids = [(sp, q_f, q_a) for sp in setpoints for q_f in map(float, range(n_quant))
+            for q_a in map(float, range(n_quant)) if feasible(sp, q_f, q_a)]
+    picks = []
     for block in CANONICAL_BLOCKS:
         fcr_price = fcr_prices.price(block) if fcr_prod is not None else 0.0
         afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
-        candidates = []  # (score, reserved, q_f, sp, q_a)
-        for sp in setpoints:
-            if h2_value is not None:
-                h2_cost = h2_value * _hydrogen_loss_kg(unit, sp, duration)
-            else:
-                h2_cost = 0.0
-            for qf_lots in range(n_quant):
-                q_f = float(qf_lots)
-                for qa_lots in range(n_quant):
-                    q_a = float(qa_lots)
-                    if feasible(sp, q_f, q_a):
-                        score = q_f * fcr_price + q_a * afrr_price - h2_cost
-                        candidates.append((score, q_f + q_a, q_f, sp, q_a))
-        q_f, q_a, sp = 0.0, 0.0, max_p
-        if candidates:
-            score, reserved, fcr_q, setpoint, _ = np.array(candidates).T
-            best = _pick(score, reserved, fcr_q, setpoint)
-            _, _, q_f, sp, q_a = candidates[best]
-        if q_f > 0:
-            entries.append(ScheduleEntry(block, fcr_prod, q_f, sp))
-            revenue += q_f * fcr_price
-        if q_a > 0:
-            entries.append(ScheduleEntry(block, afrr_prod, q_a, sp))
-            revenue += q_a * afrr_price
-        if h2_value is not None and (q_f > 0 or q_a > 0):
-            h2_loss_total += _hydrogen_loss_kg(unit, sp, duration)
-
-    objective = revenue
-    if h2_value is not None:
-        objective -= h2_loss_total * h2_value
-    return AllocationResult(BidSchedule(tuple(entries)), revenue, h2_loss_total, objective)
+        candidates = [(q_f * fcr_price + q_a * afrr_price - h2_cost[sp], q_f + q_a, q_f, sp)
+                      for sp, q_f, q_a in bids]  # (score, reserved, q_fcr, setpoint)
+        sp, q_f, q_a = bids[pick_row(*np.array(candidates).T)] if bids else (max_p, 0.0, 0.0)
+        picks.append((q_f, q_a, sp))
+    return _day_result(picks, products, fcr_prices, afrr_price_per_block_eur, h2_value,
+                       hydrogen_loss_kg)
 
 
 def pick_row(
@@ -171,7 +179,8 @@ def pick_row(
     The tie rule, applied in turn: the score within ``_EPS`` of the max,
     then the reserved capacity within ``_EPS`` of the min, then the FCR
     quantity within ``_EPS`` of the min, then the highest setpoint (more
-    hydrogen), the first candidate on exact ties.
+    hydrogen), the first candidate on exact ties.  ``_pick`` drops the
+    setpoint key, as its candidates' setpoints never rise.
     """
     if not score.size:
         return None
@@ -182,127 +191,6 @@ def pick_row(
     return int(idx[np.argmax(setpoint[idx])])
 
 
-def _better(
-    score: float,
-    reserved: float,
-    q_fcr: float,
-    setpoint: float,
-    best: tuple[float, float, float, float] | None,
-) -> bool:
-    """Tie-break order: score, then less reserved capacity, then less FCR,
-    then the higher setpoint (more hydrogen)."""
-    if best is None:
-        return True
-    b_score, b_reserved, b_fcr, b_sp = best
-    if score > b_score + _EPS:
-        return True
-    if score < b_score - _EPS:
-        return False
-    if reserved < b_reserved - _EPS:
-        return True
-    if reserved > b_reserved + _EPS:
-        return False
-    if q_fcr < b_fcr - _EPS:
-        return True
-    if q_fcr > b_fcr + _EPS:
-        return False
-    return setpoint > b_sp + _EPS
-
-
-def _fcr_choices(
-    fcr_prod: BalancingProduct, fcr_top: float, room: float, afrr_levels: tuple[float, ...]
-) -> list[float]:
-    """0 plus the FCR quantities where the block score can peak.
-
-    Each FCR lot moves the aFRR origin down, out of ``room``, the headroom
-    below the setpoint.  So the aFRR top falls in steps as q_fcr grows:
-    flat while the aFRR ramp reach caps it, then one aFRR lot at a time,
-    then 0 below the aFRR minimum bid.  Along a step the score rises with
-    q_fcr, and across the last FCR lots of the steps it is linear, so the
-    optimum is 0, a tradable end, or the last lot of a step (or the lot
-    after it) whose aFRR top is in ``afrr_levels``.  That holds when one
-    trading increment is a multiple of the other.
-    """
-    lo = _min_tradable_mw(fcr_prod)
-    if fcr_top < lo - _EPS:
-        return [0.0]
-    candidates = {0.0, lo, fcr_top}
-    for level in afrr_levels:
-        if level > 0.0:
-            last = tradable_mw(room - level, fcr_prod)
-            for q in (last, last + fcr_prod.trade_increment_mw):
-                candidates.add(min(max(q, lo), fcr_top))
-    return sorted(candidates)
-
-
-def _afrr_top(
-    unit: ElectrolyzerUnit, afrr_prod: BalancingProduct | None, origin_mw: float
-) -> float:
-    if afrr_prod is None:
-        return 0.0
-    return tradable_mw(capacity_limit_mw(unit, afrr_prod, origin_mw), afrr_prod)
-
-
-def corner_candidates(
-    unit: ElectrolyzerUnit,
-    fcr_prod: BalancingProduct | None,
-    afrr_prod: BalancingProduct | None,
-    pinned: float | None,
-    sp: float,
-) -> list[tuple[float, float]]:
-    """The (q_fcr, q_afrr) corners of one setpoint: FCR ascending, then
-    aFRR 0 before its top.  ``pinned`` fixes the FCR quantity."""
-    if fcr_prod is None:
-        fcr_choices = [0.0]
-    else:
-        fcr_top = tradable_mw(capacity_limit_mw(unit, fcr_prod, sp), fcr_prod)
-        if pinned is not None:
-            fcr_choices = [pinned] if pinned <= fcr_top + _EPS else []
-        else:
-            # aFRR tops that end a linear stretch of the score in q_fcr: the
-            # ramp reach, the smallest bid, the top at the lowest FCR lot and
-            # the step above the top at the highest
-            reach = _afrr_top(unit, afrr_prod, unit.rated_power_mw)
-            levels = (
-                reach,
-                _min_tradable_mw(afrr_prod) if reach > 0.0 else 0.0,
-                _afrr_top(unit, afrr_prod, sp - _min_tradable_mw(fcr_prod)),
-                _afrr_top(unit, afrr_prod, sp - fcr_top)
-                + (afrr_prod.trade_increment_mw if reach > 0.0 else 0.0),
-            )
-            fcr_choices = _fcr_choices(fcr_prod, fcr_top, sp - unit.min_power_mw, levels)
-    corners = []
-    for q_fcr in fcr_choices:
-        top = _afrr_top(unit, afrr_prod, sp - q_fcr)
-        corners += [(q_fcr, 0.0), (q_fcr, top)] if top > 0.0 else [(q_fcr, 0.0)]
-    return corners
-
-
-def _best_for_block(
-    unit: ElectrolyzerUnit,
-    fcr_prod: BalancingProduct | None,
-    fcr_price: float,
-    afrr_prod: BalancingProduct | None,
-    afrr_price_block: float,
-    pinned: float | None,
-    setpoint_costs: list[tuple[float, float]],
-) -> tuple[float, float, float, float]:
-    """Returns (q_fcr, q_afrr, setpoint, score) for one block.
-
-    ``pinned`` fixes the FCR quantity; ``setpoint_costs`` pairs each
-    candidate setpoint with its hydrogen cost.
-    """
-    best_key = None
-    best_choice = (0.0, 0.0, unit.rated_power_mw, 0.0)
-    for sp, h2_cost in setpoint_costs:
-        for q_fcr, q_afrr in corner_candidates(unit, fcr_prod, afrr_prod, pinned, sp):
-            score = q_fcr * fcr_price + q_afrr * afrr_price_block - h2_cost
-            if _better(score, q_fcr + q_afrr, q_fcr, sp, best_key):
-                best_key = (score, q_fcr + q_afrr, q_fcr, sp)
-                best_choice = (q_fcr, q_afrr, sp, score)
-    return best_choice
-
-
 def optimize_day_loop(
     unit: ElectrolyzerUnit,
     products: list[BalancingProduct] | tuple[BalancingProduct, ...],
@@ -310,51 +198,72 @@ def optimize_day_loop(
     afrr_price_per_block_eur: float | None,
     options: AllocationOptions | None = None,
 ) -> AllocationResult:
-    """Reference for ``optimize_day`` on days too large for the brute force:
-    the corner candidates of every grid setpoint (``corner_candidates``),
-    scored one setpoint at a time and kept by the sequential comparison
-    ``_better``.  It shares no search with ``optimize_day``, which tries
-    each FCR lot only at the highest setpoint that holds it; the grid, the
-    hydrogen loss, the smallest lot and the product split it does share.
-    Takes valid inputs only."""
+    """Reference for ``optimize_day`` on days too large for the brute force.
+
+    At every grid setpoint it tries 0 and every tradable FCR lot up to the
+    FCR top there (or the pin alone, where the top holds it), each with
+    aFRR 0 and with aFRR's top below the FCR band.  The FCR top is
+    ``capacity_limit_scalar`` floored to lots by ``tradable_scalar``; the
+    aFRR tops, one per lot, are min(room below the band, ramp down x
+    deadline) floored to lots in numpy.  Each block keeps its best so far,
+    setpoint by setpoint up the grid, by ``pick_row`` over that best and the
+    setpoint's candidates.  Where production is flat, the forgone hydrogen
+    differs between setpoints by rounding alone, which at GW sizes can span
+    the tie slack over the whole grid; step by step those ties carry the
+    best up to the highest setpoint, as the allocator's hosting does.  So it
+    shares no search, grid, cap or tie rule with ``optimize_day``, which
+    tries each lot only at the highest setpoint that holds it.
+
+    It shares ``_hydrogen_loss_kg``: the large-day test holds hydrogen loss
+    and objective bit-equal, and the array interpolation behind it can
+    differ from ``specific_energy_at_scalar`` in the last bit.  Takes valid
+    inputs only.
+    """
     options = options or AllocationOptions()
-    fcr_prod, afrr_prod = _split_products(tuple(products))
+    fcr_prod, afrr_prod = _day_products(products)
     h2_value = options.hydrogen_value_eur_per_kg
-    duration = fcr_prod.duration_h if fcr_prod else afrr_prod.duration_h
-    lowest_sp = unit.min_power_mw
-    if h2_value is not None:
-        lowest_sp = max(lowest_sp, unit.efficiency_curve.domain[0] * unit.rated_power_mw)
-    setpoint_costs = [
-        (sp, h2_value * _hydrogen_loss_kg(unit, sp, duration) if h2_value is not None else 0.0)
-        for sp in _grid_points(lowest_sp, unit.rated_power_mw, options.setpoint_grid_mw).tolist()
-    ]
+    duration = (fcr_prod or afrr_prod).duration_h
+    pinned = options.pre_reserved_fcr_mw
+    fcr_price = [fcr_prices.price(b) if fcr_prod else 0.0 for b in CANONICAL_BLOCKS]
+    afrr_price = afrr_price_per_block_eur if afrr_prod else 0.0
 
-    entries: list[ScheduleEntry] = []
-    revenue = 0.0
-    h2_loss = 0.0
-    for block in CANONICAL_BLOCKS:
-        q_fcr, q_afrr, sp, _ = _best_for_block(
-            unit,
-            fcr_prod,
-            fcr_prices.price(block) if fcr_prod is not None else 0.0,
-            afrr_prod,
-            afrr_price_per_block_eur if afrr_prod is not None else 0.0,
-            options.pre_reserved_fcr_mw,
-            setpoint_costs,
-        )
-        if q_fcr > 0:
-            entries.append(ScheduleEntry(block, fcr_prod, q_fcr, sp))
-            revenue += q_fcr * fcr_prices.price(block)
-        if q_afrr > 0:
-            entries.append(ScheduleEntry(block, afrr_prod, q_afrr, sp))
-            revenue += q_afrr * afrr_price_per_block_eur
-        if h2_value is not None and (q_fcr > 0 or q_afrr > 0):
-            h2_loss += _hydrogen_loss_kg(unit, sp, duration)
+    best: list[np.ndarray | None] = [None] * len(CANONICAL_BLOCKS)  # per block, as below
+    for sp in _setpoints(unit, options):
+        fcr_top = 0.0
+        if fcr_prod is not None:
+            fcr_top = tradable_scalar(capacity_limit_scalar(unit, fcr_prod, sp), fcr_prod)
+        if pinned is not None:
+            lots = np.array([pinned] if pinned <= fcr_top + _EPS else [])
+        else:
+            lots = np.array([0.0])
+            if fcr_prod is not None:
+                inc = fcr_prod.trade_increment_mw
+                k = np.arange(1, round(fcr_top / inc) + 1)
+                lots = np.concatenate((lots, k[k * inc >= fcr_prod.min_bid_mw - _EPS] * inc))
+        q_afrr = np.zeros_like(lots)
+        if afrr_prod is not None:
+            limit = np.minimum(sp - lots - unit.min_power_mw,
+                               unit.ramp_down_mw_per_s * afrr_prod.availability_s)
+            inc = afrr_prod.trade_increment_mw
+            q_afrr = np.floor((limit + _EPS) / inc) * inc
+            q_afrr[q_afrr < afrr_prod.min_bid_mw - _EPS] = 0.0
+        # each lot with aFRR 0, and with its top where that is a bid
+        q_fcr = np.concatenate((lots, lots[q_afrr > 0.0]))
+        q_afrr = np.concatenate((np.zeros_like(lots), q_afrr[q_afrr > 0.0]))
+        if not q_fcr.size:
+            continue
+        h2_cost = h2_value * _hydrogen_loss_kg(unit, sp, duration) if h2_value is not None else 0.0
+        for b, price in enumerate(fcr_price):
+            rows = np.stack((q_fcr * price + q_afrr * afrr_price - h2_cost, q_fcr + q_afrr,
+                             q_fcr, np.full(q_fcr.size, sp), q_afrr))
+            if best[b] is not None:  # the best so far, from the setpoints below, goes first
+                rows = np.column_stack((best[b], rows))
+            best[b] = rows[:, pick_row(*rows[:4])]  # (score, reserved, q_fcr, setpoint, q_afrr)
 
-    objective = revenue
-    if h2_value is not None:
-        objective -= h2_loss * h2_value
-    return AllocationResult(BidSchedule(tuple(entries)), revenue, h2_loss, objective)
+    picks = [(0.0, 0.0, unit.rated_power_mw) if column is None
+             else (float(column[2]), float(column[4]), float(column[3])) for column in best]
+    return _day_result(picks, products, fcr_prices, afrr_price_per_block_eur, h2_value,
+                       lambda sp: _hydrogen_loss_kg(unit, sp, duration))
 
 
 def capacity_limit_scalar(
@@ -394,6 +303,10 @@ def max_offerable_scan(
 
     Without a setpoint each candidate bid is hosted at ``default_setpoint``
     moved just far enough to leave the bid headroom, if such a point exists.
+    It shares ``check_eligibility`` and ``default_setpoint`` on purpose: it
+    cross-checks two public functions, ``max_offerable``'s closed form
+    against the rule-by-rule verdict, from the setpoint the command line
+    picks.
     """
     min_p, max_p = unit.min_power_mw, unit.rated_power_mw
     inc = product.trade_increment_mw
@@ -602,7 +515,9 @@ def load_signal_rows(path: str | Path, kind: SignalKind) -> ActivationSignal:
     own ``csv.reader`` loop.  A row is numbered by the physical file line it
     starts on, counted here as the lines are handed to the reader.  Every
     value cell is checked before any time cell, as the loader does, and a
-    leading UTF-8 byte-order mark is skipped."""
+    leading UTF-8 byte-order mark is skipped.  It shares
+    ``ActivationSignal.from_rows``, the signal's one constructor, and
+    ``ScenarioError``: what it checks is the row walk, not the time rules."""
     path = Path(path)
     source = str(path)
     try:

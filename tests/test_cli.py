@@ -347,6 +347,15 @@ class TestInputFiles:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: not UTF-8 text"), err
 
+    @pytest.mark.parametrize("name", ["missing.csv", "a_directory", ""])
+    def test_an_unreadable_prices_flag_names_the_flag_and_key(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
+        prices = str(tmp_path / name) if name else ""  # an empty path reads the working directory
+        assert main(["allocate", "--scenario", REVENUE, "--prices", prices]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --prices, key 'fcr_capacity_csv': cannot read file: "), err
+        assert prices in err
+
     def test_a_one_row_signal_names_the_time_column(self, tmp_path, capsys):
         signal = tmp_path / "one_row.csv"
         signal.write_text("time_s,value\n0,-1\n", encoding="utf-8")
