@@ -664,8 +664,9 @@ def write_trajectory_csv(trajectory: PowerTrajectory, path: str | Path, *copies)
     """Two-column time_s,power_mw CSV of a simulated trajectory, rewritten in place at ``path``
     and each of ``copies``: times to 15 significant digits, which keeps every stamp distinct
     but hides the float noise of ``i * timestep_s``, powers as their ``repr``."""
-    rows = map("{:.15g},{!r}\n".format, trajectory.times.tolist(), trajectory.powers_mw.tolist())
-    _write_text("time_s,power_mw\n" + "".join(rows), path, *copies)
+    cells = np.column_stack((trajectory.times, trajectory.powers_mw)).ravel().tolist()
+    _write_text("time_s,power_mw\n" + "%.15g,%r\n" * len(trajectory.times) % tuple(cells),
+                path, *copies)
     return Path(path)
 
 

@@ -408,11 +408,14 @@ def curves(draw, lo: float = 0.05):
 def dispatch_cases(draw):
     """A unit, operating point, signal and product the dispatch code accepts.
 
-    Signals are piecewise constant (held levels around the full-activation
-    threshold), noisy (a random walk plus noise) or flipping (full
-    activation from the first sample to the last, changing sign every 1-3
-    samples, so nearly every sample is an onset), of either kind; bids run
-    from 0 to the widest the direction allows and setpoints across the
+    Signals are piecewise constant (levels around the full-activation
+    threshold held 1-600 samples, many of them shorter than the time the
+    unit needs to ramp between them), saturating (plateaus beyond full
+    activation joined by a random walk, at the widest bid, so targets also
+    clip at the band edges), noisy (a random walk plus noise) or flipping
+    (full activation from the first sample to the last, changing sign every
+    1-3 samples, so nearly every sample is an onset), of either kind; bids
+    run from 0 to the widest the direction allows and setpoints across the
     band that hosts the bid.
     """
     min_load = draw(st.floats(0.05, 0.6))
@@ -423,22 +426,32 @@ def dispatch_cases(draw):
         efficiency_curve=draw(curves(min_load)),
     )
     direction = draw(st.sampled_from(list(Direction)))
+    shape = draw(st.sampled_from(["piecewise constant", "saturating", "noisy", "flipping"]))
+    event(shape)
     band = unit.rated_power_mw - unit.min_power_mw
     widest = band / 2 if direction is Direction.SYM else band
-    bid = draw(st.floats(0.0, 1.0)) * widest  # 0 is among the floats drawn
+    # 0 is among the floats drawn
+    bid = widest if shape == "saturating" else draw(st.floats(0.0, 1.0)) * widest
     sp_lo = unit.min_power_mw + (bid if direction is not Direction.NEG else 0.0)
     sp_hi = unit.rated_power_mw - (bid if direction is not Direction.POS else 0.0)
     setpoint = min(sp_lo + draw(st.floats(0.0, 1.0)) * (sp_hi - sp_lo), sp_hi)
 
     kind = draw(st.sampled_from(list(SignalKind)))
     full = 0.2 if kind is SignalKind.FREQUENCY_DEVIATION else (bid or 1.0)
-    shape = draw(st.sampled_from(["piecewise constant", "noisy", "flipping"]))
-    event(shape)
     if shape == "piecewise constant":
         levels = [full * f for f in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)]
-        holds = draw(st.lists(st.tuples(st.sampled_from(levels), st.integers(1, 120)),
+        holds = draw(st.lists(st.tuples(st.sampled_from(levels), st.integers(1, 600)),
                               min_size=1, max_size=10))
         values = [level for level, hold in holds for _ in range(hold)]
+    elif shape == "saturating":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        plateaus = draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1.0, 3.0),
+                                           st.integers(1, 600)), min_size=1, max_size=8))
+        values = []
+        for sign, level, hold in plateaus:
+            values += [sign * level * full] * hold
+            values += list(sign * level * full
+                           + np.cumsum(rng.normal(0.0, 0.2 * full, rng.integers(60))))
     elif shape == "flipping":
         sign = draw(st.sampled_from([-1.0, 1.0]))
         holds = draw(st.lists(st.tuples(st.sampled_from([1.0, 1.5]), st.integers(1, 3)),
@@ -508,6 +521,46 @@ class TestAgainstSampleLoops:
         kg = hydrogen_output(traj, unit.efficiency_curve)
         kg_ref = hydrogen_output_loop(traj, unit.efficiency_curve)
         assert math.isclose(kg, kg_ref, rel_tol=1e-9, abs_tol=1e-12)
+
+    def test_an_afrr_step_day_matches_the_sample_loop(self):
+        """A day of 1 s aFRR POS requests held 1-15 min, on revenue_100mw's
+        unit (100 MW, 50 % min load, 0.167 %/s) bidding 40 MW at 95 MW: the
+        plant sits on most holds and is still moving when others end."""
+        unit = ElectrolyzerUnit("revenue", Technology.AEL, 100.0, 0.5, ramp_up=0.00167)
+        rng = np.random.default_rng(0)
+        values: list[float] = []
+        while len(values) < 86_400:
+            level = rng.choice([-40.0, 0.0, round(rng.uniform(-40.0, 0.0), 2)])
+            values += [float(level)] * int(rng.integers(60, 901))
+        signal = ActivationSignal(SignalKind.SETPOINT_REQUEST, values[:86_400])
+        powers = simulate(unit, 95.0, 40.0, signal, Direction.POS).powers_mw
+        ref = simulate_loop(unit, 95.0, 40.0, signal, Direction.POS).powers_mw
+        assert np.array_equal(powers, ref)
+        targets = 95.0 + signal.values[:-1]
+        on_target = powers[1:] == targets
+        run_ends = np.flatnonzero(targets[1:] != targets[:-1])
+        assert on_target.mean() > 0.5 and not on_target[run_ends].all()
+
+    @pytest.mark.parametrize("rated, ramp_up, dt",
+                             [(1e-8, 1e-3, 1.0), (100.0, 5.0, 2.0), (1e-200, 1e-200, 1.0)],
+                             ids=["band within SLACK_MW", "landing step off the target",
+                                  "ramp below the smallest float"])
+    def test_held_requests_match_the_sample_loop_at_any_scale(self, rated, ramp_up, dt):
+        """NEG holds from the minimum load across the band, at 1e-6 to 1 of its
+        width, after 20 samples of no request, which the unit starts on: a unit
+        whose whole band is within ``SLACK_MW`` is on target only when equal to
+        it; a unit ramping 10 times its rating a step lands on a target at
+        p + (x - p), which can round off x, and only then on it; a unit whose
+        ramp rounds to 0 MW a step never moves."""
+        unit = ElectrolyzerUnit("edge", Technology.AEL, rated, 0.001, ramp_up=ramp_up)
+        band = rated - unit.min_power_mw
+        rng = np.random.default_rng(0)
+        levels = rng.uniform(0.0, band, 40) * rng.choice([1e-6, 1e-3, 1.0], 40)
+        values = np.r_[np.zeros(20), np.repeat(levels, rng.integers(1, 100, 40))]
+        signal = ActivationSignal(SignalKind.SETPOINT_REQUEST, values, dt)
+        traj = simulate(unit, unit.min_power_mw, band, signal, Direction.NEG)
+        ref = simulate_loop(unit, unit.min_power_mw, band, signal, Direction.NEG)
+        assert np.array_equal(traj.powers_mw, ref.powers_mw)
 
     @settings(max_examples=200, deadline=None)
     @given(curve=curves(), shares=st.lists(st.floats(0.0, 1.0), max_size=50))
