@@ -13,10 +13,14 @@ at its host, the highest grid setpoint whose FCR top holds it.  None of
 that depends on the block, only the FCR price does, so ``optimize_day``
 builds one candidate table per day (``_day_table``), scores it as one
 blocks x candidates matrix and picks per row (``_pick``) the score within
-``_EPS`` of the best, then the least reserved capacity, then the least FCR
-(each within ``SLACK_MW``), then the first in table order: the lots ascend,
-so the setpoints never rise and the first is the highest.  When one
-candidate alone comes within ``_EPS`` of any row's best, it is every row's pick.
+the tie slack of the best, then the least reserved capacity, then the least
+FCR (each within ``SLACK_MW``), then the first in table order: the lots
+ascend, so the setpoints never rise and the first is the highest.  When one
+candidate alone comes within the slack of any row's best, it is every row's
+pick.  The slack is ``_EPS`` of what a row scores: its best score plus the
+hydrogen value of a block at full load, the most a candidate can forgo, so
+the sum is never negative.  So on a GW plant, whose productions round in
+the last bit by more than 1e-9 EUR, rounding cannot decide a tie.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .markets import (
 )
 from .model import SLACK_LOAD, SLACK_MW, ElectrolyzerUnit, check_range, specific_energy_at
 
-_EPS = 1e-9  # slack of the score tie (EUR) and of ratios; powers take SLACK_MW, loads SLACK_LOAD
+_EPS = 1e-9  # relative slack of the score tie and of ratios; powers take SLACK_MW, loads SLACK_LOAD
 
 
 @dataclass(frozen=True)
@@ -133,16 +137,12 @@ def _min_tradable_mw(product: BalancingProduct) -> float:
     return max(1, math.ceil((product.min_bid_mw - SLACK_MW) / inc)) * inc
 
 
-def _hydrogen_loss_kg(
-    unit: ElectrolyzerUnit, setpoint_mw: float | np.ndarray, hours: float
+def _production_kg(
+    unit: ElectrolyzerUnit, power_mw: float | np.ndarray, hours: float
 ) -> float | np.ndarray:
-    """Production forgone by holding the setpoint(s) instead of full load."""
-
-    def production_kg(power_mw: float | np.ndarray) -> float | np.ndarray:
-        se = specific_energy_at(unit.efficiency_curve, power_mw / unit.rated_power_mw)
-        return power_mw * hours * 1000.0 / se
-
-    return production_kg(unit.rated_power_mw) - production_kg(setpoint_mw)
+    """Hydrogen made at the power(s) over ``hours``."""
+    se = specific_energy_at(unit.efficiency_curve, power_mw / unit.rated_power_mw)
+    return power_mw * hours * 1000.0 / se
 
 
 def _top_mw(
@@ -189,14 +189,19 @@ def _day_table(
     return setpoint.repeat(count), lots.repeat(count), q_afrr
 
 
-def _pick(score: np.ndarray, reserved: np.ndarray, q_fcr: np.ndarray) -> np.ndarray:
+def _pick(
+    score: np.ndarray, reserved: np.ndarray, q_fcr: np.ndarray, full_value: float
+) -> np.ndarray:
     """Index of the best candidate in each row (last axis) of ``score``, a
     blocks x candidates matrix or one row; the other arrays broadcast.
-    Masks apply the tie rule in turn: the score within ``_EPS`` of the row
-    max, then on columns near some row's max the reserved capacity and FCR
-    within ``SLACK_MW`` of their min, the first (the highest setpoint) on ties.
+    Masks apply the tie rule in turn: the score within ``_EPS`` x (row max
+    + ``full_value``) of the row max, where no score is below
+    ``-full_value``, then on columns near some row's max the reserved
+    capacity and FCR within ``SLACK_MW`` of their min, the first (the
+    highest setpoint) on ties.
     """
-    keep = score >= score.max(axis=-1, keepdims=True) - _EPS
+    best = score.max(axis=-1, keepdims=True)
+    keep = score >= best * (1.0 - _EPS) - _EPS * full_value
     near = np.flatnonzero(keep.reshape(-1, keep.shape[-1]).any(axis=0))
     if near.size == 1:  # the best of every row: no tie to break
         return near[np.zeros(score.shape[:-1], dtype=np.intp)]
@@ -276,12 +281,16 @@ def optimize_day(
     afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
     fcr_price = list(fcr_prices.prices.values()) if fcr_prod else [0.0] * len(CANONICAL_BLOCKS)
     score = np.multiply.outer(fcr_price, q_fcr) + q_afrr * afrr_price
+    full_value = 0.0
     if h2_value is not None:
-        h2_kg = _hydrogen_loss_kg(unit, setpoint, (fcr_prod or afrr_prod).duration_h)
+        hours = (fcr_prod or afrr_prod).duration_h
+        full_kg = _production_kg(unit, unit.rated_power_mw, hours)
+        h2_kg = full_kg - _production_kg(unit, setpoint, hours)  # forgone against full load
         score -= h2_kg * h2_value
+        full_value = full_kg * h2_value
     entries: list[ScheduleEntry] = []
     revenue = h2_loss = 0.0
-    best = _pick(score, q_fcr + q_afrr, q_fcr) if q_fcr.size else []  # no candidate
+    best = _pick(score, q_fcr + q_afrr, q_fcr, full_value) if q_fcr.size else []  # no candidate
     picked = (q_fcr[best].tolist(), q_afrr[best].tolist(), setpoint[best].tolist(),
               h2_kg[best].tolist() if h2_value is not None else [0.0] * len(best))
     for block, price, qf, qa, sp, kg in zip(CANONICAL_BLOCKS, fcr_price, *picked):

@@ -32,9 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocate import AllocationOptions
 from .dispatch import ActivationSignal, PowerTrajectory, SignalKind, _check_band
-from .economics import EconomicsSettings
 from .markets import (
     BalancingProduct,
     CapacityPriceTable,
@@ -437,6 +435,9 @@ class Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and materialize a scenario file, loading the CSVs it names."""
+    from .allocate import AllocationOptions  # here, so reading signals or presets loads neither
+    from .economics import EconomicsSettings
+
     path = Path(path)
     sections = [_check(s) for s in _read_sections(path)]
     given = {s.name: s for s in sections if not _SCHEMA[s.name][0]}

@@ -31,7 +31,7 @@ from elybal.allocate import (
     AllocationResult,
     BidSchedule,
     ScheduleEntry,
-    _hydrogen_loss_kg,
+    _production_kg,
 )
 from elybal.dispatch import (
     DELIVERY_TOLERANCE,
@@ -147,15 +147,18 @@ def brute_force_oracle(
 
     duration = (fcr_prod or afrr_prod).duration_h
 
+    def production_kg(power: float) -> float:
+        """Hydrogen made at ``power`` over one block."""
+        return power * duration * 1000.0 / specific_energy_at_scalar(
+            unit.efficiency_curve, power / max_p)
+
     def hydrogen_loss_kg(sp: float) -> float:
         """Production forgone at ``sp`` against full load over one block."""
-        def production_kg(power: float) -> float:
-            return power * duration * 1000.0 / specific_energy_at_scalar(
-                unit.efficiency_curve, power / max_p)
         return production_kg(max_p) - production_kg(sp)
 
     h2_cost = {sp: h2_value * hydrogen_loss_kg(sp) if h2_value is not None else 0.0
                for sp in setpoints}
+    full_value = h2_value * production_kg(max_p) if h2_value is not None else 0.0
     bids = [(sp, q_f, q_a) for sp in setpoints for q_f in map(float, range(n_quant))
             for q_a in map(float, range(n_quant)) if feasible(sp, q_f, q_a)]
     picks = []
@@ -164,27 +167,39 @@ def brute_force_oracle(
         afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
         candidates = [(q_f * fcr_price + q_a * afrr_price - h2_cost[sp], q_f + q_a, q_f, sp)
                       for sp, q_f, q_a in bids]  # (score, reserved, q_fcr, setpoint)
-        sp, q_f, q_a = bids[pick_row(*np.array(candidates).T)] if bids else (max_p, 0.0, 0.0)
+        sp, q_f, q_a = (bids[pick_row(*np.array(candidates).T, full_value)] if bids
+                        else (max_p, 0.0, 0.0))
         picks.append((q_f, q_a, sp))
     return _day_result(picks, products, fcr_prices, afrr_price_per_block_eur, h2_value,
                        hydrogen_loss_kg)
 
 
+def score_slack(best_score_eur: float, full_value_eur: float) -> float:
+    """The score tie of one block: ``_EPS`` of what it scores, its best
+    score plus the hydrogen value of a block at full load
+    (``full_value_eur``, 0 without a hydrogen value).  No candidate forgoes
+    more than full-load production, so no score is below
+    ``-full_value_eur`` and the slack is never negative."""
+    return _EPS * (best_score_eur + full_value_eur)
+
+
 def pick_row(
-    score: np.ndarray, reserved: np.ndarray, q_fcr: np.ndarray, setpoint: np.ndarray
+    score: np.ndarray, reserved: np.ndarray, q_fcr: np.ndarray, setpoint: np.ndarray,
+    full_value_eur: float,
 ) -> int | None:
     """Reference for ``_pick`` on one row: index of the best candidate, or
     None when there is none.
 
-    The tie rule, applied in turn: the score within ``_EPS`` of the max,
-    then the reserved capacity within ``_EPS`` of the min, then the FCR
-    quantity within ``_EPS`` of the min, then the highest setpoint (more
+    The tie rule, applied in turn: the score within ``score_slack`` of the
+    max, then the reserved capacity within ``_EPS`` of the min, then the
+    FCR quantity within ``_EPS`` of the min, then the highest setpoint (more
     hydrogen), the first candidate on exact ties.  ``_pick`` drops the
     setpoint key, as its candidates' setpoints never rise.
     """
     if not score.size:
         return None
-    idx = np.flatnonzero(score >= score.max() - _EPS)
+    best = score.max()
+    idx = np.flatnonzero(score >= best - score_slack(best, full_value_eur))
     for key in (reserved, q_fcr):
         values = key[idx]
         idx = idx[values <= values.min() + _EPS]
@@ -205,16 +220,15 @@ def optimize_day_loop(
     aFRR 0 and with aFRR's top below the FCR band.  The FCR top is
     ``capacity_limit_scalar`` floored to lots by ``tradable_scalar``; the
     aFRR tops, one per lot, are min(room below the band, ramp down x
-    deadline) floored to lots in numpy.  Each block keeps its best so far,
-    setpoint by setpoint up the grid, by ``pick_row`` over that best and the
-    setpoint's candidates.  Where production is flat, the forgone hydrogen
-    differs between setpoints by rounding alone, which at GW sizes can span
-    the tie slack over the whole grid; step by step those ties carry the
-    best up to the highest setpoint, as the allocator's hosting does.  So it
-    shares no search, grid, cap or tie rule with ``optimize_day``, which
-    tries each lot only at the highest setpoint that holds it.
+    deadline) floored to lots in numpy.  Each block takes the global pick
+    of ``pick_row`` over all of them.  A first pass finds each block's best
+    score, and the second keeps only the candidates within ``score_slack``
+    of it, the ones ``pick_row`` keeps first, so a GW day never holds
+    millions of candidates at once.  It shares no search, grid, cap or tie
+    rule with ``optimize_day``, which tries each lot only at the highest
+    setpoint that holds it.
 
-    It shares ``_hydrogen_loss_kg``: the large-day test holds hydrogen loss
+    It shares ``_production_kg``: the large-day test holds hydrogen loss
     and objective bit-equal, and the array interpolation behind it can
     differ from ``specific_energy_at_scalar`` in the last bit.  Takes valid
     inputs only.
@@ -224,46 +238,65 @@ def optimize_day_loop(
     h2_value = options.hydrogen_value_eur_per_kg
     duration = (fcr_prod or afrr_prod).duration_h
     pinned = options.pre_reserved_fcr_mw
-    fcr_price = [fcr_prices.price(b) if fcr_prod else 0.0 for b in CANONICAL_BLOCKS]
+    fcr_price = np.array([fcr_prices.price(b) if fcr_prod else 0.0 for b in CANONICAL_BLOCKS])
     afrr_price = afrr_price_per_block_eur if afrr_prod else 0.0
+    full_kg = _production_kg(unit, unit.rated_power_mw, duration) if h2_value is not None else 0.0
 
-    best: list[np.ndarray | None] = [None] * len(CANONICAL_BLOCKS)  # per block, as below
-    for sp in _setpoints(unit, options):
-        fcr_top = 0.0
-        if fcr_prod is not None:
-            fcr_top = tradable_scalar(capacity_limit_scalar(unit, fcr_prod, sp), fcr_prod)
-        if pinned is not None:
-            lots = np.array([pinned] if pinned <= fcr_top + _EPS else [])
-        else:
-            lots = np.array([0.0])
+    def hydrogen_loss_kg(sp: float) -> float:
+        return full_kg - _production_kg(unit, sp, duration)
+
+    def candidates():
+        """Per setpoint with a candidate: (setpoint, q_fcr, q_afrr) and the
+        blocks x candidates scores."""
+        for sp in _setpoints(unit, options):
+            fcr_top = 0.0
             if fcr_prod is not None:
-                inc = fcr_prod.trade_increment_mw
-                k = np.arange(1, round(fcr_top / inc) + 1)
-                lots = np.concatenate((lots, k[k * inc >= fcr_prod.min_bid_mw - _EPS] * inc))
-        q_afrr = np.zeros_like(lots)
-        if afrr_prod is not None:
-            limit = np.minimum(sp - lots - unit.min_power_mw,
-                               unit.ramp_down_mw_per_s * afrr_prod.availability_s)
-            inc = afrr_prod.trade_increment_mw
-            q_afrr = np.floor((limit + _EPS) / inc) * inc
-            q_afrr[q_afrr < afrr_prod.min_bid_mw - _EPS] = 0.0
-        # each lot with aFRR 0, and with its top where that is a bid
-        q_fcr = np.concatenate((lots, lots[q_afrr > 0.0]))
-        q_afrr = np.concatenate((np.zeros_like(lots), q_afrr[q_afrr > 0.0]))
-        if not q_fcr.size:
-            continue
-        h2_cost = h2_value * _hydrogen_loss_kg(unit, sp, duration) if h2_value is not None else 0.0
-        for b, price in enumerate(fcr_price):
-            rows = np.stack((q_fcr * price + q_afrr * afrr_price - h2_cost, q_fcr + q_afrr,
-                             q_fcr, np.full(q_fcr.size, sp), q_afrr))
-            if best[b] is not None:  # the best so far, from the setpoints below, goes first
-                rows = np.column_stack((best[b], rows))
-            best[b] = rows[:, pick_row(*rows[:4])]  # (score, reserved, q_fcr, setpoint, q_afrr)
+                fcr_top = tradable_scalar(capacity_limit_scalar(unit, fcr_prod, sp), fcr_prod)
+            if pinned is not None:
+                lots = np.array([pinned] if pinned <= fcr_top + _EPS else [])
+            else:
+                lots = np.array([0.0])
+                if fcr_prod is not None:
+                    inc = fcr_prod.trade_increment_mw
+                    k = np.arange(1, round(fcr_top / inc) + 1)
+                    lots = np.concatenate((lots, k[k * inc >= fcr_prod.min_bid_mw - _EPS] * inc))
+            q_afrr = np.zeros_like(lots)
+            if afrr_prod is not None:
+                limit = np.minimum(sp - lots - unit.min_power_mw,
+                                   unit.ramp_down_mw_per_s * afrr_prod.availability_s)
+                inc = afrr_prod.trade_increment_mw
+                q_afrr = np.floor((limit + _EPS) / inc) * inc
+                q_afrr[q_afrr < afrr_prod.min_bid_mw - _EPS] = 0.0
+            # each lot with aFRR 0, and with its top where that is a bid
+            q_fcr = np.concatenate((lots, lots[q_afrr > 0.0]))
+            q_afrr = np.concatenate((np.zeros_like(lots), q_afrr[q_afrr > 0.0]))
+            if q_fcr.size:
+                h2_cost = h2_value * hydrogen_loss_kg(sp) if h2_value is not None else 0.0
+                score = np.multiply.outer(fcr_price, q_fcr) + q_afrr * afrr_price - h2_cost
+                yield sp, q_fcr, q_afrr, score
 
-    picks = [(0.0, 0.0, unit.rated_power_mw) if column is None
-             else (float(column[2]), float(column[4]), float(column[3])) for column in best]
+    best = np.full(len(CANONICAL_BLOCKS), -np.inf)
+    for *_, score in candidates():
+        best = np.maximum(best, score.max(axis=1))
+    full_value = full_kg * h2_value if h2_value is not None else 0.0
+    floor = [b - score_slack(b, full_value) for b in best.tolist()]
+    near = [[] for _ in CANONICAL_BLOCKS]  # per block, (score, reserved, q_fcr, setpoint, q_afrr)
+    for sp, q_fcr, q_afrr, score in candidates():
+        for b, row in enumerate(score):
+            keep = row >= floor[b]
+            if keep.any():
+                near[b].append(np.stack((row, q_fcr + q_afrr, q_fcr, np.full(q_fcr.size, sp),
+                                         q_afrr))[:, keep])
+    picks = []
+    for b, columns in enumerate(near):
+        if not columns:
+            picks.append((0.0, 0.0, unit.rated_power_mw))
+            continue
+        rows = np.concatenate(columns, axis=1)
+        column = rows[:, pick_row(*rows[:4], full_value)]
+        picks.append((float(column[2]), float(column[4]), float(column[3])))
     return _day_result(picks, products, fcr_prices, afrr_price_per_block_eur, h2_value,
-                       lambda sp: _hydrogen_loss_kg(unit, sp, duration))
+                       hydrogen_loss_kg)
 
 
 def capacity_limit_scalar(

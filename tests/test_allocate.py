@@ -553,8 +553,8 @@ FLAT_CURVE = EfficiencyCurve(((0.2, 50.0), (1.0, 50.0)))  # 80 kg per MW and 4 h
 @example(day=_one_setpoint_day(10.0, 0.5, 0.02, None, (1.0, 1.0), (1.0, 1.0),
                                30.0, 30.0, 8.0))
 # hydrogen: 1 MW FCR at 29 MW earns its 8 euro of forgone hydrogen plus
-# 1e-12, so it outscores 12 MW aFRR alone at 30 MW by under 1e-9 euro; the
-# less reserved 30 MW wins
+# 1e-12, so it outscores 12 MW aFRR alone at 30 MW by less than the tie slack;
+# the less reserved 30 MW wins
 @example(day=_day(ElectrolyzerUnit("h2tie", Technology.AEL, 30.0, 0.2, 0.05, 0.0014,
                                    efficiency_curve=FLAT_CURVE),
                   UNIT_GRID, UNIT_GRID_AFRR, [8.0 + 1e-12] * 6, 30.0,
@@ -636,7 +636,8 @@ def test_each_lot_sits_at_the_highest_setpoint_that_holds_it(day):
     assert (np.diff(got[0]) <= 0.0).all()
 
 
-# jittered by half the tie tolerance, so ties at every stage of the rule are common
+# jittered by half the tie tolerance, so ties at every stage of the rule are common;
+# the score's is _EPS x (row max + full value), at least 0.25e-9 from any jitter step
 TIE_PRONE = st.builds(lambda v, j: v + j * _EPS / 2, st.sampled_from([0.0, 1.0, 2.0]),
                       st.sampled_from([-1, 0, 1]))
 
@@ -664,19 +665,20 @@ FEWER_RESERVED = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
 
 
 @settings(max_examples=300, deadline=None)
-@given(arrays=pick_matrices())
-@example(arrays=[np.zeros((6, 5))] * 4)
-@example(arrays=[ONE_WINNER, FEWER_RESERVED, np.zeros((2, 3)), np.zeros((2, 3))])
-@example(arrays=[NEAR_WINNER, FEWER_RESERVED, np.zeros((2, 3)), np.zeros((2, 3))])
-@example(arrays=[ONE_WINNER[:1], FEWER_RESERVED[:1], np.zeros((1, 3)), np.zeros((1, 3))])
-def test_pick_applies_the_row_tie_rule_to_every_row(arrays):
+@given(arrays=pick_matrices(), full_value=st.sampled_from([0.25, 1.5]))
+@example(arrays=[np.zeros((6, 5))] * 4, full_value=0.25)
+@example(arrays=[ONE_WINNER, FEWER_RESERVED, np.zeros((2, 3)), np.zeros((2, 3))], full_value=1.5)
+@example(arrays=[NEAR_WINNER, FEWER_RESERVED, np.zeros((2, 3)), np.zeros((2, 3))], full_value=1.5)
+@example(arrays=[ONE_WINNER[:1], FEWER_RESERVED[:1], np.zeros((1, 3)), np.zeros((1, 3))],
+         full_value=1.5)
+def test_pick_applies_the_row_tie_rule_to_every_row(arrays, full_value):
     score, reserved, q_fcr, setpoint = arrays
-    rows = [pick_row(*(a[r] for a in arrays)) for r in range(len(score))]
-    assert _pick(score, reserved, q_fcr).tolist() == rows
-    assert _pick(score[0], reserved[0], q_fcr[0]) == rows[0]
+    rows = [pick_row(*(a[r] for a in arrays), full_value) for r in range(len(score))]
+    assert _pick(score, reserved, q_fcr, full_value).tolist() == rows
+    assert _pick(score[0], reserved[0], q_fcr[0], full_value) == rows[0]
     # as optimize_day calls it: per-candidate keys shared by every block
-    shared = [pick_row(s, reserved[0], q_fcr[0], setpoint[0]) for s in score]
-    assert _pick(score, reserved[0], q_fcr[0]).tolist() == shared
+    shared = [pick_row(s, reserved[0], q_fcr[0], setpoint[0], full_value) for s in score]
+    assert _pick(score, reserved[0], q_fcr[0], full_value).tolist() == shared
 
 
 @st.composite
@@ -716,8 +718,8 @@ def large_days(draw):
 
 
 # production flat from load 0.7 up: the forgone hydrogen differs between setpoints by
-# rounding alone, in steps of about 6e-10 euro at 5 euro/kg, more than the tie slack
-# across the upper grid
+# rounding alone, in steps of about 6e-10 euro at 5 euro/kg, more than 1e-9 euro across
+# the upper grid; the tie slack of about 5e-3 euro, scaled to the block, holds them all
 FLAT_TOP_DAY = _day(
     ElectrolyzerUnit("flat", Technology.AEL, 11999.0, 0.1, 0.000167,
                      efficiency_curve=EfficiencyCurve(((0.1, 48.0), (0.7, 35.0), (1.0, 50.0)))),
