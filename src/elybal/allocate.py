@@ -9,18 +9,19 @@ The search goes by FCR lot.  For a fixed lot, a higher setpoint leaves at
 least as much room below the band for aFRR and, while hydrogen production
 rises with load (``optimize_day`` checks the efficiency curve), forgoes no
 more hydrogen; the tie rule prefers it anyway.  So each lot is tried only
-at its host, the highest grid setpoint whose FCR top holds it.  None of
-that depends on the block, only the FCR price does, so ``optimize_day``
-builds one candidate table per day (``_day_table``), scores it as one
-blocks x candidates matrix and picks per row (``_pick``) the score within
-the tie slack of the best, then the least reserved capacity, then the least
-FCR (each within ``SLACK_MW``), then the first in table order: the lots
-ascend, so the setpoints never rise and the first is the highest.  When one
-candidate alone comes within the slack of any row's best, it is every row's
-pick.  The slack is ``_EPS`` of what a row scores: its best score plus the
-hydrogen value of a block at full load, the most a candidate can forgo, so
-the sum is never negative.  So on a GW plant, whose productions round in
-the last bit by more than 1e-9 EUR, rounding cannot decide a tie.
+at its host, found by rule: the highest multiple of ``setpoint_grid_mw``
+whose FCR band stays below rated power.  None of that depends on the block,
+only the FCR price does, so ``optimize_day`` builds one candidate table per
+day (``_day_table``), scores it as one blocks x candidates matrix and picks
+per row (``_pick``) the score within the tie slack of the best, then the
+least reserved capacity, then the least FCR (each within ``SLACK_MW``),
+then the first in table order: the lots ascend, so the setpoints never rise
+and the first is the highest.  When one candidate alone comes within the
+slack of any row's best, it is every row's pick.  The slack is ``_EPS`` of
+what a row scores: its best score plus the hydrogen value of a block at
+full load, the most a candidate can forgo, so the sum is never negative.
+So on a GW plant, whose productions round in the last bit by more than 1e-9
+EUR, rounding cannot decide a tie.
 """
 
 from __future__ import annotations
@@ -117,24 +118,7 @@ def _split_products(
     return fcr_prod, afrr_prod
 
 
-# most setpoints a day searches: its arrays peak at ~33 B a setpoint, 30 MB at 10 GW on 0.01 MW
-_MAX_SETPOINTS = 1_000_000
-
-
-def _grid_points(lo: float, hi: float, step: float) -> np.ndarray:
-    if not (count := (hi - lo) / step + 1) <= _MAX_SETPOINTS:
-        raise TableError(f"setpoint_grid_mw = {step:g} MW gives {count:.3g} setpoints from "
-                         f"{lo:g} to {hi:g} MW, more than the {_MAX_SETPOINTS} a day may search",
-                         None, "setpoint_grid_mw")
-    first = math.ceil(lo / step - _EPS)
-    last = math.floor(hi / step + _EPS)
-    return np.arange(first, last + 1) * step
-
-
-def _min_tradable_mw(product: BalancingProduct) -> float:
-    """Smallest bid on the trading grid at or above the minimum bid."""
-    inc = product.trade_increment_mw
-    return max(1, math.ceil((product.min_bid_mw - SLACK_MW) / inc)) * inc
+_MAX_LOTS = 1_000_000  # most FCR lots a day lists; a unit rated 1e12 MW would list 1e12
 
 
 def _production_kg(
@@ -159,29 +143,41 @@ def _day_table(
     fcr_prod: BalancingProduct | None,
     afrr_prod: BalancingProduct | None,
     pinned: float | None,
-    setpoints: np.ndarray,
+    lowest_sp: float,
+    step: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The candidates of a day as (setpoint, q_fcr, q_afrr) arrays: one FCR
     lot each, lots ascending (setpoints never rise), aFRR 0 before its top.
 
-    The lots are 0 and every tradable lot up to the largest FCR top on the
-    grid, or the pin alone.  Each sits at its host, the highest setpoint
-    whose FCR top holds it within ``SLACK_MW``: the running maximum of the
-    tops, taken from the top of the grid down, is sorted, so one
-    ``searchsorted`` counts the setpoints above each host.  Without FCR the
-    one lot, 0, sits at the top setpoint; a pin no setpoint holds has no
-    candidate.  The aFRR top is taken at the host, below the FCR band.
+    The setpoints are the multiples of ``step`` from ``lowest_sp`` to R,
+    the rated power, each end ``_EPS`` of a step out.  The lots are 0 and
+    every tradable lot up to R - ``lowest_sp``, or the pin alone.  Each
+    sits at its host, the highest setpoint whose FCR band ends within
+    ``SLACK_MW`` of R, if its FCR top holds the lot (lower setpoints have
+    less room below and the same ramp reach).  The aFRR top is taken at
+    the host, below the band.
     """
-    n = len(setpoints)
+    rated = unit.rated_power_mw
+    if not rated / step < 2.0**53:  # past it, floats skip multiples of the step
+        raise TableError(f"setpoint_grid_mw = {step:g} MW is too fine for rated power {rated:g} "
+                         "MW: floats cannot count its multiples that far", None, "setpoint_grid_mw")
     lots = np.array([0.0 if pinned is None else pinned])
-    reach = np.maximum.accumulate(_top_mw(unit, fcr_prod, setpoints)[::-1])
-    if fcr_prod is not None and pinned is None and n:
+    if fcr_prod is not None and pinned is None:
         inc = fcr_prod.trade_increment_mw
-        k = np.arange(round(_min_tradable_mw(fcr_prod) / inc), round(reach[-1] / inc) + 1)
-        lots = np.concatenate((lots, k * inc))
-    above = np.searchsorted(reach + SLACK_MW, lots)
-    hosted = above < n
-    lots, setpoint = lots[hosted], setpoints[n - 1 - above[hosted]]
+        if not (n_lots := (rated - lowest_sp) / inc + 1) <= _MAX_LOTS:
+            raise TableError(f"rated_power_mw = {rated:g} MW gives {n_lots:.3g} FCR lots of "
+                             f"{inc:g} MW above the lowest setpoint {lowest_sp:g} MW, more than "
+                             f"the {_MAX_LOTS} a day may search", None, "rated_power_mw")
+        first = max(1, math.ceil((fcr_prod.min_bid_mw - SLACK_MW) / inc))  # the least bid
+        lots = np.concatenate((lots, np.arange(first, math.ceil(n_lots)) * inc))
+    # the band may pass R by SLACK_MW; on a grid finer than that, by _EPS of a step, clear of
+    # where tradable_mw rounds
+    past = SLACK_MW / step if step > SLACK_MW else _EPS
+    k = np.minimum(np.floor((rated - lots) / step + past), math.floor(rated / step + _EPS))
+    host = k * step
+    kept = (k >= math.ceil(lowest_sp / step - _EPS)) & (
+        lots <= _top_mw(unit, fcr_prod, host) + SLACK_MW)
+    lots, setpoint = lots[kept], host[kept]
     top = _top_mw(unit, afrr_prod, setpoint - lots)
     count = 1 + (top > 0.0)
     q_afrr = np.zeros(count.sum())
@@ -268,16 +264,16 @@ def optimize_day(
         # a lot's highest host forgoes the least hydrogen only while production x / SE(x)
         # rises with load; it is monotone on each linear piece of the curve, and the curve
         # spans the setpoints, so its breakpoints tell
-        loads, energies = np.array(curve.breakpoints).T
-        kg_h = loads * unit.rated_power_mw * 1000.0 / energies
+        loads = np.array(curve.breakpoints)[:, 0]
+        kg_h = _production_kg(unit, loads * unit.rated_power_mw, 1.0)
         if (falls := np.flatnonzero(kg_h[1:] < kg_h[:-1] * (1.0 - _EPS))).size:
             k = falls[0]
             raise TableError("hydrogen_value_eur_per_kg needs production that rises with load; "
                              f"the unit's curve makes {kg_h[k]:.6g} kg/h at load fraction "
                              f"{loads[k]:g} but {kg_h[k + 1]:.6g} kg/h at {loads[k + 1]:g}",
                              None, "hydrogen_value_eur_per_kg")
-    setpoints = _grid_points(lowest_sp, unit.rated_power_mw, options.setpoint_grid_mw)
-    setpoint, q_fcr, q_afrr = _day_table(unit, fcr_prod, afrr_prod, pinned, setpoints)
+    setpoint, q_fcr, q_afrr = _day_table(unit, fcr_prod, afrr_prod, pinned, lowest_sp,
+                                         options.setpoint_grid_mw)
     afrr_price = afrr_price_per_block_eur if afrr_prod is not None else 0.0
     fcr_price = list(fcr_prices.prices.values()) if fcr_prod else [0.0] * len(CANONICAL_BLOCKS)
     score = np.multiply.outer(fcr_price, q_fcr) + q_afrr * afrr_price

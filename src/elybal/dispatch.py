@@ -33,6 +33,7 @@ from .model import SLACK_MW, EfficiencyCurve, ElectrolyzerUnit, check_range, spe
 
 DROOP_FULL_ACTIVATION_HZ = 0.2
 DELIVERY_TOLERANCE = 0.005  # fraction of the bid
+SLACK_FULL = 1e-9  # share of the bid a full request may fall short by: droop math rounds
 DEFAULT_TIMESTEP_S = 1.0
 SLACK_S = 1e-9  # how far apart two times (s) still count as one, per second of scale above 1 s
 _MIN_RUN = 16  # shortest run copied: its ~1.5 us of bookkeeping (estimated) is ~16 clamp steps
@@ -276,7 +277,7 @@ def check_compliance(
     if bid_mw == 0:
         return ComplianceResult(True, None, 0.0, energy)
 
-    full = np.abs(offsets) >= bid_mw * (1.0 - 1e-9)
+    full = np.abs(offsets) >= bid_mw * (1.0 - SLACK_FULL)
     same = np.zeros(n, dtype=bool)  # continues the run of the sample before
     same[1:] = full[1:] & full[:-1] & (offsets[:-1] * offsets[1:] > 0)
     onsets = np.flatnonzero(full & ~same)

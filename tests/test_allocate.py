@@ -11,13 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from elybal import allocate
 from elybal.allocate import (
     AllocationOptions,
     BidSchedule,
     ScheduleEntry,
     _EPS,
     _day_table,
-    _grid_points,
     _pick,
     _split_products,
     optimize_day,
@@ -173,18 +173,51 @@ class TestOptimizeDay:
         with pytest.raises(ValueError, match=r"afrr_price_per_block_eur must be in \[0, inf\)"):
             optimize_day(BIG_UNIT, [afrr()], None, afrr_price_per_block_eur=math.inf)
 
-    def test_too_fine_a_setpoint_grid_is_refused_before_any_array(self):
-        # 5e11 setpoints would take terabytes; the refusal allocates nothing
+    def test_a_fine_setpoint_grid_costs_no_memory(self):
+        # 5e11 setpoints of 1e-10 MW: each FCR lot is hosted by rule, so no array spans them
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"setpoint_grid_mw = 1e-10 MW gives 5e\+11 "
-                                                 r"setpoints"):
-                optimize_day(BIG_UNIT, [fcr()], PRICES, None,
-                             AllocationOptions(setpoint_grid_mw=1e-10))
+            fine = optimize_day(BIG_UNIT, [fcr()], PRICES, None,
+                                AllocationOptions(setpoint_grid_mw=1e-10))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+        assert fine.to_dict() == optimize_day(BIG_UNIT, [fcr()], PRICES, None).to_dict()
+
+    def test_too_many_fcr_lots_are_refused_before_any_array(self):
+        # 1.5e12 lots of 1 MW between the 5e11 MW minimum load and the 2e12 MW rating
+        huge = ElectrolyzerUnit("huge", Technology.AEL, 2e12, 0.25, 0.001)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableError, match=r"rated_power_mw = 2e\+12 MW gives 1\.5e\+12 FCR "
+                                                 r"lots of 1 MW") as info:
+                optimize_day(huge, [fcr(), afrr()], PRICES, 80.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert info.value.key == "rated_power_mw"
+
+    def test_the_lot_cap_counts_lots_from_the_lowest_setpoint(self, monkeypatch):
+        # (rated - lowest setpoint) / increment + 1 lots, as the setpoint cap counted
+        # setpoints on the default 1 MW grid; a day that lists one lot is not capped
+        monkeypatch.setattr(allocate, "_MAX_LOTS", 100)
+        optimize_day(ElectrolyzerUnit("at", Technology.AEL, 198.0, 0.5, 0.01), [fcr()],
+                     PRICES, None)
+        over = ElectrolyzerUnit("over", Technology.AEL, 200.0, 0.5, 0.01)
+        with pytest.raises(TableError, match="gives 101 FCR lots of 1 MW above the lowest "
+                                             "setpoint 100 MW, more than the 100 a day"):
+            optimize_day(over, [fcr()], PRICES, None)
+        optimize_day(over, [fcr()], PRICES, None, AllocationOptions(pre_reserved_fcr_mw=1.0))
+        optimize_day(over, [afrr()], None, 80.0)
+
+    def test_a_grid_finer_than_floats_count_is_refused(self):
+        with pytest.raises(TableError, match="setpoint_grid_mw = 1e-12 MW is too fine for rated "
+                                             "power 1e\\+06 MW") as info:
+            optimize_day(ElectrolyzerUnit("mw", Technology.AEL, 1e6, 0.5, 0.01), [afrr()],
+                         None, 80.0, AllocationOptions(setpoint_grid_mw=1e-12))
+        assert info.value.key == "setpoint_grid_mw"
 
     def test_result_to_dict_is_flat_data(self):
         result = optimize_day(BIG_UNIT, [fcr()], PRICES, None)
@@ -574,11 +607,12 @@ LOTS = st.sampled_from([0.5, 1.0, 2.0])
 
 @st.composite
 def table_days(draw):
-    """Plants of 2-40 MW, rated whole or not, whose FCR and aFRR POS trade in
-    0.5, 1 or 2 MW lots: free, pinned, FCR-only and aFRR-only, on 0.25-1 MW
-    setpoint grids."""
+    """Plants of 2-40 MW, rated on a 0.1 MW grid or anywhere, whose FCR and
+    aFRR POS trade in 0.5, 1 or 2 MW lots: free, pinned, FCR-only and
+    aFRR-only, on 0.01-2 MW setpoint grids."""
     unit = ElectrolyzerUnit(
-        "table", Technology.AEL, draw(st.integers(20, 400)) / 10,
+        "table", Technology.AEL,
+        draw(st.one_of(st.integers(20, 400).map(lambda n: n / 10), st.floats(2.0, 40.0))),
         draw(st.sampled_from([0.1, 0.2, 0.4, 0.5])),
         draw(st.sampled_from([0.002, 0.005, 0.02, 0.1])),
         draw(st.sampled_from([None, 0.005, 0.05])),
@@ -594,10 +628,22 @@ def table_days(draw):
         inc = fcr_prod.trade_increment_mw
         pinned = draw(st.sampled_from(
             [0.0] + [k * inc for k in range(1, 9) if k * inc >= fcr_prod.min_bid_mw]))
-    options = AllocationOptions(pre_reserved_fcr_mw=pinned,
-                                setpoint_grid_mw=draw(st.sampled_from([0.25, 0.5, 1.0])))
+    options = AllocationOptions(pre_reserved_fcr_mw=pinned, setpoint_grid_mw=draw(
+        st.sampled_from([0.01, 0.1, 0.25, 0.3, 0.5, 1.0, 2.0])))
     offered = mode if mode in ("fcr", "afrr") else "both"
     return _day(unit, fcr_prod, afrr_prod, [10.0] * 6, 10.0, options, offered)
+
+
+# R - 2 MW lies 1.5e-9 MW below the 8 MW setpoint: within _EPS of a 2 MW step, but past
+# SLACK_MW, so the 2 MW pin does not fit at 8 MW and sits at 6 MW
+PIN_PAST_SLACK = _day(ElectrolyzerUnit("edge", Technology.AEL, 10.0 - 1.5e-9, 0.1, 0.1),
+                      UNIT_GRID, UNIT_GRID_AFRR, [10.0] * 6, 10.0,
+                      AllocationOptions(pre_reserved_fcr_mw=2.0, setpoint_grid_mw=2.0))
+# R lies 5e-10 MW below 10 MW: within SLACK_MW, but past _EPS of a 0.1 MW step, so the
+# grid ends at 9.9 MW and the one lot, 0, sits there
+TOP_PAST_EPS = _day(ElectrolyzerUnit("top", Technology.AEL, 10.0 - 5e-10, 0.1, 0.1),
+                    UNIT_GRID, UNIT_GRID_AFRR, [10.0] * 6, 10.0,
+                    AllocationOptions(setpoint_grid_mw=0.1), "afrr")
 
 
 @settings(max_examples=200, deadline=None)
@@ -606,11 +652,15 @@ def table_days(draw):
 @example(day=LOWEST_LOT_KINK)
 @example(day=STEP_ABOVE_KINK)
 @example(day=RAMP_REACH_KINK)
+@example(day=PIN_PAST_SLACK)
+@example(day=TOP_PAST_EPS)
 def test_each_lot_sits_at_the_highest_setpoint_that_holds_it(day):
     unit, products, _, _, options = day
     fcr_prod, afrr_prod = _split_products(products)
     pinned = options.pre_reserved_fcr_mw
-    setpoints = _grid_points(unit.min_power_mw, unit.rated_power_mw, options.setpoint_grid_mw)
+    lo, step = unit.min_power_mw, options.setpoint_grid_mw
+    setpoints = np.arange(math.ceil(lo / step - 1e-9),
+                          math.floor(unit.rated_power_mw / step + 1e-9) + 1) * step
 
     def top(product, sp):
         return 0.0 if product is None else tradable_scalar(
@@ -630,7 +680,7 @@ def test_each_lot_sits_at_the_highest_setpoint_that_holds_it(day):
         if hosts:
             afrr_top = top(afrr_prod, hosts[-1] - lot)
             expected += [(hosts[-1], lot, 0.0)] + [(hosts[-1], lot, afrr_top)] * (afrr_top > 0.0)
-    got = _day_table(unit, fcr_prod, afrr_prod, pinned, setpoints)
+    got = _day_table(unit, fcr_prod, afrr_prod, pinned, lo, step)
     np.testing.assert_array_equal(np.array(got), np.array(expected).reshape(-1, 3).T)
     # so the first candidate is also the highest, and _pick needs no setpoint key
     assert (np.diff(got[0]) <= 0.0).all()

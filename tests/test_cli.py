@@ -437,14 +437,19 @@ class TestAllocateCommand:
         assert "capacity revenue" in captured.out
         assert captured.err == ""
 
-    def test_too_fine_a_setpoint_grid_is_an_input_error(self, tmp_path, capsys):
-        fine = scenario_copy(tmp_path, DEMO, "fine.scenario",
-                             ("[output]", "[allocate]\nsetpoint_grid_mw = 1e-12\n\n[output]"))
-        assert main(["allocate", "--scenario", fine]) == 1
+    def test_too_many_fcr_lots_are_an_input_error(self, tmp_path, capsys):
+        # 1.5e6 lots of 1 MW from the 1.5e6 MW minimum load up to the 3e6 MW rating
+        huge = tmp_path / "huge.scenario"
+        huge.write_text(
+            "[unit]\nname = huge\ntechnology = AEL\nrated_power_mw = 3e6\nmin_load_pct = 50\n"
+            "ramp_up_pct_per_s = 0.1\n\n[product]\nkind = fcr\n\n"
+            f"[prices]\nfcr_capacity_csv = {SCENARIOS / 'prices' / 'capacity_2024_07_25.csv'}\n",
+            encoding="utf-8")
+        assert main(["allocate", "--scenario", str(huge)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {fine}, line 31, key 'setpoint_grid_mw': "
-                                       "setpoint_grid_mw = 1e-12 MW gives ")
+        assert captured.err.startswith(f"error: {huge}, line 4, key 'rated_power_mw': "
+                                       "rated_power_mw = 3e+06 MW gives 1.5e+06 FCR lots ")
         assert "Traceback" not in captured.err
 
     def test_a_failing_scenario_leaves_no_output(self, tmp_path, capsys):

@@ -529,9 +529,9 @@ def test_any_loadable_text_runs_or_raises_scenario_error(tmp_path, text):
         load_scenario(path)
     except ScenarioError:
         return
-    # the allocator's own setpoint cap, lowered so that no generated fleet
+    # the allocator's own FCR lot cap, lowered so that no generated fleet
     # takes more than a few MB; a larger search is refused like any other
-    with mock.patch.object(allocate, "_MAX_SETPOINTS", 10_000):
+    with mock.patch.object(allocate, "_MAX_LOTS", 10_000):
         for command in ("simulate", "allocate", "economics"):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
