@@ -10,18 +10,18 @@ least as much room below the band for aFRR and, while hydrogen production
 rises with load (``optimize_day`` checks the efficiency curve), forgoes no
 more hydrogen; the tie rule prefers it anyway.  So each lot is tried only
 at its host, found by rule: the highest multiple of ``setpoint_grid_mw``
-whose FCR band stays below rated power.  None of that depends on the block,
-only the FCR price does, so ``optimize_day`` builds one candidate table per
-day (``_day_table``), scores it as one blocks x candidates matrix and picks
-per row (``_pick``) the score within the tie slack of the best, then the
-least reserved capacity, then the least FCR (each within ``SLACK_MW``),
-then the first in table order: the lots ascend, so the setpoints never rise
-and the first is the highest.  When one candidate alone comes within the
-slack of any row's best, it is every row's pick.  The slack is ``_EPS`` of
-what a row scores: its best score plus the hydrogen value of a block at
-full load, the most a candidate can forgo, so the sum is never negative.
-So on a GW plant, whose productions round in the last bit by more than 1e-9
-EUR, rounding cannot decide a tie.
+whose FCR band ends within ``SLACK_MW`` of rated power.  None of that
+depends on the block, only the FCR price does, so ``optimize_day`` builds
+one candidate table per day (``_day_table``), scores it as one blocks x
+candidates matrix and picks per row (``_pick``) the score within the tie
+slack of the best, then the least reserved capacity, then the least FCR
+(each within ``SLACK_MW``), then the first in table order: the lots ascend,
+so the setpoints never rise and the first is the highest.  When one
+candidate alone comes within the slack of any row's best, it is every
+row's pick.  The slack is ``_EPS`` of what a row scores: its best score
+plus the hydrogen value of a block at full load, the most a candidate can
+forgo, so the sum is never negative.  So on a GW plant, whose productions
+round in the last bit by more than 1e-9 EUR, rounding cannot decide a tie.
 """
 
 from __future__ import annotations
@@ -119,6 +119,7 @@ def _split_products(
 
 
 _MAX_LOTS = 1_000_000  # most FCR lots a day lists; a unit rated 1e12 MW would list 1e12
+_MAX_STEPS = 2.0**22  # most setpoint steps in R: the float error of R / step stays below _EPS
 
 
 def _production_kg(
@@ -150,30 +151,31 @@ def _day_table(
     lot each, lots ascending (setpoints never rise), aFRR 0 before its top.
 
     The setpoints are the multiples of ``step`` from ``lowest_sp`` to R,
-    the rated power, each end ``_EPS`` of a step out.  The lots are 0 and
-    every tradable lot up to R - ``lowest_sp``, or the pin alone.  Each
-    sits at its host, the highest setpoint whose FCR band ends within
-    ``SLACK_MW`` of R, if its FCR top holds the lot (lower setpoints have
-    less room below and the same ramp reach).  The aFRR top is taken at
-    the host, below the band.
+    the rated power, each end ``_EPS`` of a step out; R spans at most 2^22
+    steps, so the float error of R / step stays below ``_EPS``.  The lots
+    are 0 and every tradable lot up to half the band above the minimum load
+    (no symmetric FCR band holds more), or the pin alone.  Each sits at its
+    host, the highest setpoint whose FCR band ends within ``SLACK_MW`` of
+    R, if its FCR top holds the lot (lower setpoints have less room below
+    and the same ramp reach).  The aFRR top is taken below the band.
     """
     rated = unit.rated_power_mw
-    if not rated / step < 2.0**53:  # past it, floats skip multiples of the step
+    if not rated / step <= _MAX_STEPS:
         raise TableError(f"setpoint_grid_mw = {step:g} MW is too fine for rated power {rated:g} "
-                         "MW: floats cannot count its multiples that far", None, "setpoint_grid_mw")
+                         f"MW: it spans {rated / step:.3g} steps, more than the 2^22 floats place "
+                         "exactly", None, "setpoint_grid_mw")
     lots = np.array([0.0 if pinned is None else pinned])
     if fcr_prod is not None and pinned is None:
         inc = fcr_prod.trade_increment_mw
-        if not (n_lots := (rated - lowest_sp) / inc + 1) <= _MAX_LOTS:
+        if not (n_lots := (rated - unit.min_power_mw) / 2.0 / inc + 1) <= _MAX_LOTS:
             raise TableError(f"rated_power_mw = {rated:g} MW gives {n_lots:.3g} FCR lots of "
-                             f"{inc:g} MW above the lowest setpoint {lowest_sp:g} MW, more than "
-                             f"the {_MAX_LOTS} a day may search", None, "rated_power_mw")
+                             f"{inc:g} MW in half its band above minimum load, more than the "
+                             f"{_MAX_LOTS} a day may search", None, "rated_power_mw")
         first = max(1, math.ceil((fcr_prod.min_bid_mw - SLACK_MW) / inc))  # the least bid
         lots = np.concatenate((lots, np.arange(first, math.ceil(n_lots)) * inc))
-    # the band may pass R by SLACK_MW; on a grid finer than that, by _EPS of a step, clear of
-    # where tradable_mw rounds
-    past = SLACK_MW / step if step > SLACK_MW else _EPS
-    k = np.minimum(np.floor((rated - lots) / step + past), math.floor(rated / step + _EPS))
+    # the band may pass R by SLACK_MW; the host may not pass the grid's top, R + _EPS of a step
+    k = np.minimum(np.floor((rated - lots) / step + SLACK_MW / step),
+                   math.floor(rated / step + _EPS))
     host = k * step
     kept = (k >= math.ceil(lowest_sp / step - _EPS)) & (
         lots <= _top_mw(unit, fcr_prod, host) + SLACK_MW)

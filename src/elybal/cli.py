@@ -29,7 +29,6 @@ from .allocate import optimize_day
 from .dispatch import PowerTrajectory, check_compliance, simulate
 from .economics import build_report
 from .eligibility import check_eligibility, default_setpoint, max_offerable
-from .markets import ProductKind
 from .model import ElectrolyzerUnit
 from .scenario_io import (
     PRESETS,
@@ -134,8 +133,7 @@ def _allocate(scenario: Scenario, args) -> tuple[str, bool, dict]:
         fcr_prices = flag_file("--prices", "prices", "fcr_capacity_csv", args.prices,
                                load_capacity_prices)
     afrr_hourly = scenario.afrr_price_eur_per_mw_h
-    afrr = next((p for p in scenario.products if p.kind is ProductKind.AFRR), None)
-    afrr_block = None if afrr_hourly is None or afrr is None else afrr_hourly * afrr.duration_h
+    afrr_block = None if afrr_hourly is None else afrr_hourly * 4.0  # held over a 4 h block
     result = scenario.run("allocate", lambda: optimize_day(unit, scenario.products, fcr_prices,
                                                            afrr_block, scenario.allocate_options))
     reserved = {}

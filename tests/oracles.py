@@ -68,11 +68,13 @@ def _day_products(
 
 def _setpoints(unit: ElectrolyzerUnit, options: AllocationOptions) -> list[float]:
     """Every multiple of ``setpoint_grid_mw`` from the lowest setpoint (with a
-    hydrogen value, on the curve) to rated power, 1e-9 steps of slack."""
+    hydrogen value, on the curve) to rated power, 1e-9 steps of slack; none
+    past rated power by more than 1e-9 MW, where the operating band ends."""
     lo, hi, step = unit.min_power_mw, unit.rated_power_mw, options.setpoint_grid_mw
     if options.hydrogen_value_eur_per_kg is not None:
         lo = max(lo, unit.efficiency_curve.domain[0] * hi)
-    return [k * step for k in range(math.ceil(lo / step - _EPS), math.floor(hi / step + _EPS) + 1)]
+    grid = range(math.ceil(lo / step - _EPS), math.floor(hi / step + _EPS) + 1)
+    return [k * step for k in grid if k * step <= hi + _EPS]
 
 
 def _day_result(

@@ -174,11 +174,11 @@ class TestOptimizeDay:
             optimize_day(BIG_UNIT, [afrr()], None, afrr_price_per_block_eur=math.inf)
 
     def test_a_fine_setpoint_grid_costs_no_memory(self):
-        # 5e11 setpoints of 1e-10 MW: each FCR lot is hosted by rule, so no array spans them
+        # 5e5 setpoints of 1e-4 MW: each FCR lot is hosted by rule, so no array spans them
         tracemalloc.start()
         try:
             fine = optimize_day(BIG_UNIT, [fcr()], PRICES, None,
-                                AllocationOptions(setpoint_grid_mw=1e-10))
+                                AllocationOptions(setpoint_grid_mw=1e-4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -186,12 +186,12 @@ class TestOptimizeDay:
         assert fine.to_dict() == optimize_day(BIG_UNIT, [fcr()], PRICES, None).to_dict()
 
     def test_too_many_fcr_lots_are_refused_before_any_array(self):
-        # 1.5e12 lots of 1 MW between the 5e11 MW minimum load and the 2e12 MW rating
-        huge = ElectrolyzerUnit("huge", Technology.AEL, 2e12, 0.25, 0.001)
+        # 1.35e6 lots of 1 MW in half the band from the 3e5 MW minimum load to the 3e6 MW rating
+        huge = ElectrolyzerUnit("huge", Technology.AEL, 3e6, 0.1, 0.001)
         tracemalloc.start()
         try:
-            with pytest.raises(TableError, match=r"rated_power_mw = 2e\+12 MW gives 1\.5e\+12 FCR "
-                                                 r"lots of 1 MW") as info:
+            with pytest.raises(TableError, match=r"rated_power_mw = 3e\+06 MW gives 1\.35e\+06 FCR "
+                                                 r"lots of 1 MW in half its band") as info:
                 optimize_day(huge, [fcr(), afrr()], PRICES, 80.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -199,25 +199,48 @@ class TestOptimizeDay:
         assert peak < 1_000_000
         assert info.value.key == "rated_power_mw"
 
-    def test_the_lot_cap_counts_lots_from_the_lowest_setpoint(self, monkeypatch):
-        # (rated - lowest setpoint) / increment + 1 lots, as the setpoint cap counted
-        # setpoints on the default 1 MW grid; a day that lists one lot is not capped
+    def test_the_lot_cap_counts_lots_in_half_the_band(self, monkeypatch):
+        # a symmetric FCR band holds at most (rated - minimum load) / 2, so that many lots
+        # of the increment, plus lot 0, are listed; a day that lists one lot is not capped
         monkeypatch.setattr(allocate, "_MAX_LOTS", 100)
-        optimize_day(ElectrolyzerUnit("at", Technology.AEL, 198.0, 0.5, 0.01), [fcr()],
+        optimize_day(ElectrolyzerUnit("at", Technology.AEL, 396.0, 0.5, 0.01), [fcr()],
                      PRICES, None)
-        over = ElectrolyzerUnit("over", Technology.AEL, 200.0, 0.5, 0.01)
-        with pytest.raises(TableError, match="gives 101 FCR lots of 1 MW above the lowest "
-                                             "setpoint 100 MW, more than the 100 a day"):
+        over = ElectrolyzerUnit("over", Technology.AEL, 400.0, 0.5, 0.01)
+        with pytest.raises(TableError, match="gives 101 FCR lots of 1 MW in half its band above "
+                                             "minimum load, more than the 100 a day"):
             optimize_day(over, [fcr()], PRICES, None)
         optimize_day(over, [fcr()], PRICES, None, AllocationOptions(pre_reserved_fcr_mw=1.0))
         optimize_day(over, [afrr()], None, 80.0)
 
-    def test_a_grid_finer_than_floats_count_is_refused(self):
-        with pytest.raises(TableError, match="setpoint_grid_mw = 1e-12 MW is too fine for rated "
-                                             "power 1e\\+06 MW") as info:
-            optimize_day(ElectrolyzerUnit("mw", Technology.AEL, 1e6, 0.5, 0.01), [afrr()],
-                         None, 80.0, AllocationOptions(setpoint_grid_mw=1e-12))
+    @pytest.mark.parametrize("unit, products, step", [
+        # bid 132.4 MW at 264.999999998 MW, not 132.5 MW at 265 MW: floor(R / step + _EPS)
+        # landed a step low
+        (ElectrolyzerUnit("fine", Technology.AEL, 265.0, 0.5, 0.1),
+         [BalancingProduct(ProductKind.AFRR, 1.0, 0.1, 300.0, 4.0, Direction.POS)], 2e-9),
+        # validate_schedule rejected the allocator's own aFRR top of 57.9 MW
+        (ElectrolyzerUnit("fine", Technology.AEL, 193.0, 0.1, 0.01),
+         [BalancingProduct(ProductKind.FCR, 1.0, 0.1, 30.0, 4.0, Direction.SYM),
+          BalancingProduct(ProductKind.AFRR, 1.0, 0.1, 300.0, 4.0, Direction.POS)], 1e-9),
+    ])
+    def test_a_grid_finer_than_floats_place_is_refused(self, unit, products, step):
+        prices = flat_prices(30.0) if products[0].kind is ProductKind.FCR else None
+        with pytest.raises(TableError, match=f"setpoint_grid_mw = {step:g} MW is too fine for "
+                                             f"rated power {unit.rated_power_mw:g} MW") as info:
+            optimize_day(unit, products, prices, 10.0, AllocationOptions(setpoint_grid_mw=step))
         assert info.value.key == "setpoint_grid_mw"
+
+    def test_rated_power_may_span_2_to_the_22_steps(self):
+        # 2^22 quarter-MW steps, exactly: the last setpoint is rated power itself
+        edge = 2.0**22 * 0.25
+        for rated in (edge, math.nextafter(edge, math.inf)):
+            unit = ElectrolyzerUnit("edge", Technology.AEL, rated, 0.5, 0.1)
+            options = AllocationOptions(setpoint_grid_mw=0.25)
+            if rated == edge:
+                result = optimize_day(unit, [afrr()], None, 80.0, options)
+                assert {e.setpoint_mw for e in result.schedule.entries} == {rated}
+            else:
+                with pytest.raises(TableError, match=r"spans 4\.19e\+06 steps, more than"):
+                    optimize_day(unit, [afrr()], None, 80.0, options)
 
     def test_result_to_dict_is_flat_data(self):
         result = optimize_day(BIG_UNIT, [fcr()], PRICES, None)
@@ -570,6 +593,11 @@ RAMP_REACH_KINK = _one_setpoint_day(110.0, 0.1, 0.0025, None, (2.0, 2.0), (1.0, 
 UNIT_GRID = BalancingProduct(ProductKind.FCR, 1.0, 1.0, 30.0, 4.0, Direction.SYM)
 UNIT_GRID_AFRR = BalancingProduct(ProductKind.AFRR, 1.0, 1.0, 300.0, 4.0, Direction.POS)
 FLAT_CURVE = EfficiencyCurve(((0.2, 50.0), (1.0, 50.0)))  # 80 kg per MW and 4 h block
+# R lies 1.6e-9 MW below 10 MW: within _EPS of a 2 MW step, so the grid ends at 10 MW, but
+# past SLACK_MW, so 10 MW is out of band; the one lot, 0, sits at 8 MW and carries aFRR
+TOP_PAST_SLACK = _day(ElectrolyzerUnit("out", Technology.AEL, 10.0 - 1.6e-9, 0.1, 0.1),
+                      UNIT_GRID, UNIT_GRID_AFRR, [10.0] * 6, 10.0,
+                      AllocationOptions(setpoint_grid_mw=2.0), "afrr")
 
 
 @settings(max_examples=150, deadline=None)
@@ -595,6 +623,7 @@ FLAT_CURVE = EfficiencyCurve(((0.2, 50.0), (1.0, 50.0)))  # 80 kg per MW and 4 h
 @example(day=LOWEST_LOT_KINK)
 @example(day=STEP_ABOVE_KINK)
 @example(day=RAMP_REACH_KINK)
+@example(day=TOP_PAST_SLACK)
 def test_optimizer_matches_the_brute_force_oracle(day):
     fast = optimize_day(*day)
     slow = brute_force_oracle(*day)
@@ -654,6 +683,7 @@ TOP_PAST_EPS = _day(ElectrolyzerUnit("top", Technology.AEL, 10.0 - 5e-10, 0.1, 0
 @example(day=RAMP_REACH_KINK)
 @example(day=PIN_PAST_SLACK)
 @example(day=TOP_PAST_EPS)
+@example(day=TOP_PAST_SLACK)
 def test_each_lot_sits_at_the_highest_setpoint_that_holds_it(day):
     unit, products, _, _, options = day
     fcr_prod, afrr_prod = _split_products(products)
@@ -661,6 +691,7 @@ def test_each_lot_sits_at_the_highest_setpoint_that_holds_it(day):
     lo, step = unit.min_power_mw, options.setpoint_grid_mw
     setpoints = np.arange(math.ceil(lo / step - 1e-9),
                           math.floor(unit.rated_power_mw / step + 1e-9) + 1) * step
+    setpoints = setpoints[setpoints <= unit.rated_power_mw + 1e-9]  # in the operating band
 
     def top(product, sp):
         return 0.0 if product is None else tradable_scalar(

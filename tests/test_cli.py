@@ -438,10 +438,10 @@ class TestAllocateCommand:
         assert captured.err == ""
 
     def test_too_many_fcr_lots_are_an_input_error(self, tmp_path, capsys):
-        # 1.5e6 lots of 1 MW from the 1.5e6 MW minimum load up to the 3e6 MW rating
+        # 1.35e6 lots of 1 MW in half the band from the 3e5 MW minimum load to the 3e6 MW rating
         huge = tmp_path / "huge.scenario"
         huge.write_text(
-            "[unit]\nname = huge\ntechnology = AEL\nrated_power_mw = 3e6\nmin_load_pct = 50\n"
+            "[unit]\nname = huge\ntechnology = AEL\nrated_power_mw = 3e6\nmin_load_pct = 10\n"
             "ramp_up_pct_per_s = 0.1\n\n[product]\nkind = fcr\n\n"
             f"[prices]\nfcr_capacity_csv = {SCENARIOS / 'prices' / 'capacity_2024_07_25.csv'}\n",
             encoding="utf-8")
@@ -449,7 +449,7 @@ class TestAllocateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {huge}, line 4, key 'rated_power_mw': "
-                                       "rated_power_mw = 3e+06 MW gives 1.5e+06 FCR lots ")
+                                       "rated_power_mw = 3e+06 MW gives 1.35e+06 FCR lots ")
         assert "Traceback" not in captured.err
 
     def test_a_failing_scenario_leaves_no_output(self, tmp_path, capsys):
