@@ -587,22 +587,30 @@ _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 def _loadtxt_signal_rows(path: Path) -> np.ndarray | None:
     """The (time_s, value) data rows as an (n, 2) array when numpy alone
     reads the file: a regular file not named as compressed, the header on
-    line 1 and two finite plain numbers per line.  The file is opened twice
-    (header, then numpy), so a pipe goes to the row walk, as does anything
-    else this returns None for."""
+    line 1 and two finite plain numbers per line.  A whole-number clock is
+    read as integers, the faster parse; a clock with any other cell is read
+    again as floats.  So the file is opened twice (header, then numpy), or
+    three times for a fractional clock, and a pipe goes to the row walk, as
+    does anything else this returns None for."""
     if not path.is_file() or path.suffix.lower() in _COMPRESSED_SUFFIXES:
         return None
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().removeprefix("\ufeff")  # bytes not UTF-8 fail here or in numpy
     if [h.strip().lower() for h in header.split(",")] != ["time_s", "value"]:
         return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                              skiprows=1, encoding="utf-8")
-    except (ValueError, Warning):
-        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. "input contained no data"
+        for dtype in ([("t", "i8"), ("v", "f8")], float):  # a fractional clock fails the first
+            try:
+                rows = np.loadtxt(path, dtype, delimiter=",", comments=None, ndmin=2,
+                                  skiprows=1, encoding="utf-8")
+                break
+            except (ValueError, Warning):
+                pass
+        else:
+            return None
+    if rows.dtype.names:  # (n, 1) records: one (n, 2) float copy
+        rows = np.hstack((rows["t"], rows["v"]))
     if rows.shape[1] != 2 or not np.isfinite(rows).all():
         return None
     return rows
@@ -611,15 +619,16 @@ def _loadtxt_signal_rows(path: Path) -> np.ndarray | None:
 def load_signal(path: str | Path, kind: SignalKind) -> ActivationSignal:
     """Read a time_s,value CSV into an activation signal.
 
-    One ``np.loadtxt`` call reads a plain file, given its path so that numpy
-    reads in chunks rather than line by line.  numpy decompresses a path by
-    its suffix, so a file named ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma``
-    goes to the row walk, which reads every file as plain text.  So does
-    whatever numpy rejects (quoted cells, ``1_000``, a bad, missing or
-    non-finite cell, a header off line 1).  The row walk alone decides
-    which cells are accepted and on which line a fault is reported;
-    ``ActivationSignal.from_rows`` checks the time column.  Both give the
-    same floats.
+    ``np.loadtxt`` reads a plain file, given its path so that numpy reads
+    in chunks rather than line by line: one call for a whole-number clock
+    (its integer reader), and a second one, as floats, for any other clock
+    (``0.5``, ``1e3``, past int64).  numpy decompresses a path by its suffix,
+    so a file named ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma`` goes to the
+    row walk, which reads every file as plain text.  So does whatever numpy
+    rejects (quoted cells, ``1_000``, a bad, missing or non-finite cell, a
+    header off line 1).  The row walk alone decides which cells are accepted
+    and on which line a fault is reported; ``ActivationSignal.from_rows``
+    checks the time column.  All readers give the same floats.
     """
     path = Path(path)
     header = ["time_s", "value"]

@@ -162,6 +162,7 @@ def test_aggregate_dominant_technology_by_capacity():
     assert aggregate(Fleet((small_pem, big_ael))).technology is Technology.AEL
 
 
+@settings(deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=8),
     power=st.floats(min_value=0.5, max_value=50.0, allow_nan=False),

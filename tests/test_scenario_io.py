@@ -805,13 +805,15 @@ def signal_csv(draw) -> bytes:
     """Signal CSV text.  A quarter of the files get an odd header; each
     file draws how often its rows are bent (none in about half the files):
     a time or value cell, the column count, or a blank or whitespace line
-    before a row."""
+    before a row.  Each file spells its clock one way, or row by row."""
     lines = [draw(_HEADER) if draw(st.integers(0, 3)) == 0 else "time_s,value"]
     percent = draw(st.sampled_from([0, 0, 3, 10, 40]))
     bent = st.integers(0, 99).map(lambda k: k < percent)
     dt = draw(st.sampled_from([1.0, 0.5, 0.1, 4.0]))
+    spellings = [repr, "{:g}".format]  # "1.0" or "1": numpy's float or integer clock reader
+    spell = draw(st.sampled_from([*spellings, None]))  # None: drawn row by row
     for k in range(draw(st.integers(0, 12))):
-        time_s = repr(k * dt) if draw(st.booleans()) else f"{k * dt:g}"
+        time_s = (spell or draw(st.sampled_from(spellings)))(k * dt)
         if draw(bent):
             time_s = draw(st.one_of(st.sampled_from([f'"{time_s}"', f" {time_s}\t"]),
                                     st.sampled_from([f"{k * dt + 0.5:g}", "", "nan", "x"])))
@@ -864,6 +866,15 @@ def _load_outcome(load, path: Path):
 @example(data=b"\xef\xbb\xbf\xef\xbb\xbftime_s,value\n0,1\n1,2\n")
 @example(data=b"time_s,value\xff\n0,1\n1,2\n")
 @example(data=b"time_s,value\n0,1\n1,2\xff\n")
+# the integer clock reader: cells it takes read as the float reader's, the rest fall through
+@example(data=b"time_s,value\n-0,1\n1,2\n")
+@example(data=b"time_s,value\n0,1\n01,2\n+2,3\n")
+@example(data=b"time_s,value\n 0 ,1\n\t1\t,2\n 2 ,3\n")
+@example(data=b"time_s,value\n0,1\n9007199254740993,2\n")
+@example(data=b"time_s,value\n0,1\n9223372036854775808,2\n")
+@example(data=b"time_s,value\n0,1\n1,2\n2.0,3\n")
+@example(data=b"time_s,value\n0,1\n1,2\n2.5,3\n")
+@example(data=b"time_s,value\n0,1\n1e3,2\n2e3,3\n")
 def test_load_signal_matches_the_row_walk(tmp_path, data):
     path = tmp_path / "signal.csv"
     path.write_bytes(data)
@@ -882,6 +893,17 @@ def test_plain_signal_files_skip_the_row_walk(monkeypatch):
     monkeypatch.setattr(scenario_io, "_read_csv_rows", no_walk)
     for path in sorted((REPO_SCENARIOS / "signals").glob("*.csv")):
         assert load_signal(path, SignalKind.SETPOINT_REQUEST).values.size > 1
+
+
+def test_a_fractional_clock_skips_the_row_walk(tmp_path, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("row walk used")
+
+    path = tmp_path / "half_second.csv"
+    path.write_text("time_s,value\n0,1\n0.5,2\n1,3\n", encoding="utf-8")
+    monkeypatch.setattr(scenario_io, "_read_csv_rows", no_walk)
+    sig = load_signal(path, SignalKind.SETPOINT_REQUEST)
+    assert sig.timestep_s == 0.5 and sig.values.tolist() == [1.0, 2.0, 3.0]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
